@@ -6,7 +6,9 @@ order is already a topological order and the backward sweep is a single
 reverse pass over the node list, visiting each node exactly once.
 
 Values are numpy arrays (scalars are 0-d arrays). Ops follow numpy
-broadcasting; adjoints are summed back over broadcast axes.
+broadcasting; adjoints are summed back over broadcast axes. A fused op that
+is computed off the tape enters it as one ``custom_op`` node carrying its
+own vector-Jacobian product.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
     "take",
     "gather_rows",
     "gather_steps",
-    "softmin",
+    "custom_op",
 ]
 
 
@@ -314,31 +316,19 @@ def gather_steps(a: Var, indices) -> Var:
     return a.tape._push("gather_steps", (a.idx,), out, idx, _needs(a))
 
 
-def softmin(pot: Var, cost: Var, eps: float, log_w, axis: int) -> Var:
-    """Entropic soft minimum: one log-domain coordinate update.
+def custom_op(inputs, value, vjp) -> Var:
+    """One node computed outside the tape, with its own backward rule.
 
-    out = -eps * logsumexp((pot - cost) / eps + log_w, over ``axis``),
-    where ``pot`` broadcasts along the reduced axis of the (n, m) ``cost``
-    and ``log_w`` are the log reference weights on that axis. Backward
-    recomputes the softmax weights from stored inputs, so the tape keeps
-    only vectors per call instead of an (n, m) intermediate.
+    ``value`` is the output, already computed from ``inputs`` (a sequence
+    of Vars on one tape). ``vjp(g)`` maps the output adjoint ``g`` to one
+    adjoint per input, each shaped like that input's value, or None for an
+    input it sends nothing to. The backward sweep calls it, so a fused op
+    keeps what its backward needs in the closure instead of on the tape.
+    Pass ``vjp=None`` when no input needs gradients.
     """
-    tape = _same_tape(pot, cost)
-    log_w = np.asarray(log_w, dtype=np.float64)
-    z = _softmin_z(pot.value, cost.value, eps, log_w, axis)
-    m = z.max(axis=axis)
-    out = -eps * (m + np.log(np.exp(z - np.expand_dims(m, axis)).sum(axis=axis)))
-    return tape._push(
-        "softmin", (pot.idx, cost.idx), out, (eps, log_w, axis), _needs(pot, cost)
-    )
-
-
-def _softmin_z(pot_value, cost_value, eps, log_w, axis):
-    if axis == 1:
-        # reduce over columns: pot has one entry per column
-        return (pot_value[None, :] - cost_value) / eps + log_w[None, :]
-    # reduce over rows: pot has one entry per row
-    return (pot_value[:, None] - cost_value) / eps + log_w[:, None]
+    tape = _same_tape(*inputs)
+    value = np.asarray(value, dtype=np.float64)
+    return tape._push("custom", tuple(v.idx for v in inputs), value, vjp, _needs(*inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +479,10 @@ def _bw_gather_steps(tape, node, g):
     tape._accumulate(node.parents[0], gx)
 
 
-def _bw_softmin(tape, node, g):
-    eps, log_w, axis = node.ctx
-    pi, ci = node.parents
-    z = _softmin_z(tape.nodes[pi].value, tape.nodes[ci].value, eps, log_w, axis)
-    # out = -eps * lse  =>  lse = -out / eps; softmax weights sum to 1 on axis
-    w = np.exp(z + np.expand_dims(node.value / eps, axis))
-    gexp = np.expand_dims(g, axis)
-    tape._accumulate(ci, gexp * w)
-    tape._accumulate(pi, -(gexp * w).sum(axis=1 - axis))
+def _bw_custom(tape, node, g):
+    for pid, contribution in zip(node.parents, node.ctx(g)):
+        if contribution is not None:
+            tape._accumulate(pid, contribution)
 
 
 _BACKWARD = {
@@ -521,5 +506,5 @@ _BACKWARD = {
     "step_slice": _bw_step_slice,
     "take": _bw_take,
     "gather_steps": _bw_gather_steps,
-    "softmin": _bw_softmin,
+    "custom": _bw_custom,
 }

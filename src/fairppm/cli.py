@@ -440,7 +440,22 @@ def cmd_train(config: dict) -> int:
         f"trained lambda={loss_cfg.lam} in {ckpt.epochs_run} epochs "
         f"(best epoch {ckpt.best_epoch}, val loss {ckpt.best_val_loss:.5f})"
     )
+    if not ckpt.converged:
+        _warn_not_converged(
+            loss_cfg.lam,
+            loss_cfg.sinkhorn,
+            f"{ckpt.sinkhorn_nonconverged} of {ckpt.sinkhorn_evals} Sinkhorn calls",
+        )
     return EXIT_OK
+
+
+def _warn_not_converged(lam: float, sinkhorn: SinkhornConfig, calls: str) -> None:
+    print(
+        f"warning: lambda={lam}: {calls} stopped at the {sinkhorn.max_iters}-iteration cap "
+        f"above tol {sinkhorn.tol}; the transport term did not converge "
+        "(raise --sinkhorn-iters or --sinkhorn-eps)",
+        file=sys.stderr,
+    )
 
 
 def _hyper_dict(hyper: Hyper) -> dict:
@@ -500,6 +515,7 @@ def cmd_sweep(config: dict) -> int:
         raise ConfigError("sweep requires an explicit 'hyper' object")
     hyper = _hyper_from_dict(raw_hyper)
     jobs = config.get("jobs", 1)
+    sinkhorn = _sinkhorn_config(config)
 
     points = lambda_sweep(
         train_data,
@@ -509,7 +525,7 @@ def cmd_sweep(config: dict) -> int:
         hyper,
         lambdas=_lambdas(config),
         seed=seed,
-        sinkhorn=_sinkhorn_config(config),
+        sinkhorn=sinkhorn,
         cfg=_train_config(config),
         jobs=jobs,
     )
@@ -520,6 +536,9 @@ def cmd_sweep(config: dict) -> int:
         out / SWEEP_FILE,
         header_comment=_provenance_comment(config),
     )
+    for p in points:
+        if not (p.failed or p.converged):
+            _warn_not_converged(p.lam, sinkhorn, "half or more of the Sinkhorn calls")
     failed = [p for p in points if p.failed]
     print(f"swept {len(points)} lambdas ({len(failed)} failed) -> {out / SWEEP_FILE}")
     return EXIT_OK
@@ -536,11 +555,11 @@ def cmd_evaluate(config: dict) -> int:
             "encoder.json does not match the encoder this checkpoint was trained with"
         )
 
-    report = evaluate(ckpt, test_data)
+    scores = predict(ckpt.params, test_data)
+    report = evaluate(ckpt, test_data, scores)
     prov = _provenance(config)
     _write_json(out / REPORT_FILE, {"provenance": prov, "report": report.to_dict()})
 
-    scores = predict(ckpt.params, test_data)
     with open(out / SCORES_FILE, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {_provenance_comment(config)}\n")
         fh.write("score,outcome,sensitive\n")

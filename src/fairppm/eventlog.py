@@ -250,6 +250,13 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
                     raise ConsistencyError(
                         f"case '{case_id}': static attributes vary between rows"
                     )
+                # naive and offset-carrying stamps do not compare; the sort
+                # below would fail on them
+                if (stamp.tzinfo is None) != (entry["events"][0].timestamp.tzinfo is None):
+                    raise RowError(
+                        f"line {line}: timestamp '{row['timestamp']}' mixes naive and "
+                        f"UTC-offset timestamps within case '{case_id}'"
+                    )
                 entry["events"].append(event)
 
     traces = []

@@ -127,8 +127,10 @@ def _validation_loss(
     losses = []
     for start in range(0, len(valid), batch):
         part = valid.subset(np.arange(start, min(start + batch, len(valid))))
-        result = forward(params, part, training=False)
-        losses.append(float(composite_loss(result.propensities, part.y, part.s, loss_cfg).loss.value))
+        propensities = forward(params, part, training=False).propensities
+        # a constant input: the loss needs no backward, so Sinkhorn keeps no history
+        scores = propensities.tape.constant(propensities.value)
+        losses.append(float(composite_loss(scores, part.y, part.s, loss_cfg).loss.value))
     return float(np.mean(losses))
 
 
@@ -448,10 +450,14 @@ def pareto_front(points: list, fairness_key: str) -> ParetoFront:
 # evaluation
 
 
-def evaluate(checkpoint: Checkpoint, test: PackedDataset) -> EvalReport:
+def evaluate(
+    checkpoint: Checkpoint, test: PackedDataset, scores: np.ndarray | None = None
+) -> EvalReport:
     """All metrics on a test set; the operating threshold is tuned on the
-    validation scores stored inside the checkpoint."""
-    scores = predict(checkpoint.params, test)
+    validation scores stored inside the checkpoint. ``scores`` are the
+    checkpoint's test-set predictions when the caller already has them."""
+    if scores is None:
+        scores = predict(checkpoint.params, test)
     opt_t = optimal_threshold(checkpoint.valid_scores, checkpoint.valid_labels)
     return eval_report(scores, test.y, test.s, opt_t)
 

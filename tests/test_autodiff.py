@@ -188,18 +188,36 @@ def test_gather_steps_grads(rng):
     check_op(lambda lv: weighted_sum(w2)(ad.gather_steps(lv["a"], idx2)), {"a": a.copy()})
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_softmin_grads(axis, rng):
-    n, m = 4, 3
-    pot = rng.normal(scale=0.05, size=(m if axis == 1 else n,))
-    cost = rng.uniform(0.0, 1.0, size=(n, m))
-    log_w = np.log(np.full(pot.size, 1.0 / pot.size))
-    out_size = n if axis == 1 else m
-    w = rng.normal(size=(out_size,))
-    check_op(
-        lambda lv: weighted_sum(w)(ad.softmin(lv["pot"], lv["cost"], 0.05, log_w, axis)),
-        {"pot": pot, "cost": cost},
-    )
+def test_custom_op_vjp_grads(rng):
+    # out_j = sum_i exp(a_i) * b_ij, computed off the tape; the op's own VJP
+    # sends nothing (None) to the constant ``c``
+    a = rng.normal(size=(3,))
+    b = rng.normal(size=(3, 4))
+    c = rng.normal(size=(4,))
+    w = rng.normal(size=(4,))
+    calls = []
+
+    def fused(lv):
+        av, bv, cv = lv["a"], lv["b"], lv["b"].tape.constant(c)
+        ea = np.exp(av.value)
+
+        def vjp(g):
+            calls.append(g)
+            return ea * (bv.value @ g), np.outer(ea, g), None
+
+        return weighted_sum(w)(ad.custom_op((av, bv, cv), ea @ bv.value + cv.value, vjp))
+
+    check_op(fused, {"a": a, "b": b})
+    assert len(calls) == 1  # one backward sweep, one VJP call
+
+
+def test_custom_op_on_constants_needs_no_vjp():
+    tape = Tape()
+    x = tape.constant(np.array([1.0, 2.0]))
+    out = ad.custom_op((x,), np.sum(x.value), None)
+    assert float(out.value) == 3.0
+    tape.backward(out)  # a constant-only node is never differentiated
+    assert np.array_equal(tape.grad(x), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

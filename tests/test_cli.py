@@ -191,6 +191,25 @@ def test_sweep_default_range_yields_eleven_rows(tmp_path):
     assert all(r[7] in ("true", "false") for r in rows)
 
 
+def test_capped_sinkhorn_runs_warn_once_per_run(tmp_path, capsys):
+    out = tmp_path / "capped"
+    config = base_config(
+        out, n_cases=60, train={"max_epochs": 1, "patience": 1}, sweep=[0.0, 0.3]
+    )
+    cfg_path = write_config(tmp_path, config)
+    assert run("synth", cfg_path) == EXIT_OK
+    assert run("ingest", cfg_path) == EXIT_OK
+    capsys.readouterr()
+    assert run("train", cfg_path, "--lambda", "0.3", "--sinkhorn-iters", "2") == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1 and "lambda=0.3" in err and "did not converge" in err
+    assert run("train", cfg_path, "--lambda", "0") == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+    assert run("sweep", cfg_path, "--sinkhorn-iters", "2") == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1 and "lambda=0.3" in err
+
+
 def test_report_merges_runs_and_writes_density_curves(pipeline, tmp_path):
     tmp, out_a, _ = pipeline
     out_b, _ = run_pipeline(tmp_path, "runb", n_cases=80)
@@ -325,6 +344,24 @@ def test_missing_sensitive_attribute_names_it(tmp_path, capsys):
     assert run("synth", cfg_path) == EXIT_OK
     assert run("ingest", cfg_path) == EXIT_CONFIG
     assert "case:absent" in capsys.readouterr().err
+
+
+def test_mixed_timezones_in_a_case_is_config_error(tmp_path, capsys):
+    log = tmp_path / "mixed.csv"
+    log.write_text(
+        "case_id,activity,timestamp,case:protected\n"
+        "c1,submit,2024-01-05T08:00:00+01:00,TRUE\n"
+        "c1,offer,2024-01-05T09:00:00,TRUE\n"
+    )
+    config = {
+        "out": str(tmp_path / "mixed"),
+        "log": str(log),
+        "schema": {"case:protected": "boolean"},
+        "target_activity": "offer",
+    }
+    assert run("ingest", write_config(tmp_path, config)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 3" in err and "internal error" not in err
 
 
 def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):

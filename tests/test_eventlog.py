@@ -8,11 +8,15 @@ rows, exact quota arithmetic for splits, chi-square contingency tests
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairppm.eventlog import (
     SYNTH_SCHEMA,
@@ -139,6 +143,58 @@ def test_parse_varying_static_attr_names_case(tmp_path):
     )
     with pytest.raises(ConsistencyError, match="c7"):
         parse_event_log(path, SCHEMA)
+
+
+def test_parse_mixed_naive_and_offset_timestamps_reports_line(tmp_path):
+    path = write_csv(
+        tmp_path,
+        "case_id,activity,timestamp,case:protected,cost\n"
+        f"c1,submit,{ts(0)}+02:00,TRUE,0\n"
+        f"c2,submit,{ts(1)},TRUE,0\n"
+        f"c1,review,{ts(5)},TRUE,0\n",
+    )
+    with pytest.raises(RowError, match=r"line 4: .*c1"):
+        parse_event_log(path, SCHEMA)
+
+
+@st.composite
+def one_case_stamps(draw):
+    """Timestamps of one case, each naive or carrying a UTC offset."""
+    minutes = draw(st.lists(st.integers(0, 59), min_size=1, max_size=8))
+    offsets = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(-12 * 60, 14 * 60)),
+            min_size=len(minutes),
+            max_size=len(minutes),
+        )
+    )
+    stamps = []
+    for minute, offset in zip(minutes, offsets):
+        stamp = ts(minute)
+        if offset is not None:
+            sign = "+" if offset >= 0 else "-"
+            stamp += f"{sign}{abs(offset) // 60:02d}:{abs(offset) % 60:02d}"
+        stamps.append((stamp, offset is not None))
+    return stamps
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_case_stamps())
+def test_parse_offset_awareness_property(stamps):
+    # a case parses iff its stamps are all naive or all carry an offset;
+    # otherwise the error names the first row that differs from row one
+    rows = "".join(f"c1,a{i},{stamp},TRUE,0\n" for i, (stamp, _) in enumerate(stamps))
+    aware = [flag for _, flag in stamps]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp), "case_id,activity,timestamp,case:protected,cost\n" + rows)
+        if len(set(aware)) == 1:
+            events = parse_event_log(path, SCHEMA).traces[0].events
+            assert len(events) == len(stamps)
+            assert all(a.timestamp <= b.timestamp for a, b in zip(events, events[1:]))
+        else:
+            first_other = aware.index(not aware[0])
+            with pytest.raises(RowError, match=f"line {first_other + 2}:"):
+                parse_event_log(path, SCHEMA)
 
 
 def test_schema_rejects_unknown_kind_and_reserved_name():

@@ -1,9 +1,11 @@
 """Wasserstein distances: exact closed form and Sinkhorn approximation.
 
 Oracles: scipy.stats.wasserstein_distance (independent exact W1), the
-sorted-matching closed form for equal sample counts, and central finite
-differences for gradients. Gradient checks run in fixed-budget mode
-(tol=0) so the compared program has an input-independent iteration count.
+sorted-matching closed form for equal sample counts, central finite
+differences for gradients, and the Sinkhorn loop unrolled on the tape
+(conftest.reference_sinkhorn) for the fused Sinkhorn node. Gradient checks
+run in fixed-budget mode (tol=0) so the compared program has an
+input-independent iteration count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import grad_close, sorted_matching_w1
+from conftest import grad_close, reference_sinkhorn, sorted_matching_w1
 from fairppm.autodiff import Tape
 from fairppm.transport import SinkhornConfig, exact_w1_1d, sinkhorn_distance
 
@@ -266,3 +268,40 @@ def test_sinkhorn_gradients_flow_in_losses(rng):
     assert np.isfinite(tape.grad(va)).all()
     assert np.isfinite(tape.grad(vb)).all()
     assert np.abs(tape.grad(va)).sum() > 0
+
+
+# ---------------------------------------------------------------------------
+# sinkhorn: the fused node against the unrolled tape oracle
+
+
+def sinkhorn_with_grads(fn, a, b, cfg: SinkhornConfig):
+    tape = Tape()
+    va, vb = tape.leaf(a), tape.leaf(b)
+    result = fn(va, vb, cfg)
+    tape.backward(result.var)
+    return result, np.concatenate([tape.grad(va), tape.grad(vb)])
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001])
+def test_fused_sinkhorn_matches_unrolled_reference(epsilon, tol):
+    rng = np.random.default_rng(67)
+    cases = {
+        "n<m": (rng.random(17), rng.random(29)),
+        "n>m, swapped": (rng.random(64), rng.uniform(0.2, 1.2, 48)),
+        "n=1": (rng.random(1), rng.random(12)),
+        "ties": (np.array([0.2, 0.5, 0.5, 0.8, 0.3]), np.array([0.5, 0.2, 0.9, 0.5])),
+    }
+    # with tol > 0, a budget of 3 caps every case but n=1
+    for max_iters in (3, 300):
+        cfg = SinkhornConfig(epsilon=epsilon, max_iters=max_iters, tol=tol)
+        for name, (a, b) in cases.items():
+            got, got_grad = sinkhorn_with_grads(sinkhorn_distance, a, b, cfg)
+            ref, ref_grad = sinkhorn_with_grads(reference_sinkhorn, a, b, cfg)
+            label = f"{name}, max_iters={max_iters}"
+            assert (got.iterations, got.converged) == (ref.iterations, ref.converged), label
+            assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value), label
+            assert np.abs(got_grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max(), label
+            assert got.marginal_violation == pytest.approx(
+                ref.marginal_violation, rel=1e-6, abs=1e-12
+            ), label
