@@ -13,6 +13,7 @@ import pytest
 from conftest import assert_grads_match, central_diff, grad_close
 from fairppm import autodiff as ad
 from fairppm.autodiff import Tape
+from fairppm.transport import _Kernel
 
 
 def check_op(build_loss, arrays: dict, step: float = 1e-5):
@@ -186,6 +187,31 @@ def test_gather_steps_grads(rng):
     idx2 = np.array([[0, 1, 1, 3], [3, 2, 1, 0], [2, 2, 2, 2]])
     w2 = rng.normal(size=(3, 4, 2))
     check_op(lambda lv: weighted_sum(w2)(ad.gather_steps(lv["a"], idx2)), {"a": a.copy()})
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmin_grads(axis, rng):
+    # the Sinkhorn soft-min update, entered as one custom_op whose VJP is
+    # built from the kernel's softmax weights: d out / d C = w, d out / d pot = -w
+    n, m = 4, 3
+    pot = rng.normal(scale=0.05, size=(m if axis == 1 else n,))
+    cost = rng.uniform(0.0, 1.0, size=(n, m))
+    log_w = np.log(np.full(pot.size, 1.0 / pot.size))
+    out_size = n if axis == 1 else m
+    w = rng.normal(size=(out_size,))
+
+    def softmin(lv):
+        kernel = _Kernel(lv["cost"].value, 0.05)
+        out = kernel.update(lv["pot"].value, log_w, axis)
+
+        def vjp(g):
+            d_cost = kernel.weights(lv["pot"].value, log_w, out, axis) * np.expand_dims(g, axis)
+            d_pot = -(kernel.col_sums(d_cost) if axis == 1 else kernel.row_sums(d_cost))
+            return d_pot, d_cost
+
+        return weighted_sum(w)(ad.custom_op((lv["pot"], lv["cost"]), out, vjp))
+
+    check_op(softmin, {"pot": pot, "cost": cost})
 
 
 def test_custom_op_vjp_grads(rng):
