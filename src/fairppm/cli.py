@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +31,26 @@ from .eventlog import (
     generate_synthetic_log,
     parse_event_log,
     read_samples_jsonl,
-    sample_to_dict,
     split_cases,
     validation_split,
     write_event_log,
+    write_samples_jsonl,
 )
-from .metrics import GroupedScores, UndefinedMetricError, density_curve, write_density_csv
+from .metrics import (
+    EvalReport,
+    GroupedScores,
+    UndefinedMetricError,
+    density_curve,
+    write_density_csv,
+)
 from .nn import CompositeLossConfig, Hyper
 from .nn import predict
 from .train import (
     TrainConfig,
+    default_grid,
     default_lambdas,
     evaluate,
+    from_fields,
     grid_search,
     lambda_sweep,
     load_checkpoint,
@@ -155,7 +164,10 @@ def _schema_from_config(config: dict) -> SchemaConfig:
         path = Path(raw)
         if not path.is_file():
             raise ConfigError(f"schema file '{path}' does not exist")
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("'schema' must be an object or a path to one")
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
@@ -181,48 +193,12 @@ def _max_len(config: dict) -> int:
     return value
 
 
-def _sinkhorn_config(config: dict) -> SinkhornConfig:
-    raw = config.get("sinkhorn", {})
+def _record(cls, config: dict, key: str):
+    """The dataclass ``cls`` read strictly from the config object at ``key``."""
     try:
-        return SinkhornConfig(
-            epsilon=float(raw.get("epsilon", 0.01)),
-            max_iters=int(raw.get("max_iters", 200)),
-            tol=float(raw.get("tol", 1e-6)),
-        )
+        return from_fields(cls, config.get(key, {}))
     except ValueError as exc:
-        raise ConfigError(f"bad sinkhorn config: {exc}") from None
-
-
-def _train_config(config: dict) -> TrainConfig:
-    raw = config.get("train", {})
-    defaults = TrainConfig()
-    try:
-        return TrainConfig(
-            max_epochs=int(raw.get("max_epochs", defaults.max_epochs)),
-            patience=int(raw.get("patience", defaults.patience)),
-            plateau_factor=float(raw.get("plateau_factor", defaults.plateau_factor)),
-            plateau_patience=int(raw.get("plateau_patience", defaults.plateau_patience)),
-            plateau_margin=float(raw.get("plateau_margin", defaults.plateau_margin)),
-            betas=tuple(raw.get("betas", defaults.betas)),
-            adam_eps=float(raw.get("adam_eps", defaults.adam_eps)),
-            weight_decay=float(raw.get("weight_decay", defaults.weight_decay)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
-
-
-def _hyper_from_dict(raw: dict) -> Hyper:
-    try:
-        return Hyper(
-            layers=int(raw.get("layers", 1)),
-            hidden=int(raw.get("hidden", 16)),
-            bidirectional=bool(raw.get("bidirectional", False)),
-            batch=int(raw.get("batch", 512)),
-            lr=float(raw.get("lr", 1e-3)),
-            dropout=float(raw.get("dropout", 0.2)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hyper config: {exc}") from None
+        raise ConfigError(f"bad '{key}' config: {exc}") from None
 
 
 def _lambda(config: dict, default: float = 0.0) -> float:
@@ -232,20 +208,32 @@ def _lambda(config: dict, default: float = 0.0) -> float:
     return float(value)
 
 
+@dataclass(frozen=True)
+class _SweepRange:
+    """The ``{start, stop, step}`` form of the config's ``sweep``."""
+
+    start: float = 0.0
+    stop: float = 0.5
+    step: float = 0.05
+
+    def __post_init__(self):
+        if self.step <= 0 or self.stop < self.start:
+            raise ValueError("the range must have step > 0 and stop >= start")
+
+
 def _lambdas(config: dict) -> list:
     raw = config.get("sweep")
     if raw is None:
         return default_lambdas()
     if isinstance(raw, list):
-        values = [float(v) for v in raw]
+        try:
+            values = [float(v) for v in raw]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad 'sweep' lambda: {exc}") from None
     elif isinstance(raw, dict):
-        start = float(raw.get("start", 0.0))
-        stop = float(raw.get("stop", 0.5))
-        step = float(raw.get("step", 0.05))
-        if step <= 0 or stop < start:
-            raise ConfigError("'sweep' range must have step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        values = [round(start + i * step, 10) for i in range(count)]
+        span = _record(_SweepRange, config, "sweep")
+        count = int(round((span.stop - span.start) / span.step)) + 1
+        values = [round(span.start + i * span.step, 10) for i in range(count)]
     else:
         raise ConfigError("'sweep' must be a list of lambdas or {start, stop, step}")
     for v in values:
@@ -265,15 +253,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _write_samples_with_provenance(samples, path: Path, provenance: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"_provenance": provenance}, sort_keys=True))
-        fh.write("\n")
-        for sample in samples:
-            fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
-            fh.write("\n")
 
 
 def _sha256_file(path: Path) -> str:
@@ -361,9 +340,9 @@ def cmd_ingest(config: dict) -> int:
     encoder = fit_encoder(train_samples, schema, max_len, drop_sensitive, sensitive_attr)
 
     prov = _provenance(config)
-    _write_samples_with_provenance(train_samples, out / TRAIN_SAMPLES, prov)
-    _write_samples_with_provenance(valid_samples, out / VALID_SAMPLES, prov)
-    _write_samples_with_provenance(test_samples, out / TEST_SAMPLES, prov)
+    write_samples_jsonl(train_samples, out / TRAIN_SAMPLES, prov)
+    write_samples_jsonl(valid_samples, out / VALID_SAMPLES, prov)
+    write_samples_jsonl(test_samples, out / TEST_SAMPLES, prov)
 
     encoder_payload = json.loads(encoder_to_json(encoder))
     encoder_payload["provenance"] = prov
@@ -395,40 +374,29 @@ def _load_encoder(out: Path):
 def cmd_train(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)
+    sinkhorn = _record(SinkhornConfig, config, "sinkhorn")
+    loss_cfg = CompositeLossConfig(lam=_lambda(config), sinkhorn=sinkhorn)
+    train_cfg = _record(TrainConfig, config, "train")
+    raw_hyper = config.get("hyper", "grid")
+    grid = None
+    if raw_hyper == "grid":
+        grid = _grid(config)
+    elif isinstance(raw_hyper, dict):
+        hyper = _record(Hyper, config, "hyper")
+    else:
+        raise ConfigError("'hyper' must be an object or the string \"grid\"")
+    jobs = config.get("jobs", 1)
+    prov = _provenance(config)
     encoder = _load_encoder(out)
     train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
     valid_data = _load_packed(out, VALID_SAMPLES, encoder)
-    loss_cfg = CompositeLossConfig(lam=_lambda(config), sinkhorn=_sinkhorn_config(config))
-    train_cfg = _train_config(config)
-    jobs = config.get("jobs", 1)
-    prov = _provenance(config)
 
-    raw_hyper = config.get("hyper", "grid")
-    if raw_hyper == "grid":
-        grid = _grid_from_config(config)
+    if grid is not None:
         result = grid_search(
             train_data, valid_data, encoder, seed, grid=grid, cfg=train_cfg, jobs=jobs
         )
         hyper = result.best
-        _write_json(
-            out / GRID_FILE,
-            {
-                "provenance": prov,
-                "best": _hyper_dict(hyper),
-                "cells": [
-                    {
-                        "hyper": _hyper_dict(c.hyper),
-                        "valid_auc": c.valid_auc,
-                        "error": c.error,
-                    }
-                    for c in result.cells
-                ],
-            },
-        )
-    elif isinstance(raw_hyper, dict):
-        hyper = _hyper_from_dict(raw_hyper)
-    else:
-        raise ConfigError("'hyper' must be an object or the string \"grid\"")
+        _write_json(out / GRID_FILE, {"provenance": prov, **asdict(result)})
 
     ckpt = train_model(train_data, valid_data, encoder, hyper, loss_cfg, seed, train_cfg)
     ckpt.encoder_ref = {
@@ -458,64 +426,34 @@ def _warn_not_converged(lam: float, sinkhorn: SinkhornConfig, calls: str) -> Non
     )
 
 
-def _hyper_dict(hyper: Hyper) -> dict:
-    return {
-        "layers": hyper.layers,
-        "hidden": hyper.hidden,
-        "bidirectional": hyper.bidirectional,
-        "batch": hyper.batch,
-        "lr": hyper.lr,
-        "dropout": hyper.dropout,
-    }
-
-
-def _grid_from_config(config: dict) -> list | None:
-    raw = config.get("grid")
-    if raw is None:
-        return None
+def _grid(config: dict) -> list:
+    """The default grid with any axis the config's ``grid`` object replaces."""
+    raw = config.get("grid", {})
     if not isinstance(raw, dict):
         raise ConfigError("'grid' must be an object of axis lists")
-    axes = {
-        "layers": raw.get("layers", [1, 2]),
-        "bidirectional": raw.get("bidirectional", [False, True]),
-        "hidden": raw.get("hidden", [16, 32, 64]),
-        "batch": raw.get("batch", [128, 256, 512]),
-        "lr": raw.get("lr", [1e-4, 1e-3]),
-        "dropout": raw.get("dropout", [0.2, 0.4]),
-    }
-    cells = []
-    for layers in axes["layers"]:
-        for bidirectional in axes["bidirectional"]:
-            for hidden in axes["hidden"]:
-                for batch in axes["batch"]:
-                    for lr in axes["lr"]:
-                        for dropout in axes["dropout"]:
-                            cells.append(
-                                Hyper(
-                                    layers=int(layers),
-                                    hidden=int(hidden),
-                                    bidirectional=bool(bidirectional),
-                                    batch=int(batch),
-                                    lr=float(lr),
-                                    dropout=float(dropout),
-                                )
-                            )
-    return cells
+    for axis, values in raw.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"'grid' axis '{axis}' must be a nonempty list, got {values!r}")
+    try:
+        return default_grid(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad 'grid' config: {exc}") from None
 
 
 def cmd_sweep(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)
+    if not isinstance(config.get("hyper"), dict):
+        raise ConfigError("sweep requires an explicit 'hyper' object")
+    hyper = _record(Hyper, config, "hyper")
+    sinkhorn = _record(SinkhornConfig, config, "sinkhorn")
+    train_cfg = _record(TrainConfig, config, "train")
+    lambdas = _lambdas(config)
+    jobs = config.get("jobs", 1)
     encoder = _load_encoder(out)
     train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
     valid_data = _load_packed(out, VALID_SAMPLES, encoder)
     test_data = _load_packed(out, TEST_SAMPLES, encoder)
-    raw_hyper = config.get("hyper")
-    if not isinstance(raw_hyper, dict):
-        raise ConfigError("sweep requires an explicit 'hyper' object")
-    hyper = _hyper_from_dict(raw_hyper)
-    jobs = config.get("jobs", 1)
-    sinkhorn = _sinkhorn_config(config)
 
     points = lambda_sweep(
         train_data,
@@ -523,10 +461,10 @@ def cmd_sweep(config: dict) -> int:
         test_data,
         encoder,
         hyper,
-        lambdas=_lambdas(config),
+        lambdas=lambdas,
         seed=seed,
         sinkhorn=sinkhorn,
-        cfg=_train_config(config),
+        cfg=train_cfg,
         jobs=jobs,
     )
     write_sweep_csv(
@@ -590,25 +528,13 @@ def cmd_report(config: dict, runs: list) -> int:
                 header_comment=_provenance_comment(config),
             )
 
-    fields = [
-        "auc",
-        "f1_at_0_5",
-        "f1_at_opt",
-        "acc_at_0_5",
-        "acc_at_opt",
-        "opt_threshold",
-        "ddp_b_0_5",
-        "ddp_b_opt",
-        "ddp_c",
-        "abpc",
-        "abcc",
-    ]
+    columns = [f.name for f in fields(EvalReport)]
     report_csv = out / "report.csv"
     with open(report_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {_provenance_comment(config)}\n")
-        fh.write("run," + ",".join(fields) + "\n")
+        fh.write("run," + ",".join(columns) + "\n")
         for name, report in rows:
-            fh.write(name + "," + ",".join(repr(float(report[f])) for f in fields) + "\n")
+            fh.write(name + "," + ",".join(repr(float(report[c])) for c in columns) + "\n")
     print(f"merged {len(rows)} run(s) -> {report_csv}")
     return EXIT_OK
 

@@ -6,8 +6,10 @@ activity: a case is positive iff the target occurs, and prefixes are taken
 strictly before it. The module also ships a seeded synthetic generator that
 plants a configurable group bias, used by tests and the `synth` command.
 
-CSV format: header row with required columns `case_id`, `activity`,
-`timestamp` (ISO-8601); static attributes use a `case:` name prefix
+CSV format (UTF-8, a leading byte-order mark is ignored): a header row of
+unique names with required columns `case_id`, `activity`, `timestamp`
+(ISO-8601), and as many fields in every row as in the header; static
+attributes use a `case:` name prefix
 (boolean values TRUE/FALSE, case-insensitive); all other columns are
 dynamic event attributes. Every non-required column must be declared in the
 schema with a kind (categorical | numeric | boolean).
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -63,7 +65,8 @@ class SchemaError(EventLogError):
 
 
 class RowError(EventLogError):
-    """A row's value cannot be parsed; message carries the 1-based line."""
+    """A row cannot be parsed; the message carries the 1-based physical line
+    the row ends on."""
 
 
 class ConsistencyError(EventLogError):
@@ -205,9 +208,14 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
     must be constant across the case.
     """
     skipped: list = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(_skip_comment_lines(fh, skipped))
-        header = reader.fieldnames or []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(_skip_comment_lines(fh, skipped))
+        header = next(reader, [])
+        for col in header:
+            if header.count(col) > 1:
+                raise SchemaError(
+                    f"line {reader.line_num + len(skipped)}: duplicate column '{col}'"
+                )
         for col in REQUIRED_COLUMNS:
             if col not in header:
                 raise SchemaError(f"missing required column '{col}'")
@@ -222,8 +230,16 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
         dynamic_cols = [c for c in extra if not c.startswith(STATIC_PREFIX)]
 
         cases: dict[str, dict] = {}
-        # data starts after any skipped comment lines plus the header line
-        for line, row in enumerate(reader, start=2 + len(skipped)):
+        for values in reader:
+            if not values:
+                continue  # a blank line
+            # the physical line the record ends on: a quoted field may span lines
+            line = reader.line_num + len(skipped)
+            if len(values) != len(header):
+                raise RowError(
+                    f"line {line}: {len(values)} fields where the header has {len(header)}"
+                )
+            row = dict(zip(header, values))
             case_id = row["case_id"]
             if not case_id:
                 raise RowError(f"line {line}: empty case_id")
@@ -231,7 +247,7 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
                 raise RowError(f"line {line}: empty activity")
             try:
                 stamp = datetime.fromisoformat(row["timestamp"])
-            except (ValueError, TypeError):
+            except ValueError:
                 raise RowError(
                     f"line {line}: unparseable timestamp '{row['timestamp']}'"
                 ) from None
@@ -426,22 +442,16 @@ class BiasSpec:
         return cls(n_cases=n_cases, **cls.PRESETS[name])
 
     def to_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "activities": list(self.activities),
-            "target_activity": self.target_activity,
-            "p_s1": self.p_s1,
-            "r0": self.r0,
-            "r1": self.r1,
-            "proxy_corr": self.proxy_corr,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BiasSpec":
-        kwargs = dict(d)
-        if "activities" in kwargs:
-            kwargs["activities"] = tuple(kwargs["activities"])
-        return cls(**kwargs)
+        from .train import from_fields  # imported here: train depends on this module
+
+        try:
+            return from_fields(cls, d)
+        except ValueError as exc:
+            raise BiasSpecError(f"bad bias_spec: {exc}") from None
 
 
 SYNTH_SCHEMA = SchemaConfig(
@@ -560,8 +570,12 @@ def sample_from_dict(d: dict) -> RawPrefixSample:
     )
 
 
-def write_samples_jsonl(samples, path) -> None:
+def write_samples_jsonl(samples, path, provenance: dict | None = None) -> None:
+    """One JSON sample per line, after a ``_provenance`` record when given."""
     with open(path, "w", encoding="utf-8") as fh:
+        if provenance:
+            fh.write(json.dumps({"_provenance": provenance}, sort_keys=True))
+            fh.write("\n")
         for sample in samples:
             fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
             fh.write("\n")

@@ -3,9 +3,11 @@
 Scores live in [0,1]. Group metrics compare the score distribution of group
 S0 against group S1: mean gap (``delta_dp_c``), positive-rate gap at a
 threshold (``delta_dp_b``), integrated PDF gap (``abpc``, via Gaussian KDE)
-and integrated CDF gap (``abcc``, via empirical CDFs). Integrals use the
-composite trapezoidal rule on a fixed 10,001-point grid over [0,1], i.e.
-10,000 intervals.
+and integrated CDF gap (``abcc``, via empirical CDFs). ``abpc`` and the
+exported density curves use the composite trapezoidal rule on a fixed
+10,001-point grid over [0,1], i.e. 10,000 intervals. ``abcc`` is exact: the
+two empirical CDFs are step functions, and since scores lie in [0,1] the
+integral of their gap over [0,1] is the exact 1-D Wasserstein-1 distance.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .transport import exact_w1_1d
 
 __all__ = [
     "GRID_POINTS",
@@ -203,12 +207,11 @@ def abpc(g: GroupedScores, grid: np.ndarray | None = None) -> float:
     return trapezoid(np.abs(kde_pdf(g.s0, grid) - kde_pdf(g.s1, grid)), grid)
 
 
-def abcc(g: GroupedScores, grid: np.ndarray | None = None) -> float:
-    """Area between the two groups' empirical cumulative density curves."""
+def abcc(g: GroupedScores) -> float:
+    """Area between the two groups' empirical cumulative density curves,
+    integrated exactly: the 1-D W1 distance between the group scores."""
     g.require_both("abcc")
-    if grid is None:
-        grid = _GRID
-    return trapezoid(np.abs(ecdf(g.s0, grid) - ecdf(g.s1, grid)), grid)
+    return exact_w1_1d(g.s0, g.s1)
 
 
 def auc(scores, labels) -> float:

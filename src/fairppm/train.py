@@ -12,9 +12,10 @@ fairness term is active (lambda > 0) the batch size is forced to 512.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "GridResult",
     "SweepPoint",
     "ParetoFront",
+    "GRID_AXES",
     "default_grid",
     "default_lambdas",
     "select_best",
@@ -63,6 +65,7 @@ __all__ = [
     "evaluate",
     "save_checkpoint",
     "load_checkpoint",
+    "from_fields",
     "write_sweep_csv",
 ]
 
@@ -87,6 +90,12 @@ class TrainConfig:
     betas: tuple = (0.9, 0.999)
     adam_eps: float = 1e-8
     weight_decay: float = 0.01
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
 
 
 @dataclass
@@ -215,26 +224,23 @@ def train_model(
 # grid search
 
 
-def default_grid() -> list:
-    """The full 144-cell cartesian hyperparameter grid."""
-    cells = []
-    for layers in (1, 2):
-        for bidirectional in (False, True):
-            for hidden in (16, 32, 64):
-                for batch in (128, 256, 512):
-                    for lr in (1e-4, 1e-3):
-                        for dropout in (0.2, 0.4):
-                            cells.append(
-                                Hyper(
-                                    layers=layers,
-                                    hidden=hidden,
-                                    bidirectional=bidirectional,
-                                    batch=batch,
-                                    lr=lr,
-                                    dropout=dropout,
-                                )
-                            )
-    return cells
+# axes in loop order, outermost first; the cells of grid.json follow it
+GRID_AXES = {
+    "layers": (1, 2),
+    "bidirectional": (False, True),
+    "hidden": (16, 32, 64),
+    "batch": (128, 256, 512),
+    "lr": (1e-4, 1e-3),
+    "dropout": (0.2, 0.4),
+}
+
+
+def default_grid(axes: dict | None = None) -> list:
+    """The cartesian hyperparameter grid over ``GRID_AXES`` (144 cells), with
+    any axis replaced by the values ``axes`` gives for it."""
+    table = {**GRID_AXES, **(axes or {})}
+    cells = itertools.product(*table.values())
+    return [from_fields(Hyper, dict(zip(table, cell))) for cell in cells]
 
 
 @dataclass
@@ -466,37 +472,38 @@ def evaluate(
 # serialization
 
 
+def from_fields(cls, raw):
+    """Build the dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Each present value is cast with the type of the field's default and an
+    absent key takes the default. Raises ValueError for a non-object, an
+    unknown key (listing the valid ones) or a value the cast or the class's
+    own checks reject.
+    """
+    known = {f.name: f.default for f in fields(cls)}
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected an object with keys {', '.join(known)}, got {raw!r}")
+    unknown = [repr(key) for key in raw if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(unknown)} (valid keys: {', '.join(known)})")
+    kwargs = {}
+    for key, value in raw.items():
+        cast = type(known[key])
+        try:
+            kwargs[key] = cast(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"'{key}' value {value!r} does not cast to {cast.__name__}") from None
+    return cls(**kwargs)
+
+
 def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> None:
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "hyper": {
-            "layers": ckpt.params.hyper.layers,
-            "hidden": ckpt.params.hyper.hidden,
-            "bidirectional": ckpt.params.hyper.bidirectional,
-            "batch": ckpt.params.hyper.batch,
-            "lr": ckpt.params.hyper.lr,
-            "dropout": ckpt.params.hyper.dropout,
-        },
+        "hyper": asdict(ckpt.params.hyper),
         "arrays": {name: arr.tolist() for name, arr in ckpt.params.arrays.items()},
         "seed": ckpt.seed,
-        "loss": {
-            "lambda": ckpt.loss_cfg.lam,
-            "sinkhorn": {
-                "epsilon": ckpt.loss_cfg.sinkhorn.epsilon,
-                "max_iters": ckpt.loss_cfg.sinkhorn.max_iters,
-                "tol": ckpt.loss_cfg.sinkhorn.tol,
-            },
-        },
-        "train": {
-            "max_epochs": ckpt.train_cfg.max_epochs,
-            "patience": ckpt.train_cfg.patience,
-            "plateau_factor": ckpt.train_cfg.plateau_factor,
-            "plateau_patience": ckpt.train_cfg.plateau_patience,
-            "plateau_margin": ckpt.train_cfg.plateau_margin,
-            "betas": list(ckpt.train_cfg.betas),
-            "adam_eps": ckpt.train_cfg.adam_eps,
-            "weight_decay": ckpt.train_cfg.weight_decay,
-        },
+        "loss": {"lambda": ckpt.loss_cfg.lam, "sinkhorn": asdict(ckpt.loss_cfg.sinkhorn)},
+        "train": asdict(ckpt.train_cfg),
         "effective_batch": ckpt.effective_batch,
         "best_val_loss": ckpt.best_val_loss,
         "best_epoch": ckpt.best_epoch,
@@ -522,38 +529,17 @@ def load_checkpoint(path) -> Checkpoint:
         payload = json.load(fh)
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    hyper = Hyper(
-        layers=int(payload["hyper"]["layers"]),
-        hidden=int(payload["hyper"]["hidden"]),
-        bidirectional=bool(payload["hyper"]["bidirectional"]),
-        batch=int(payload["hyper"]["batch"]),
-        lr=float(payload["hyper"]["lr"]),
-        dropout=float(payload["hyper"]["dropout"]),
-    )
+    hyper = from_fields(Hyper, payload["hyper"])
     arrays = {name: np.asarray(v, dtype=np.float64) for name, v in payload["arrays"].items()}
     loss_cfg = CompositeLossConfig(
         lam=float(payload["loss"]["lambda"]),
-        sinkhorn=SinkhornConfig(
-            epsilon=float(payload["loss"]["sinkhorn"]["epsilon"]),
-            max_iters=int(payload["loss"]["sinkhorn"]["max_iters"]),
-            tol=float(payload["loss"]["sinkhorn"]["tol"]),
-        ),
-    )
-    train_cfg = TrainConfig(
-        max_epochs=int(payload["train"]["max_epochs"]),
-        patience=int(payload["train"]["patience"]),
-        plateau_factor=float(payload["train"]["plateau_factor"]),
-        plateau_patience=int(payload["train"]["plateau_patience"]),
-        plateau_margin=float(payload["train"]["plateau_margin"]),
-        betas=tuple(payload["train"]["betas"]),
-        adam_eps=float(payload["train"]["adam_eps"]),
-        weight_decay=float(payload["train"]["weight_decay"]),
+        sinkhorn=from_fields(SinkhornConfig, payload["loss"]["sinkhorn"]),
     )
     return Checkpoint(
         params=ModelParams(hyper, arrays),
         seed=int(payload["seed"]),
         loss_cfg=loss_cfg,
-        train_cfg=train_cfg,
+        train_cfg=from_fields(TrainConfig, payload["train"]),
         effective_batch=int(payload["effective_batch"]),
         best_val_loss=float(payload["best_val_loss"]),
         best_epoch=int(payload["best_epoch"]),

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from fairppm import cli
 from fairppm.cli import (
     CHECKPOINT_FILE,
     ENCODER_FILE,
@@ -27,6 +30,10 @@ from fairppm.cli import (
     VALID_SAMPLES,
     main,
 )
+from fairppm.eventlog import BiasSpec
+from fairppm.nn import Hyper
+from fairppm.train import GRID_AXES, TrainConfig
+from fairppm.transport import SinkhornConfig
 
 SYNTH_SCHEMA_JSON = {
     "case:protected": "boolean",
@@ -362,6 +369,73 @@ def test_mixed_timezones_in_a_case_is_config_error(tmp_path, capsys):
     assert run("ingest", write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 3" in err and "internal error" not in err
+
+
+BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("train", {"hyper": {"hiden": 2}}, "'hiden'"),
+        ("train", {"train": {"max_epoch": 5}}, "'max_epoch'"),
+        ("train", {"train": {"patience": 0}}, "patience must be >= 1"),
+        ("train", {"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
+        ("train", {"train": {"betas": 0.9}}, "'betas' value 0.9 does not cast"),
+        ("train", {"sinkhorn": {"epsilon": 0.01, "iters": 5}}, "'iters'"),
+        ("train", {"hyper": "grid", "grid": {"hiden": [2]}}, "'hiden'"),
+        ("train", {"hyper": "grid", "grid": {"hidden": 2}}, "'hidden'"),
+        ("train", {"hyper": "grid", "grid": {"layers": [0]}}, "layers must be >= 1"),
+        ("sweep", {"sweep": {"start": 0.0, "stp": 0.1}}, "'stp'"),
+        ("sweep", {"sweep": ["a"]}, "'a'"),
+        ("synth", {"bias_spec": {"n_case": 10}}, "'n_case'"),
+        ("ingest", {"schema": BAD_SCHEMA_FILE}, "not valid JSON"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else json.dumps(v),
+)
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides, named):
+    out = tmp_path / "bad"
+    out.mkdir()
+    (out / "log.csv").write_text("")
+    if overrides.get("schema") == BAD_SCHEMA_FILE:
+        bad = tmp_path / "schema.json"
+        bad.write_text("{not json")
+        overrides = {"schema": str(bad)}
+    assert run(command, write_config(tmp_path, base_config(out, **overrides))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def as_json(value):
+    return json.loads(json.dumps(value))
+
+
+def test_readme_quick_start_config_passes_the_strict_readers():
+    text = README.read_text(encoding="utf-8")
+    config = json.loads(text.split("<<'JSON'\n", 1)[1].split("\nJSON\n", 1)[0])
+    assert cli._record(Hyper, config, "hyper") == Hyper(hidden=16, batch=512, lr=0.01, dropout=0.0)
+    assert cli._record(TrainConfig, config, "train") == TrainConfig(max_epochs=30, patience=10)
+    assert cli._record(SinkhornConfig, config, "sinkhorn") == SinkhornConfig()
+    assert len(cli._grid(config)) == 144
+    assert cli._lambdas(config) == [round(0.05 * i, 2) for i in range(11)]
+
+
+def test_readme_config_keys_match_the_record_defaults():
+    section = README.read_text(encoding="utf-8").split("## Config keys", 1)[1]
+    keys = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert keys == {
+        "hyper": as_json(asdict(Hyper())),
+        "train": as_json(asdict(TrainConfig())),
+        "sinkhorn": as_json(asdict(SinkhornConfig())),
+        "grid": as_json(GRID_AXES),
+        "sweep": as_json(asdict(cli._SweepRange())),
+        "bias_spec": as_json(BiasSpec().to_dict()),
+    }
+    for key, cls in (("hyper", Hyper), ("train", TrainConfig), ("sinkhorn", SinkhornConfig)):
+        assert cli._record(cls, keys, key) == cls()
 
 
 def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):

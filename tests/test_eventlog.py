@@ -7,7 +7,9 @@ rows, exact quota arithmetic for splits, chi-square contingency tests
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -132,6 +134,107 @@ def test_parse_bad_timestamp_reports_line_number(tmp_path):
     )
     with pytest.raises(RowError, match="line 4"):
         parse_event_log(path, SCHEMA)
+
+
+def test_parse_line_numbers_count_quoted_newlines(tmp_path):
+    # the second record spans lines 2-3, so the bad row is physical line 4
+    path = write_csv(
+        tmp_path,
+        "case_id,activity,timestamp,case:protected,cost\n"
+        f'c1,"sub\nmit",{ts(0)},TRUE,0\n'
+        "c1,review,not-a-time,TRUE,0\n",
+    )
+    with pytest.raises(RowError, match="line 4: unparseable timestamp"):
+        parse_event_log(path, SCHEMA)
+
+
+SHAPE_SCHEMA = SchemaConfig(
+    attributes={"case:protected": "boolean", "cost": "numeric", "resource": "categorical"}
+)
+
+
+@pytest.mark.parametrize(
+    "row, fields",
+    [
+        ("c1,review,{stamp},TRUE,0", 5),  # categorical column missing
+        ("c1,review,{stamp},TRUE", 4),  # numeric column missing
+        ("c1,review,{stamp}", 3),  # boolean column missing
+        ("c1,review,{stamp},TRUE,0,r1,extra", 7),
+    ],
+)
+def test_parse_row_with_wrong_field_count_reports_line(tmp_path, row, fields):
+    path = write_csv(
+        tmp_path,
+        "case_id,activity,timestamp,case:protected,cost,resource\n"
+        f"c1,submit,{ts(0)},TRUE,0,r1\n" + row.format(stamp=ts(5)) + "\n",
+    )
+    with pytest.raises(RowError, match=f"line 3: {fields} fields where the header has 6"):
+        parse_event_log(path, SHAPE_SCHEMA)
+
+
+def test_parse_duplicate_header_column_is_schema_error(tmp_path):
+    path = write_csv(
+        tmp_path,
+        "# provenance\n"
+        "case_id,activity,timestamp,case:protected,cost,cost\n"
+        f"c1,submit,{ts(0)},TRUE,0,1\n",
+    )
+    with pytest.raises(SchemaError, match="line 2: duplicate column 'cost'"):
+        parse_event_log(path, SCHEMA)
+
+
+def test_parse_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "log.csv"
+    text = f"case_id,activity,timestamp,case:protected,cost\nc1,submit,{ts(0)},TRUE,0\n"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_event_log(path, SCHEMA).traces[0].case_id == "c1"
+
+
+@st.composite
+def written_logs(draw):
+    """One case written by csv.writer with activities that need quoting
+    (commas, quotes, newlines), an optional byte-order mark and comment line,
+    an optional duplicated header column and an optional bad timestamp.
+    Returns the file bytes, the activities and the expected error."""
+    text = st.text('ab ,"\n', min_size=1, max_size=5)
+    activities = draw(st.lists(text, min_size=1, max_size=5))
+    extra = ["cost"] if draw(st.booleans()) else []
+    bad = draw(st.one_of(st.none(), st.integers(0, len(activities) - 1)))
+    buf = io.StringIO()
+    if draw(st.booleans()):
+        buf.write("# provenance\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["case_id", "activity", "timestamp", "case:protected", "cost"] + extra)
+    header_line = buf.getvalue().count("\n")
+    for i, activity in enumerate(activities):
+        writer.writerow(["c1", activity, "not-a-time" if i == bad else ts(i), "TRUE", "0"] + extra)
+        if i == bad:
+            bad_line = buf.getvalue().count("\n")  # the line the record's terminator closes
+    if extra:
+        error = (SchemaError, f"line {header_line}: duplicate column 'cost'")
+    elif bad is not None:
+        error = (RowError, f"line {bad_line}: unparseable timestamp")
+    else:
+        error = None
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + buf.getvalue().encode("utf-8"), activities, error
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_logs())
+def test_parse_csv_shape_property(log):
+    # quoted newlines keep line numbers physical, a BOM is ignored, and a
+    # duplicated header column is rejected on the header's line
+    data, activities, error = log
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(data)
+        if error is None:
+            events = parse_event_log(path, SCHEMA).traces[0].events
+            assert [e.activity for e in events] == activities
+        else:
+            with pytest.raises(error[0], match=error[1]):
+                parse_event_log(path, SCHEMA)
 
 
 def test_parse_varying_static_attr_names_case(tmp_path):
@@ -505,9 +608,8 @@ def test_samples_jsonl_round_trip(tmp_path):
 def test_samples_jsonl_skips_provenance_record(tmp_path):
     samples = sample_fixture()[:3]
     path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(samples, path)
-    body = path.read_text()
-    path.write_text('{"_provenance": {"config_hash": "abc"}}\n' + body)
+    write_samples_jsonl(samples, path, provenance={"config_hash": "abc"})
+    assert path.read_text().startswith('{"_provenance": {"config_hash": "abc"}}\n')
     assert read_samples_jsonl(path) == samples
 
 

@@ -26,6 +26,7 @@ from fairppm.train import (
     default_grid,
     default_lambdas,
     evaluate,
+    from_fields,
     grid_search,
     lambda_sweep,
     load_checkpoint,
@@ -190,6 +191,36 @@ def test_default_grid_is_full_cartesian_product():
     assert {h.batch for h in grid} == {128, 256, 512}
     assert {h.lr for h in grid} == {1e-4, 1e-3}
     assert {h.dropout for h in grid} == {0.2, 0.4}
+    # nested-loop order (layers outermost, dropout innermost) over ascending axes
+    order = ("layers", "bidirectional", "hidden", "batch", "lr", "dropout")
+    assert grid == sorted(grid, key=lambda h: [getattr(h, name) for name in order])
+
+
+def test_default_grid_axis_overrides():
+    grid = default_grid({"layers": [2], "hidden": [8, 4]})
+    assert len(grid) == 48
+    assert {h.layers for h in grid} == {2}
+    assert [h.hidden for h in grid[:24]] == [8] * 12 + [4] * 12  # given order kept
+    with pytest.raises(ValueError, match="'hiden'"):
+        default_grid({"hiden": [8]})
+    with pytest.raises(ValueError, match="layers must be >= 1"):
+        default_grid({"layers": [0]})
+
+
+def test_from_fields_casts_to_default_types_and_rejects_unknown_keys():
+    assert from_fields(Hyper, {}) == Hyper()
+    hyper = from_fields(Hyper, {"layers": 2.0, "lr": 1, "bidirectional": 1})
+    assert hyper == Hyper(layers=2, lr=1.0, bidirectional=True)
+    assert type(hyper.layers) is int and type(hyper.lr) is float
+    assert from_fields(TrainConfig, {"betas": [0.8, 0.9]}).betas == (0.8, 0.9)
+    with pytest.raises(ValueError, match=r"unknown key 'hiden' \(valid keys: layers, hidden, "):
+        from_fields(Hyper, {"hiden": 2})
+    with pytest.raises(ValueError, match="'hidden' value 'x' does not cast to int"):
+        from_fields(Hyper, {"hidden": "x"})
+    with pytest.raises(ValueError, match="expected an object"):
+        from_fields(Hyper, [1])
+    with pytest.raises(ValueError, match="patience must be >= 1"):
+        from_fields(TrainConfig, {"patience": 0})
 
 
 def test_select_best_argmax_and_single():
