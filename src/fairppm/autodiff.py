@@ -8,7 +8,7 @@ reverse pass over the node list, visiting each node exactly once.
 Values are numpy arrays (scalars are 0-d arrays). Ops follow numpy
 broadcasting; adjoints are summed back over broadcast axes. A fused op that
 is computed off the tape enters it as one ``custom_op`` node carrying its
-own vector-Jacobian product.
+own vector-Jacobian product: the Sinkhorn loop and each LSTM direction.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "concat",
-    "stack_steps",
-    "step_slice",
     "take",
-    "gather_rows",
     "gather_steps",
     "custom_op",
+    "logistic",
 ]
 
 
@@ -221,12 +219,15 @@ def matmul(a: Var, b: Var) -> Var:
     return tape._push("matmul", (a.idx, b.idx), a.value @ b.value, None, _needs(a, b))
 
 
-def sigmoid(a: Var) -> Var:
-    x = a.value
-    # piecewise form avoids overflow in exp for large |x|
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The sigmoid of a plain array; the piecewise form avoids overflow in
+    exp for large |x|."""
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return a.tape._push("sigmoid", (a.idx,), out, None, _needs(a))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a: Var) -> Var:
+    return a.tape._push("sigmoid", (a.idx,), logistic(a.value), None, _needs(a))
 
 
 def tanh(a: Var) -> Var:
@@ -279,26 +280,10 @@ def concat(vars_, axis=-1) -> Var:
     )
 
 
-def stack_steps(vars_) -> Var:
-    """Stack T arrays of shape (B, H) into (B, T, H)."""
-    tape = _same_tape(*vars_)
-    out = np.stack([v.value for v in vars_], axis=1)
-    return tape._push("stack_steps", tuple(v.idx for v in vars_), out, None, _needs(*vars_))
-
-
-def step_slice(a: Var, t: int) -> Var:
-    """Select timestep t: (B, T, F) -> (B, F)."""
-    return a.tape._push("step_slice", (a.idx,), a.value[:, t, :], t, _needs(a))
-
-
 def take(a: Var, indices) -> Var:
     """Index the leading axis with an integer array (gather with repeats)."""
     idx = np.asarray(indices)
     return a.tape._push("take", (a.idx,), a.value[idx], idx, _needs(a))
-
-
-# gather_rows is take under a name that reads better for embedding lookups
-gather_rows = take
 
 
 def gather_steps(a: Var, indices) -> Var:
@@ -446,19 +431,6 @@ def _bw_concat(tape, node, g):
         offset += size
 
 
-def _bw_stack_steps(tape, node, g):
-    for t, pid in enumerate(node.parents):
-        tape._accumulate(pid, g[:, t, :])
-
-
-def _bw_step_slice(tape, node, g):
-    t = node.ctx
-    x = tape.nodes[node.parents[0]].value
-    gx = np.zeros_like(x)
-    gx[:, t, :] = g
-    tape._accumulate(node.parents[0], gx)
-
-
 def _bw_take(tape, node, g):
     idx = node.ctx
     x = tape.nodes[node.parents[0]].value
@@ -502,8 +474,6 @@ _BACKWARD = {
     "mean": _bw_mean,
     "reshape": _bw_reshape,
     "concat": _bw_concat,
-    "stack_steps": _bw_stack_steps,
-    "step_slice": _bw_step_slice,
     "take": _bw_take,
     "gather_steps": _bw_gather_steps,
     "custom": _bw_custom,

@@ -81,6 +81,14 @@ REPORT_FILE = "eval_report.json"
 SCORES_FILE = "test_scores.csv"
 
 
+# every top-level key a config may hold; any other key exits 2
+CONFIG_KEYS = (
+    "seed", "out", "n_cases", "bias_preset", "bias_spec", "log", "schema", "target_activity",
+    "sensitive_attr", "drop_sensitive", "max_len", "max_gen_len", "test_fraction",
+    "valid_fraction", "hyper", "grid", "train", "lambda", "sinkhorn", "sweep", "jobs", "runs",
+)
+
+
 class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
@@ -105,6 +113,11 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
+        unknown = [repr(key) for key in config if key not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(
+                f"unknown config key {', '.join(unknown)} (valid keys: {', '.join(CONFIG_KEYS)})"
+            )
     if args.seed is not None:
         config["seed"] = args.seed
     if getattr(args, "lam", None) is not None:
@@ -113,10 +126,17 @@ def _load_config(args) -> dict:
         config["drop_sensitive"] = True
     if getattr(args, "max_len", None) is not None:
         config["max_len"] = args.max_len
-    if getattr(args, "sinkhorn_eps", None) is not None:
-        config.setdefault("sinkhorn", {})["epsilon"] = args.sinkhorn_eps
-    if getattr(args, "sinkhorn_iters", None) is not None:
-        config.setdefault("sinkhorn", {})["max_iters"] = args.sinkhorn_iters
+    for key, value in (("epsilon", args.sinkhorn_eps), ("max_iters", args.sinkhorn_iters)):
+        if value is not None:
+            sinkhorn = config.setdefault("sinkhorn", {})
+            if not isinstance(sinkhorn, dict):
+                raise ConfigError(f"bad 'sinkhorn' config: expected an object, got {sinkhorn!r}")
+            sinkhorn[key] = value
+    if args.jobs is not None:
+        config["jobs"] = args.jobs
+    jobs = config.get("jobs", 1)
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ConfigError(f"'jobs' (--jobs) must be an integer >= 1, got {jobs!r}")
     if args.out is not None:
         config["out"] = args.out
     return config
@@ -487,7 +507,11 @@ def cmd_evaluate(config: dict) -> int:
     encoder_path = _artifact(out, ENCODER_FILE)
     encoder = _load_encoder(out)
     test_data = _load_packed(out, TEST_SAMPLES, encoder)
-    ckpt = load_checkpoint(_artifact(out, CHECKPOINT_FILE))
+    ckpt_path = _artifact(out, CHECKPOINT_FILE)
+    try:
+        ckpt = load_checkpoint(ckpt_path)
+    except ValueError as exc:
+        raise ConfigError(f"bad checkpoint '{ckpt_path}': {exc}") from None
     if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != _sha256_file(encoder_path):
         raise ConfigError(
             "encoder.json does not match the encoder this checkpoint was trained with"
@@ -591,10 +615,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
-            config["jobs"] = args.jobs
         if args.command == "synth":
             return cmd_synth(config)
         if args.command == "ingest":

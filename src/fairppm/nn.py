@@ -5,7 +5,8 @@ embeddings with the numeric channels per timestep, runs one or two
 (optionally bidirectional) LSTM layers, reads the hidden state at the last
 real (unmasked) event, and maps it through a dense layer + sigmoid to a
 propensity in (0,1). Everything runs on the autodiff tape from
-``fairppm.autodiff``; one call builds one graph.
+``fairppm.autodiff``; one call builds one graph, with one fused node per
+LSTM layer and direction.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def _directions(hyper: Hyper):
 
 def init_params(hyper: Hyper, encoder: EncoderSpec, seed: int) -> ModelParams:
     """Seeded init: uniform +-1/sqrt(fan_in) weights, zero biases except the
-    forget gate at 1.0. Embedding fan_in counts the one-hot width."""
+    forget gate at 1.0. Embedding fan_in counts the one-hot width. The LSTM
+    W (F, 4H), U (H, 4H) and b (4H) stack the gate blocks in ``GATES`` order."""
     rng = np.random.default_rng(seed)
 
     def uniform(shape, fan_in):
@@ -114,11 +116,11 @@ def init_params(hyper: Hyper, encoder: EncoderSpec, seed: int) -> ModelParams:
     feat = input_size
     for layer in range(hyper.layers):
         for direction in _directions(hyper):
-            for gate in GATES:
-                key = f"lstm{layer}:{direction}:{gate}"
-                arrays[f"{key}:W"] = uniform((feat, h), feat)
-                arrays[f"{key}:U"] = uniform((h, h), h)
-                arrays[f"{key}:b"] = np.full(h, 1.0) if gate == "f" else np.zeros(h)
+            draws = [(uniform((feat, h), feat), uniform((h, h), h)) for _ in GATES]
+            key = f"lstm{layer}:{direction}"
+            arrays[f"{key}:W"] = np.concatenate([w for w, _ in draws], axis=1)
+            arrays[f"{key}:U"] = np.concatenate([u for _, u in draws], axis=1)
+            arrays[f"{key}:b"] = np.concatenate([np.full(h, float(g == "f")) for g in GATES])
         feat = h * len(_directions(hyper))
 
     out_size = h * len(_directions(hyper))
@@ -133,27 +135,52 @@ class ForwardResult:
     leaves: dict  # param name -> leaf Var, for gradient extraction
 
 
-def _lstm_direction(tape, leaves, inp, layer, direction, hidden):
-    batch = inp.value.shape[0]
-    steps = inp.value.shape[1]
-    h = tape.constant(np.zeros((batch, hidden)))
-    c = tape.constant(np.zeros((batch, hidden)))
-
-    def gate_pre(x_t, gate):
-        key = f"lstm{layer}:{direction}:{gate}"
-        return ad.matmul(x_t, leaves[f"{key}:W"]) + ad.matmul(h, leaves[f"{key}:U"]) + leaves[f"{key}:b"]
-
-    outputs = []
+def _lstm_layer(x: Var, w: Var, u: Var, b: Var) -> Var:
+    """One LSTM direction over ``x`` (B, T, F) as one tape node: the hidden
+    states (B, T, H). The forward keeps each step's gate activations and
+    cell state; the VJP is backprop through time over them."""
+    xs, wv, uv = x.value, w.value, u.value
+    n, steps, feat = xs.shape
+    hidden = uv.shape[0]
+    x_tm = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(steps * n, feat)
+    # gate-major (T, 4, B, H) and (4, H, H), so each gate's block is contiguous
+    pre = (x_tm @ wv + b.value).reshape(steps, n, 4, hidden)
+    pre = np.ascontiguousarray(pre.transpose(0, 2, 1, 3))
+    u_gates = np.ascontiguousarray(uv.reshape(hidden, 4, hidden).transpose(1, 0, 2))
+    h = c = np.zeros((n, hidden))
+    gates, cells, tanh_c, hs = [], [c], [], [h]
     for t in range(steps):
-        x_t = ad.step_slice(inp, t)
-        i = ad.sigmoid(gate_pre(x_t, "i"))
-        f = ad.sigmoid(gate_pre(x_t, "f"))
-        g = ad.tanh(gate_pre(x_t, "g"))
-        o = ad.sigmoid(gate_pre(x_t, "o"))
+        z = pre[t] + h @ u_gates
+        i, f = ad.logistic(z[:2])
+        g = np.tanh(z[2])
+        o = ad.logistic(z[3])
         c = f * c + i * g
-        h = o * ad.tanh(c)
-        outputs.append(h)
-    return ad.stack_steps(outputs)
+        tanh_c.append(np.tanh(c))
+        h = o * tanh_c[t]
+        gates.append((i, f, g, o))
+        cells.append(c)
+        hs.append(h)
+
+    def vjp(g_out):
+        d_pre = np.empty((steps, n, 4, hidden))  # rows (t, b), columns as in W
+        dh = dc = np.zeros((n, hidden))
+        for t in range(steps - 1, -1, -1):
+            i, f, g, o = gates[t]
+            dh = dh + g_out[:, t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+            d = d_pre[t]
+            d[:, 0] = dc * g * i * (1.0 - i)
+            d[:, 1] = dc * cells[t] * f * (1.0 - f)
+            d[:, 2] = dc * i * (1.0 - g * g)
+            d[:, 3] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            dh = d.reshape(n, 4 * hidden) @ uv.T
+        flat = d_pre.reshape(steps * n, 4 * hidden)
+        dx = (flat @ wv.T).reshape(steps, n, feat).transpose(1, 0, 2)
+        du = np.concatenate(hs[:-1]).T @ flat
+        return dx, x_tm.T @ flat, du, flat.sum(axis=0)
+
+    return ad.custom_op((x, w, u, b), np.stack(hs[1:], axis=1), vjp)
 
 
 def _dropout(tape, var, rate, rng):
@@ -190,7 +217,7 @@ def forward(
     for attr in batch.cat_order:
         emb = leaves[f"emb:{attr}"]
         dim = emb.value.shape[1]
-        flat = ad.gather_rows(emb, batch.cat[attr].reshape(-1))
+        flat = ad.take(emb, batch.cat[attr].reshape(-1))
         channels.append(ad.reshape(flat, (n, steps, dim)))
     for attr in batch.num_order:
         channels.append(tape.constant(batch.num[attr][:, :, None]))
@@ -201,13 +228,14 @@ def forward(
         positions < lengths[:, None], lengths[:, None] - 1 - positions, positions
     )
 
+    def lstm(inp, layer, direction):
+        return _lstm_layer(inp, *(leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb"))
+
     seq_f = seq_b_rev = None
     for layer in range(hyper.layers):
-        seq_f = _lstm_direction(tape, leaves, x, layer, "f", hyper.hidden)
+        seq_f = lstm(x, layer, "f")
         if hyper.bidirectional:
-            seq_b_rev = _lstm_direction(
-                tape, leaves, ad.gather_steps(x, reverse_idx), layer, "b", hyper.hidden
-            )
+            seq_b_rev = lstm(ad.gather_steps(x, reverse_idx), layer, "b")
             seq = ad.concat([seq_f, ad.gather_steps(seq_b_rev, reverse_idx)], axis=-1)
         else:
             seq = seq_f

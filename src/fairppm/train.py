@@ -71,7 +71,7 @@ __all__ = [
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: one stacked W, U and b per LSTM layer and direction
 
 
 class TrainingError(RuntimeError):
@@ -527,8 +527,12 @@ def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> N
 def load_checkpoint(path) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
+    found = payload.get("format_version")
+    if found != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint format_version {found!r}, expected {CHECKPOINT_VERSION}: "
+            "rerun `train` to write a current checkpoint"
+        )
     hyper = from_fields(Hyper, payload["hyper"])
     arrays = {name: np.asarray(v, dtype=np.float64) for name, v in payload["arrays"].items()}
     loss_cfg = CompositeLossConfig(

@@ -13,6 +13,7 @@ import pytest
 from conftest import assert_grads_match, central_diff, grad_close
 from fairppm import autodiff as ad
 from fairppm.autodiff import Tape
+from fairppm.nn import _lstm_layer
 from fairppm.transport import _Kernel
 
 
@@ -155,18 +156,6 @@ def test_reshape_concat_grads(rng):
     check_op(lambda lv: weighted_sum(w2)(ad.reshape(lv["a"], (12,))), {"a": a.copy()})
 
 
-def test_stack_and_slice_grads(rng):
-    a = rng.normal(size=(3, 2))
-    b = rng.normal(size=(3, 2))
-    w = rng.normal(size=(3, 2))
-
-    def loss(lv):
-        seq = ad.stack_steps([lv["a"], lv["b"]])  # (3, 2, 2)
-        return weighted_sum(w)(ad.step_slice(seq, 1))
-
-    check_op(loss, {"a": a, "b": b})
-
-
 def test_take_grad_with_repeats(rng):
     emb = rng.normal(size=(5, 3))
     idx = np.array([0, 2, 2, 4, 0])
@@ -235,6 +224,24 @@ def test_custom_op_vjp_grads(rng):
 
     check_op(fused, {"a": a, "b": b})
     assert len(calls) == 1  # one backward sweep, one VJP call
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("hidden", [1, 3])
+def test_lstm_layer_node_grads(steps, hidden, rng):
+    # one fused LSTM direction entered through custom_op: its BPTT VJP gives
+    # dx, dW, dU and db for every hidden state, each weighted into the loss
+    n, feat = 3, 2
+    arrays = {
+        "x": rng.normal(size=(n, steps, feat)),
+        "W": rng.uniform(-1.0, 1.0, size=(feat, 4 * hidden)),
+        "U": rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden)),
+        "b": rng.uniform(-0.5, 0.5, size=(4 * hidden,)),
+    }
+    w = rng.normal(size=(n, steps, hidden))
+    check_op(
+        lambda lv: weighted_sum(w)(_lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"])), arrays
+    )
 
 
 def test_custom_op_on_constants_needs_no_vjp():

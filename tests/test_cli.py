@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from fairppm.cli import (
 )
 from fairppm.eventlog import BiasSpec
 from fairppm.nn import Hyper
-from fairppm.train import GRID_AXES, TrainConfig
+from fairppm.train import CHECKPOINT_VERSION, GRID_AXES, TrainConfig
 from fairppm.transport import SinkhornConfig
 
 SYNTH_SCHEMA_JSON = {
@@ -390,6 +391,8 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("sweep", {"sweep": ["a"]}, "'a'"),
         ("synth", {"bias_spec": {"n_case": 10}}, "'n_case'"),
         ("ingest", {"schema": BAD_SCHEMA_FILE}, "not valid JSON"),
+        ("train", {"lamda": 0.3}, "'lamda'"),
+        ("sweep", {"jobs": "2"}, "'jobs'"),
     ],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
@@ -404,6 +407,28 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides,
     assert run(command, write_config(tmp_path, base_config(out, **overrides))) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+
+
+def test_non_object_sinkhorn_with_a_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "sk"
+    out.mkdir()
+    cfg_path = write_config(tmp_path, base_config(out, sinkhorn=5))
+    assert run("train", cfg_path, "--sinkhorn-eps", "0.1") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'sinkhorn'" in err and "internal error" not in err
+
+
+def test_evaluate_on_an_older_checkpoint_exits_2(tmp_path, capsys):
+    out, cfg_path = run_pipeline(tmp_path, "old", n_cases=40)
+    path = out / CHECKPOINT_FILE
+    payload = json.loads(path.read_text())
+    payload["format_version"] = CHECKPOINT_VERSION - 1
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("evaluate", cfg_path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"format_version {CHECKPOINT_VERSION - 1}, expected {CHECKPOINT_VERSION}" in err
+    assert "rerun `train`" in err and "internal error" not in err
 
 
 README = Path(__file__).parents[1] / "README.md"
@@ -425,6 +450,8 @@ def test_readme_quick_start_config_passes_the_strict_readers():
 
 def test_readme_config_keys_match_the_record_defaults():
     section = README.read_text(encoding="utf-8").split("## Config keys", 1)[1]
+    top_level = section.split("```json\n", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", top_level)) == cli.CONFIG_KEYS
     keys = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
     assert keys == {
         "hyper": as_json(asdict(Hyper())),

@@ -75,10 +75,17 @@ def test_output_strictly_inside_unit_interval(rng):
         assert (out > 0.0).all() and (out < 1.0).all()
 
 
+def gate_block(array, gate: str, hidden: int):
+    """The ``gate`` block of a stacked LSTM array (last axis in GATES order)."""
+    k = GATES.index(gate)
+    return array[..., k * hidden : (k + 1) * hidden]
+
+
 def oracle_propensity(params: ModelParams, batch, i: int) -> float:
     """Per-sample straight-line recomputation of the dropout-free forward."""
     hyper = params.hyper
     arrays = params.arrays
+    hid = hyper.hidden
     length = int(batch.mask[i].sum())
 
     seq = []
@@ -88,14 +95,17 @@ def oracle_propensity(params: ModelParams, batch, i: int) -> float:
         seq.append(np.concatenate(parts))
 
     def run(inputs, layer, direction):
+        w, u, b = (arrays[f"lstm{layer}:{direction}:{p}"] for p in "WUb")
         h = np.zeros(hyper.hidden)
         c = np.zeros(hyper.hidden)
         states = []
         for x in inputs:
             pre = {}
             for gate in GATES:
-                key = f"lstm{layer}:{direction}:{gate}"
-                pre[gate] = x @ arrays[f"{key}:W"] + h @ arrays[f"{key}:U"] + arrays[f"{key}:b"]
+                pre[gate] = (
+                    x @ gate_block(w, gate, hid) + h @ gate_block(u, gate, hid)
+                    + gate_block(b, gate, hid)
+                )
             c = scipy.special.expit(pre["f"]) * c + scipy.special.expit(pre["i"]) * np.tanh(
                 pre["g"]
             )
@@ -193,17 +203,47 @@ def test_init_shapes_and_biases():
     emb_dim = encoder.embedding_dims["activity"]
     assert a["emb:activity"].shape == (6, emb_dim)
     input_size = emb_dim + 1
-    assert a["lstm0:f:i:W"].shape == (input_size, 7)
-    assert a["lstm0:b:i:W"].shape == (input_size, 7)
-    assert a["lstm1:f:i:W"].shape == (14, 7)  # stacked on bi output
-    assert a["lstm0:f:g:U"].shape == (7, 7)
+    assert gate_block(a["lstm0:f:W"], "i", 7).shape == (input_size, 7)
+    assert gate_block(a["lstm0:b:W"], "i", 7).shape == (input_size, 7)
+    assert gate_block(a["lstm1:f:W"], "i", 7).shape == (14, 7)  # stacked on bi output
+    assert gate_block(a["lstm0:f:U"], "g", 7).shape == (7, 7)
+    assert a["lstm0:f:W"].shape == (input_size, 28)
+    assert a["lstm0:f:U"].shape == (7, 28)
     assert a["dense:w"].shape == (14,)
     for layer in (0, 1):
         for d in ("f", "b"):
-            assert (a[f"lstm{layer}:{d}:f:b"] == 1.0).all()
+            assert a[f"lstm{layer}:{d}:b"].shape == (28,)
+            assert (gate_block(a[f"lstm{layer}:{d}:b"], "f", 7) == 1.0).all()
             for gate in ("i", "g", "o"):
-                assert (a[f"lstm{layer}:{d}:{gate}:b"] == 0.0).all()
+                assert (gate_block(a[f"lstm{layer}:{d}:b"], gate, 7) == 0.0).all()
     assert (a["dense:b"] == 0.0).all()
+
+
+def test_init_stacks_the_per_gate_draws_in_order():
+    # the stacked arrays hold the numbers of a per-gate draw (W then U for
+    # each gate of each layer and direction, after the embeddings)
+    encoder = toy_encoder(vocab=5, max_len=4)
+    hyper = Hyper(layers=2, hidden=3, bidirectional=True)
+    a = init_params(hyper, encoder, seed=11).arrays
+    rng = np.random.default_rng(11)
+
+    def uniform(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    vocab = len(encoder.vocabularies["activity"])
+    emb_dim = encoder.embedding_dims["activity"]
+    assert np.array_equal(a["emb:activity"], uniform((vocab + 1, emb_dim), vocab + 1))
+    feat = emb_dim + 1
+    for layer in (0, 1):
+        for d in ("f", "b"):
+            for gate in GATES:
+                w = uniform((feat, 3), feat)
+                u = uniform((3, 3), 3)
+                assert np.array_equal(gate_block(a[f"lstm{layer}:{d}:W"], gate, 3), w)
+                assert np.array_equal(gate_block(a[f"lstm{layer}:{d}:U"], gate, 3), u)
+        feat = 6
+    assert np.array_equal(a["dense:w"], uniform((6,), 6))
 
 
 def test_init_is_seeded():
