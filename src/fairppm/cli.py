@@ -52,6 +52,7 @@ from .train import (
     evaluate,
     from_fields,
     grid_search,
+    json_cast,
     lambda_sweep,
     load_checkpoint,
     pareto_front,
@@ -134,8 +135,8 @@ def _load_config(args) -> dict:
             sinkhorn[key] = value
     if args.jobs is not None:
         config["jobs"] = args.jobs
-    jobs = config.get("jobs", 1)
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+    jobs = _get(config, "jobs", int, 1)
+    if jobs < 1:
         raise ConfigError(f"'jobs' (--jobs) must be an integer >= 1, got {jobs!r}")
     if args.out is not None:
         config["out"] = args.out
@@ -157,16 +158,14 @@ def _provenance_comment(config: dict) -> str:
 
 
 def _seed(config: dict) -> int:
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    seed = _get(config, "seed", int, 0)
+    if seed < 0:
         raise ConfigError("'seed' must be a non-negative integer")
     return seed
 
 
 def _out_dir(config: dict, create: bool = True) -> Path:
-    if "out" not in config:
-        raise ConfigError("missing 'out' (output directory)")
-    out = Path(config["out"])
+    out = Path(_get(config, "out", str))
     if create:
         out.mkdir(parents=True, exist_ok=True)
     return out
@@ -176,6 +175,16 @@ def _require(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"missing required config field '{key}'")
     return config[key]
+
+
+def _get(config: dict, key: str, kind: type, default=None):
+    """Top-level ``key`` as a ``kind``, by the type rule of the nested
+    records (``train.json_cast``); a key without a default is required."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    try:
+        return json_cast(key, value, kind)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _schema_from_config(config: dict) -> SchemaConfig:
@@ -200,15 +209,15 @@ def _schema_from_config(config: dict) -> SchemaConfig:
 
 
 def _fraction(config: dict, key: str, default: float) -> float:
-    value = config.get(key, default)
-    if not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
+    value = _get(config, key, float, default)
+    if not 0.0 < value < 1.0:
         raise ConfigError(f"'{key}' must be a number in (0,1)")
-    return float(value)
+    return value
 
 
 def _max_len(config: dict) -> int:
-    value = config.get("max_len", 6)
-    if not isinstance(value, int) or value < 1:
+    value = _get(config, "max_len", int, 6)
+    if value < 1:
         raise ConfigError("'max_len' must be an integer >= 1")
     return value
 
@@ -222,10 +231,10 @@ def _record(cls, config: dict, key: str):
 
 
 def _lambda(config: dict, default: float = 0.0) -> float:
-    value = config.get("lambda", default)
-    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+    value = _get(config, "lambda", float, default)
+    if not 0.0 <= value <= 1.0:
         raise ConfigError("'lambda' must be a number in [0,1]")
-    return float(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -247,8 +256,8 @@ def _lambdas(config: dict) -> list:
         return default_lambdas()
     if isinstance(raw, list):
         try:
-            values = [float(v) for v in raw]
-        except (TypeError, ValueError) as exc:
+            values = [json_cast("sweep", v, float) for v in raw]
+        except ValueError as exc:
             raise ConfigError(f"bad 'sweep' lambda: {exc}") from None
     elif isinstance(raw, dict):
         span = _record(_SweepRange, config, "sweep")
@@ -311,9 +320,9 @@ def cmd_synth(config: dict) -> int:
     if raw_spec is not None:
         spec = BiasSpec.from_dict(raw_spec)
     else:
-        preset = config.get("bias_preset", "high")
-        n_cases = config.get("n_cases", 2000)
-        if not isinstance(n_cases, int) or n_cases < 1:
+        preset = _get(config, "bias_preset", str, "high")
+        n_cases = _get(config, "n_cases", int, 2000)
+        if n_cases < 1:
             raise ConfigError("'n_cases' must be a positive integer")
         spec = BiasSpec.preset(preset, n_cases=n_cases)
     log = generate_synthetic_log(spec, seed)
@@ -336,16 +345,16 @@ def cmd_synth(config: dict) -> int:
 def cmd_ingest(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)
-    log_path = Path(_require(config, "log"))
+    log_path = Path(_get(config, "log", str))
     if not log_path.is_file():
         raise ConfigError(f"log file '{log_path}' does not exist")
     schema = _schema_from_config(config)
-    target = _require(config, "target_activity")
-    sensitive_attr = config.get("sensitive_attr", "case:protected")
-    drop_sensitive = bool(config.get("drop_sensitive", False))
+    target = _get(config, "target_activity", str)
+    sensitive_attr = _get(config, "sensitive_attr", str, "case:protected")
+    drop_sensitive = _get(config, "drop_sensitive", bool, False)
     max_len = _max_len(config)
-    max_gen_len = config.get("max_gen_len", max_len)
-    if not isinstance(max_gen_len, int) or max_gen_len < 1:
+    max_gen_len = _get(config, "max_gen_len", int, max_len)
+    if max_gen_len < 1:
         raise ConfigError("'max_gen_len' must be an integer >= 1")
 
     log = parse_event_log(log_path, schema)
@@ -626,7 +635,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config)
         if args.command == "report":
-            runs = args.runs if args.runs is not None else config.get("runs", [])
+            runs = args.runs if args.runs is not None else _get(config, "runs", list, [])
             return cmd_report(config, runs)
         raise ConfigError(f"unknown command '{args.command}'")
     except (ConfigError, EventLogError) as exc:

@@ -5,8 +5,8 @@ embeddings with the numeric channels per timestep, runs one or two
 (optionally bidirectional) LSTM layers, reads the hidden state at the last
 real (unmasked) event, and maps it through a dense layer + sigmoid to a
 propensity in (0,1). Everything runs on the autodiff tape from
-``fairppm.autodiff``; one call builds one graph, with one fused node per
-LSTM layer and direction.
+``fairppm.autodiff``, where every node carries its own VJP; one call builds
+one graph, with one fused node per LSTM layer and direction.
 """
 
 from __future__ import annotations

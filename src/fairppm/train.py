@@ -66,6 +66,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "from_fields",
+    "json_cast",
     "write_sweep_csv",
 ]
 
@@ -472,13 +473,35 @@ def evaluate(
 # serialization
 
 
+# the types a value may have for a field type other than that type alone
+_JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
+
+
+def json_cast(key: str, value, kind: type):
+    """``value``, read from JSON for ``key``, as a ``kind``.
+
+    The value must already have that type: a bool for bool, an int but not
+    a bool for int, an int or a float but not a bool for float (cast to
+    float), a list for tuple (cast to tuple), a str for str. A tuple, which
+    a record's own ``asdict`` gives, passes for tuple too. Raises
+    ValueError naming the key otherwise.
+    """
+    if isinstance(value, bool):
+        fits = kind is bool
+    else:
+        fits = isinstance(value, _JSON_KINDS.get(kind, kind))
+    if not fits:
+        raise ValueError(f"'{key}' value {value!r} does not cast to {kind.__name__}")
+    return kind(value)
+
+
 def from_fields(cls, raw):
     """Build the dataclass ``cls`` from a JSON object keyed by its field names.
 
-    Each present value is cast with the type of the field's default and an
-    absent key takes the default. Raises ValueError for a non-object, an
-    unknown key (listing the valid ones) or a value the cast or the class's
-    own checks reject.
+    Each present value is read by ``json_cast`` with the type of the
+    field's default and an absent key takes the default. Raises ValueError
+    for a non-object, an unknown key (listing the valid ones) or a value
+    the type rule or the class's own checks reject.
     """
     known = {f.name: f.default for f in fields(cls)}
     if not isinstance(raw, dict):
@@ -486,14 +509,7 @@ def from_fields(cls, raw):
     unknown = [repr(key) for key in raw if key not in known]
     if unknown:
         raise ValueError(f"unknown key {', '.join(unknown)} (valid keys: {', '.join(known)})")
-    kwargs = {}
-    for key, value in raw.items():
-        cast = type(known[key])
-        try:
-            kwargs[key] = cast(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"'{key}' value {value!r} does not cast to {cast.__name__}") from None
-    return cls(**kwargs)
+    return cls(**{key: json_cast(key, value, type(known[key])) for key, value in raw.items()})
 
 
 def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> None:

@@ -3,9 +3,9 @@
 Two routes: an exact closed form (integral of |F_a - F_b| over the merged
 support, no grid), and an entropic-regularized Sinkhorn approximation that
 can sit inside a training loss. The Sinkhorn iterations are log-domain
-(stabilized) and run in plain NumPy; the whole loop is one tape node whose
-backward replays the stored potentials in reverse, so its gradient is the
-exact adjoint of the unrolled iterations.
+(stabilized) and run in plain NumPy; the whole loop is one tape node that,
+like every node, carries its own VJP. It replays the stored potentials in
+reverse, so its gradient is the exact adjoint of the unrolled iterations.
 """
 
 from __future__ import annotations

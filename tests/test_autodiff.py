@@ -244,13 +244,29 @@ def test_lstm_layer_node_grads(steps, hidden, rng):
     )
 
 
-def test_custom_op_on_constants_needs_no_vjp():
+ON_CONSTANTS = {
+    "custom_op": lambda c: ad.custom_op((c,), np.sum(c.value), None),
+    "add": lambda c: ad.add(c, c),
+    "mul": lambda c: ad.mul(c, c),
+    "matmul": lambda c: ad.matmul(c, c),
+    "take": lambda c: ad.take(c, [1, 0, 1]),
+    "gather_steps": lambda c: ad.gather_steps(ad.reshape(c, (2, 2, 1)), [1, 0]),
+    "concat": lambda c: ad.concat([c, c], axis=0),
+    "reduce_sum": lambda c: ad.reduce_sum(c, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", list(ON_CONSTANTS))
+def test_custom_op_on_constants_needs_no_vjp(name):
+    # every primitive enters the tape through custom_op; a node built only
+    # from constants keeps no VJP closure and is never differentiated
     tape = Tape()
-    x = tape.constant(np.array([1.0, 2.0]))
-    out = ad.custom_op((x,), np.sum(x.value), None)
-    assert float(out.value) == 3.0
-    tape.backward(out)  # a constant-only node is never differentiated
-    assert np.array_equal(tape.grad(x), np.zeros(2))
+    x = tape.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    out = ON_CONSTANTS[name](x)
+    node = tape.nodes[out.idx]
+    assert not node.needs_grad and node.vjp is None
+    tape.backward(ad.reduce_sum(out))
+    assert np.array_equal(tape.grad(x), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

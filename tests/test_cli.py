@@ -393,6 +393,16 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("ingest", {"schema": BAD_SCHEMA_FILE}, "not valid JSON"),
         ("train", {"lamda": 0.3}, "'lamda'"),
         ("sweep", {"jobs": "2"}, "'jobs'"),
+        ("sweep", {"sweep": [0.0, True]}, "'sweep' value True"),
+        ("synth", {"out": 5}, "'out'"),
+        ("ingest", {"log": 5}, "'log'"),
+        ("synth", {"n_cases": True}, "'n_cases'"),
+        ("ingest", {"drop_sensitive": "false"}, "'drop_sensitive'"),
+        ("train", {"lambda": True}, "'lambda'"),
+        ("synth", {"seed": True}, "'seed'"),
+        ("ingest", {"max_len": True}, "'max_len'"),
+        ("ingest", {"target_activity": 5}, "'target_activity'"),
+        ("report", {"runs": "run"}, "'runs'"),
     ],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
@@ -404,7 +414,8 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides,
         bad = tmp_path / "schema.json"
         bad.write_text("{not json")
         overrides = {"schema": str(bad)}
-    assert run(command, write_config(tmp_path, base_config(out, **overrides))) == EXIT_CONFIG
+    config = {**base_config(out), **overrides}  # overrides may replace 'out' itself
+    assert run(command, write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
 

@@ -209,10 +209,24 @@ def test_default_grid_axis_overrides():
 
 def test_from_fields_casts_to_default_types_and_rejects_unknown_keys():
     assert from_fields(Hyper, {}) == Hyper()
-    hyper = from_fields(Hyper, {"layers": 2.0, "lr": 1, "bidirectional": 1})
+    hyper = from_fields(Hyper, {"layers": 2, "lr": 1, "bidirectional": True})
     assert hyper == Hyper(layers=2, lr=1.0, bidirectional=True)
     assert type(hyper.layers) is int and type(hyper.lr) is float
     assert from_fields(TrainConfig, {"betas": [0.8, 0.9]}).betas == (0.8, 0.9)
+    # a JSON value must already have its field's type: no truncation, no truthiness
+    for raw, kind in (
+        ({"layers": 2.0}, "int"),
+        ({"hidden": 16.9}, "int"),
+        ({"layers": True}, "int"),
+        ({"bidirectional": 1}, "bool"),
+        ({"bidirectional": "false"}, "bool"),
+        ({"lr": True}, "float"),
+        ({"lr": "0.1"}, "float"),
+    ):
+        with pytest.raises(ValueError, match=f"does not cast to {kind}"):
+            from_fields(Hyper, raw)
+    with pytest.raises(ValueError, match="'betas' value 0.9 does not cast to tuple"):
+        from_fields(TrainConfig, {"betas": 0.9})
     with pytest.raises(ValueError, match=r"unknown key 'hiden' \(valid keys: layers, hidden, "):
         from_fields(Hyper, {"hiden": 2})
     with pytest.raises(ValueError, match="'hidden' value 'x' does not cast to int"):
