@@ -177,12 +177,14 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _get(config: dict, key: str, kind: type, default=None):
-    """Top-level ``key`` as a ``kind``, by the type rule of the nested
-    records (``train.json_cast``); a key without a default is required."""
+def _get(config: dict, key: str, kind: type, default=None, item=None):
+    """Top-level ``key`` as a ``kind``, and each entry as an ``item`` when
+    given, by the type rule of the nested records (``train.json_cast``); a
+    key without a default is required."""
     value = _require(config, key) if default is None else config.get(key, default)
     try:
-        return json_cast(key, value, kind)
+        value = json_cast(key, value, kind)
+        return value if item is None else [json_cast(key, v, item) for v in value]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -255,10 +257,7 @@ def _lambdas(config: dict) -> list:
     if raw is None:
         return default_lambdas()
     if isinstance(raw, list):
-        try:
-            values = [json_cast("sweep", v, float) for v in raw]
-        except ValueError as exc:
-            raise ConfigError(f"bad 'sweep' lambda: {exc}") from None
+        values = _get(config, "sweep", list, item=float)
     elif isinstance(raw, dict):
         span = _record(_SweepRange, config, "sweep")
         count = int(round((span.stop - span.start) / span.step)) + 1
@@ -271,16 +270,21 @@ def _lambdas(config: dict) -> list:
     return values
 
 
-def _artifact(out: Path, name: str) -> Path:
+def _artifact(out: Path, name: str, reader):
+    """``reader(out / name)``; a missing artifact exits 3, a malformed one 2."""
     path = out / name
     if not path.is_file():
         raise MissingArtifactError(f"missing artifact '{path}' (run the earlier stage first)")
-    return path
+    try:
+        return reader(path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed artifact '{path}': {type(exc).__name__}: {exc}") from None
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, config: dict, payload: dict) -> None:
+    """``payload`` stamped with the config's provenance, as sorted JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump({**payload, "provenance": _provenance(config)}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -289,7 +293,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _load_packed(out: Path, name: str, encoder) -> PackedDataset:
-    samples = read_samples_jsonl(_artifact(out, name))
+    samples = _artifact(out, name, read_samples_jsonl)
     return PackedDataset.from_encoded([encode(encoder, s) for s in samples])
 
 
@@ -328,16 +332,10 @@ def cmd_synth(config: dict) -> int:
     log = generate_synthetic_log(spec, seed)
 
     log_path = out / "log.csv"
-    write_event_log(log, log_path)
-    text = log_path.read_text(encoding="utf-8")
-    log_path.write_text(f"# {_provenance_comment(config)}\n{text}", encoding="utf-8")
+    write_event_log(log, log_path, header_comment=_provenance_comment(config))
 
-    schema_payload = log.schema.to_dict()
-    schema_payload["provenance"] = _provenance(config)
-    _write_json(out / "schema.json", schema_payload)
-    spec_payload = spec.to_dict()
-    spec_payload["provenance"] = _provenance(config)
-    _write_json(out / "bias_spec.json", spec_payload)
+    _write_json(out / "schema.json", config, log.schema.to_dict())
+    _write_json(out / "bias_spec.json", config, spec.to_dict())
     print(f"wrote {log_path} ({len(log)} cases)")
     return EXIT_OK
 
@@ -373,14 +371,11 @@ def cmd_ingest(config: dict) -> int:
     write_samples_jsonl(valid_samples, out / VALID_SAMPLES, prov)
     write_samples_jsonl(test_samples, out / TEST_SAMPLES, prov)
 
-    encoder_payload = json.loads(encoder_to_json(encoder))
-    encoder_payload["provenance"] = prov
-    _write_json(out / ENCODER_FILE, encoder_payload)
-
+    _write_json(out / ENCODER_FILE, config, json.loads(encoder_to_json(encoder)))
     _write_json(
         out / SUMMARY_FILE,
+        config,
         {
-            "provenance": prov,
             "cases": {"train": len(train_log), "test": len(test_log)},
             "splits": {
                 "train": _split_stats(train_samples),
@@ -397,7 +392,7 @@ def cmd_ingest(config: dict) -> int:
 
 
 def _load_encoder(out: Path):
-    return encoder_from_json(_artifact(out, ENCODER_FILE).read_text(encoding="utf-8"))
+    return _artifact(out, ENCODER_FILE, lambda path: encoder_from_json(path.read_text("utf-8")))
 
 
 def cmd_train(config: dict) -> int:
@@ -415,7 +410,6 @@ def cmd_train(config: dict) -> int:
     else:
         raise ConfigError("'hyper' must be an object or the string \"grid\"")
     jobs = config.get("jobs", 1)
-    prov = _provenance(config)
     encoder = _load_encoder(out)
     train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
     valid_data = _load_packed(out, VALID_SAMPLES, encoder)
@@ -425,14 +419,14 @@ def cmd_train(config: dict) -> int:
             train_data, valid_data, encoder, seed, grid=grid, cfg=train_cfg, jobs=jobs
         )
         hyper = result.best
-        _write_json(out / GRID_FILE, {"provenance": prov, **asdict(result)})
+        _write_json(out / GRID_FILE, config, asdict(result))
 
     ckpt = train_model(train_data, valid_data, encoder, hyper, loss_cfg, seed, train_cfg)
     ckpt.encoder_ref = {
         "path": ENCODER_FILE,
         "sha256": _sha256_file(out / ENCODER_FILE),
     }
-    save_checkpoint(ckpt, out / CHECKPOINT_FILE, provenance=prov)
+    save_checkpoint(ckpt, out / CHECKPOINT_FILE, provenance=_provenance(config))
     print(
         f"trained lambda={loss_cfg.lam} in {ckpt.epochs_run} epochs "
         f"(best epoch {ckpt.best_epoch}, val loss {ckpt.best_val_loss:.5f})"
@@ -513,23 +507,17 @@ def cmd_sweep(config: dict) -> int:
 
 def cmd_evaluate(config: dict) -> int:
     out = _out_dir(config)
-    encoder_path = _artifact(out, ENCODER_FILE)
     encoder = _load_encoder(out)
     test_data = _load_packed(out, TEST_SAMPLES, encoder)
-    ckpt_path = _artifact(out, CHECKPOINT_FILE)
-    try:
-        ckpt = load_checkpoint(ckpt_path)
-    except ValueError as exc:
-        raise ConfigError(f"bad checkpoint '{ckpt_path}': {exc}") from None
-    if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != _sha256_file(encoder_path):
+    ckpt = _artifact(out, CHECKPOINT_FILE, load_checkpoint)
+    if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != _sha256_file(out / ENCODER_FILE):
         raise ConfigError(
             "encoder.json does not match the encoder this checkpoint was trained with"
         )
 
     scores = predict(ckpt.params, test_data)
     report = evaluate(ckpt, test_data, scores)
-    prov = _provenance(config)
-    _write_json(out / REPORT_FILE, {"provenance": prov, "report": report.to_dict()})
+    _write_json(out / REPORT_FILE, config, {"report": report.to_dict()})
 
     with open(out / SCORES_FILE, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {_provenance_comment(config)}\n")
@@ -547,13 +535,15 @@ def cmd_report(config: dict, runs: list) -> int:
     rows = []
     for run in runs:
         run_dir = Path(run)
-        report_path = _artifact(run_dir, REPORT_FILE)
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        rows.append((run_dir.name, payload["report"]))
+        report = _artifact(
+            run_dir,
+            REPORT_FILE,
+            lambda path: EvalReport.from_dict(json.loads(path.read_text("utf-8"))["report"]),
+        )
+        rows.append((run_dir.name, report))
 
-        scores_path = run_dir / SCORES_FILE
-        if scores_path.is_file():
-            scores, _, sensitives = _read_scores_csv(scores_path)
+        if (run_dir / SCORES_FILE).is_file():
+            scores, sensitives = _artifact(run_dir, SCORES_FILE, _read_scores_csv)
             curve = density_curve(GroupedScores.from_scores(scores, sensitives))
             write_density_csv(
                 curve,
@@ -567,20 +557,24 @@ def cmd_report(config: dict, runs: list) -> int:
         fh.write(f"# {_provenance_comment(config)}\n")
         fh.write("run," + ",".join(columns) + "\n")
         for name, report in rows:
-            fh.write(name + "," + ",".join(repr(float(report[c])) for c in columns) + "\n")
+            fh.write(name + "," + ",".join(repr(getattr(report, c)) for c in columns) + "\n")
     print(f"merged {len(rows)} run(s) -> {report_csv}")
     return EXIT_OK
 
 
 def _read_scores_csv(path: Path):
-    scores, outcomes, sensitives = [], [], []
+    """Scores and sensitive flags; a bad row raises ValueError naming its line."""
+    scores, sensitives = [], []
     with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for row in csv.DictReader(lines):
-        scores.append(float(row["score"]))
-        outcomes.append(int(row["outcome"]))
-        sensitives.append(int(row["sensitive"]))
-    return np.array(scores), np.array(outcomes), np.array(sensitives)
+        numbered = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in numbered)
+    for row in reader:
+        try:
+            scores.append(float(row["score"]))
+            sensitives.append(int(row["sensitive"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from None
+    return np.array(scores), np.array(sensitives)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +629,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config)
         if args.command == "report":
-            runs = args.runs if args.runs is not None else _get(config, "runs", list, [])
+            runs = args.runs if args.runs is not None else _get(config, "runs", list, [], str)
             return cmd_report(config, runs)
         raise ConfigError(f"unknown command '{args.command}'")
     except (ConfigError, EventLogError) as exc:

@@ -282,12 +282,14 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
     return EventLog(tuple(traces), schema)
 
 
-def write_event_log(log: EventLog, path) -> None:
-    """Write a log back to the CSV format `parse_event_log` reads."""
+def write_event_log(log: EventLog, path, header_comment: str | None = None) -> None:
+    """Write a log in the CSV format `parse_event_log` reads, after an optional # line."""
     static_cols = sorted(log.schema.static_attrs)
     dynamic_cols = sorted(log.schema.dynamic_attrs)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(REQUIRED_COLUMNS) + static_cols + dynamic_cols)
         for trace in log.traces:
             for event in trace.events:
@@ -582,15 +584,19 @@ def write_samples_jsonl(samples, path, provenance: dict | None = None) -> None:
 
 
 def read_samples_jsonl(path) -> list:
+    """The samples of a JSONL file; a malformed record raises RowError with its line."""
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            # tooling may stamp a metadata record first; it carries no sample
-            if "_provenance" in record:
-                continue
-            samples.append(sample_from_dict(record))
+            try:
+                record = json.loads(line)
+                # tooling may stamp a metadata record first; it carries no sample
+                if "_provenance" in record:
+                    continue
+                samples.append(sample_from_dict(record))
+            except (KeyError, ValueError, TypeError, AttributeError) as exc:
+                raise RowError(f"line {number}: {type(exc).__name__}: {exc}") from None
     return samples

@@ -5,8 +5,9 @@ embeddings with the numeric channels per timestep, runs one or two
 (optionally bidirectional) LSTM layers, reads the hidden state at the last
 real (unmasked) event, and maps it through a dense layer + sigmoid to a
 propensity in (0,1). Everything runs on the autodiff tape from
-``fairppm.autodiff``, where every node carries its own VJP; one call builds
-one graph, with one fused node per LSTM layer and direction.
+``fairppm.autodiff``; one call builds one graph, with one fused node per
+LSTM layer and direction (the backward one reverses each row's span inside
+its node). Only a training forward records a backward (the nodes' VJPs).
 """
 
 from __future__ import annotations
@@ -135,11 +136,12 @@ class ForwardResult:
     leaves: dict  # param name -> leaf Var, for gradient extraction
 
 
-def _lstm_layer(x: Var, w: Var, u: Var, b: Var) -> Var:
-    """One LSTM direction over ``x`` (B, T, F) as one tape node: the hidden
-    states (B, T, H). The forward keeps each step's gate activations and
-    cell state; the VJP is backprop through time over them."""
-    xs, wv, uv = x.value, w.value, u.value
+def _lstm_layer(x: Var, w: Var, u: Var, b: Var, order=np.s_[:]) -> Var:
+    """One LSTM direction over ``x[order]`` (B, T, F) as one tape node: the
+    hidden states (B, T, H) as ``states[order]``, where ``order`` is its own
+    inverse (a per-row reversal). The forward keeps each step's gate
+    activations and cell state; the VJP is backprop through time over them."""
+    xs, wv, uv = x.value[order], w.value, u.value
     n, steps, feat = xs.shape
     hidden = uv.shape[0]
     x_tm = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(steps * n, feat)
@@ -162,6 +164,7 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var) -> Var:
         hs.append(h)
 
     def vjp(g_out):
+        g_out = g_out[order]
         d_pre = np.empty((steps, n, 4, hidden))  # rows (t, b), columns as in W
         dh = dc = np.zeros((n, hidden))
         for t in range(steps - 1, -1, -1):
@@ -178,14 +181,13 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var) -> Var:
         flat = d_pre.reshape(steps * n, 4 * hidden)
         dx = (flat @ wv.T).reshape(steps, n, feat).transpose(1, 0, 2)
         du = np.concatenate(hs[:-1]).T @ flat
-        return dx, x_tm.T @ flat, du, flat.sum(axis=0)
+        return dx[order], x_tm.T @ flat, du, flat.sum(axis=0)
 
-    return ad.custom_op((x, w, u, b), np.stack(hs[1:], axis=1), vjp)
+    return ad.custom_op((x, w, u, b), np.stack(hs[1:], axis=1)[order], vjp)
 
 
-def _dropout(tape, var, rate, rng):
-    keep = (rng.random(var.value.shape) >= rate) / (1.0 - rate)
-    return var * tape.constant(keep)
+def _dropout(var, rate, rng):
+    return var * ((rng.random(var.shape) >= rate) / (1.0 - rate))
 
 
 def forward(
@@ -193,20 +195,21 @@ def forward(
     batch: PackedDataset,
     training: bool,
     rng: np.random.Generator | None = None,
-    tape: Tape | None = None,
 ) -> ForwardResult:
-    """Propensities for a packed batch on a fresh (or given) tape.
+    """Propensities for a packed batch on a fresh tape.
 
-    Padded positions are computed but never selected: the forward direction
-    reads the state at the last unmasked step, the backward direction the
-    state covering position 0 of the unmasked span. ``rng`` is required in
+    Only a training forward records a backward: an eval forward's leaves
+    need no gradients, so none of its nodes keeps a VJP. Padded positions
+    are computed but never selected: the forward direction reads the state
+    at the last unmasked step, the backward direction (run over each row's
+    unmasked span reversed) the state at position 0. ``rng`` is required in
     training mode when dropout is active.
     """
     hyper = params.hyper
     if training and hyper.dropout > 0 and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
-    tape = tape or Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in params.arrays.items()}
+    tape = Tape()
+    leaves = {name: tape.leaf(arr, needs_grad=training) for name, arr in params.arrays.items()}
 
     lengths = batch.mask.sum(axis=1).astype(np.int64)
     if (lengths < 1).any():
@@ -223,34 +226,28 @@ def forward(
         channels.append(tape.constant(batch.num[attr][:, :, None]))
     x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
 
-    positions = np.broadcast_to(np.arange(steps), (n, steps))
-    reverse_idx = np.where(
-        positions < lengths[:, None], lengths[:, None] - 1 - positions, positions
-    )
+    # per-row reversal of the unmasked span; padding maps to itself
+    pos, span = np.arange(steps), lengths[:, None]
+    reverse = (np.arange(n)[:, None], np.where(pos < span, span - 1 - pos, pos))
 
-    def lstm(inp, layer, direction):
-        return _lstm_layer(inp, *(leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb"))
+    def lstm(inp, layer, direction, order=np.s_[:]):
+        return _lstm_layer(inp, *(leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb"), order)
 
-    seq_f = seq_b_rev = None
     for layer in range(hyper.layers):
         seq_f = lstm(x, layer, "f")
         if hyper.bidirectional:
-            seq_b_rev = lstm(ad.gather_steps(x, reverse_idx), layer, "b")
-            seq = ad.concat([seq_f, ad.gather_steps(seq_b_rev, reverse_idx)], axis=-1)
-        else:
-            seq = seq_f
+            seq_b = lstm(x, layer, "b", reverse)
         if layer < hyper.layers - 1:
+            x = ad.concat([seq_f, seq_b], axis=-1) if hyper.bidirectional else seq_f
             if training and hyper.dropout > 0:
-                seq = _dropout(tape, seq, hyper.dropout, rng)
-            x = seq
+                x = _dropout(x, hyper.dropout, rng)
 
     last = ad.gather_steps(seq_f, lengths - 1)
     if hyper.bidirectional:
-        # state after the backward pass consumed the whole span sits at the
-        # last reversed step, i.e. covers original position 0
-        last = ad.concat([last, ad.gather_steps(seq_b_rev, lengths - 1)], axis=-1)
+        # the backward direction has consumed the whole span at position 0
+        last = ad.concat([last, ad.gather_steps(seq_b, np.zeros(n, np.int64))], axis=-1)
     if training and hyper.dropout > 0:
-        last = _dropout(tape, last, hyper.dropout, rng)
+        last = _dropout(last, hyper.dropout, rng)
 
     logits = ad.matmul(last, leaves["dense:w"]) + leaves["dense:b"]
     return ForwardResult(propensities=ad.sigmoid(logits), leaves=leaves)

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .autodiff import Tape
 from .encoding import EncoderSpec, PackedDataset
 from .metrics import (
     EvalReport,
@@ -134,13 +135,14 @@ def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
 def _validation_loss(
     params: ModelParams, valid: PackedDataset, loss_cfg: CompositeLossConfig, batch: int
 ) -> float:
+    """Mean composite loss over the validation batches, on eval-mode scores."""
+    scores = predict(params, valid, chunk=batch)
     losses = []
     for start in range(0, len(valid), batch):
-        part = valid.subset(np.arange(start, min(start + batch, len(valid))))
-        propensities = forward(params, part, training=False).propensities
-        # a constant input: the loss needs no backward, so Sinkhorn keeps no history
-        scores = propensities.tape.constant(propensities.value)
-        losses.append(float(composite_loss(scores, part.y, part.s, loss_cfg).loss.value))
+        part = np.s_[start : start + batch]
+        propensities = Tape().constant(scores[part])
+        loss = composite_loss(propensities, valid.y[part], valid.s[part], loss_cfg).loss
+        losses.append(float(loss.value))
     return float(np.mean(losses))
 
 
@@ -186,8 +188,7 @@ def train_model(
                 sink_evals += 1
                 if not closs.sinkhorn.converged:
                     sink_nonconverged += 1
-            tape = result.propensities.tape
-            grads = backward(tape, closs.loss, result.leaves)
+            grads = backward(result.propensities.tape, closs.loss, result.leaves)
             adamw_step(
                 params,
                 grads,

@@ -13,6 +13,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from conftest import build_datasets, pairwise_auc, record_criterion
 from fairppm.cli import CHECKPOINT_FILE, REPORT_FILE, SCORES_FILE, SUMMARY_FILE, main
@@ -104,6 +105,7 @@ def test_c3_gradients_match_finite_differences():
     )
 
 
+@pytest.mark.slow
 def test_c4_sinkhorn_converges_to_exact_transport():
     start = time.perf_counter()
     rng = np.random.default_rng(40426)
@@ -128,6 +130,7 @@ def test_c4_sinkhorn_converges_to_exact_transport():
     )
 
 
+@pytest.mark.slow
 def test_c5_lambda_trades_parity_gap_for_little_auc():
     start = time.perf_counter()
     encoder, train, valid, test = build_datasets("high", 2000, seed=0)
@@ -198,6 +201,7 @@ def test_c7_dropping_sensitive_feature_leaves_proxy_leakage():
     )
 
 
+@pytest.mark.slow
 def test_c8_property_suite_at_scale():
     import test_autodiff
     import test_encoding

@@ -226,11 +226,26 @@ def test_custom_op_vjp_grads(rng):
     assert len(calls) == 1  # one backward sweep, one VJP call
 
 
-@pytest.mark.parametrize("steps", [1, 4])
-@pytest.mark.parametrize("hidden", [1, 3])
-def test_lstm_layer_node_grads(steps, hidden, rng):
+def per_row_reversal(lengths, steps):
+    """Reverse each row's first ``lengths[b]`` steps; padding maps to itself."""
+    pos = np.broadcast_to(np.arange(steps), (len(lengths), steps))
+    span = pos < lengths[:, None]
+    return np.arange(len(lengths))[:, None], np.where(span, lengths[:, None] - 1 - pos, pos)
+
+
+@pytest.mark.parametrize(
+    "hidden, steps, reverse",
+    [
+        pytest.param(h, t, r, id=f"{h}-{t}" + ("-reversed" if r else ""))
+        for r in (False, True)
+        for h in (1, 3)
+        for t in (1, 4)
+    ],
+)
+def test_lstm_layer_node_grads(hidden, steps, reverse, rng):
     # one fused LSTM direction entered through custom_op: its BPTT VJP gives
-    # dx, dW, dU and db for every hidden state, each weighted into the loss
+    # dx, dW, dU and db for every hidden state, each weighted into the loss;
+    # the reversed cases run over each row's span backwards, with random lengths
     n, feat = 3, 2
     arrays = {
         "x": rng.normal(size=(n, steps, feat)),
@@ -238,9 +253,11 @@ def test_lstm_layer_node_grads(steps, hidden, rng):
         "U": rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden)),
         "b": rng.uniform(-0.5, 0.5, size=(4 * hidden,)),
     }
+    order = per_row_reversal(rng.integers(1, steps + 1, size=n), steps) if reverse else np.s_[:]
     w = rng.normal(size=(n, steps, hidden))
     check_op(
-        lambda lv: weighted_sum(w)(_lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"])), arrays
+        lambda lv: weighted_sum(w)(_lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"], order)),
+        arrays,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -403,6 +404,7 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("ingest", {"max_len": True}, "'max_len'"),
         ("ingest", {"target_activity": 5}, "'target_activity'"),
         ("report", {"runs": "run"}, "'runs'"),
+        ("report", {"runs": [5]}, "'runs'"),
     ],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
@@ -418,6 +420,71 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides,
     assert run(command, write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+
+
+def drop_key(*path):
+    def edit(text):
+        payload = json.loads(text)
+        record = payload
+        for key in path[:-1]:
+            record = record[key]
+        del record[path[-1]]
+        return json.dumps(payload)
+
+    return edit
+
+
+def replace_line(number, line):
+    def edit(text):
+        lines = text.split("\n")
+        lines[number - 1] = line
+        return "\n".join(lines)
+
+    return edit
+
+
+def not_json(text):
+    return "{not json"
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, named",
+    [
+        pytest.param("report", REPORT_FILE, not_json, "Expecting", id="report-not-json"),
+        pytest.param(
+            "report", REPORT_FILE, drop_key("report", "f1_at_0_5"), "'f1_at_0_5'",
+            id="report-missing-field",
+        ),
+        pytest.param(
+            "report", SCORES_FILE, replace_line(4, "abc,1,0"), "line 4", id="scores-bad-row"
+        ),
+        pytest.param("evaluate", ENCODER_FILE, not_json, "Expecting", id="encoder-not-json"),
+        pytest.param(
+            "evaluate", TEST_SAMPLES, replace_line(3, "{not json"), "line 3",
+            id="samples-bad-line",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, lambda text: "[]", "list", id="checkpoint-a-list"
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, drop_key("seed"), "'seed'", id="checkpoint-no-seed"
+        ),
+    ],
+)
+def test_malformed_artifact_exits_2_naming_the_file(
+    pipeline, tmp_path, capsys, command, name, edit, named
+):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    (copy / name).write_text(edit((copy / name).read_text()))
+    config = {**base_config(copy), "runs": [str(copy)]}
+    if command == "report":
+        config["out"] = str(tmp_path / "merged")
+    capsys.readouterr()
+    assert run(command, write_config(tmp_path, config)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{copy / name}'" in err and named in err and "internal error" not in err
 
 
 def test_non_object_sinkhorn_with_a_flag_exits_2(tmp_path, capsys):

@@ -184,6 +184,16 @@ def test_training_dropout_needs_rng_and_perturbs(rng):
     assert not np.array_equal(eval_out, train_out)
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_only_a_training_forward_records_vjps(training, rng):
+    hyper = Hyper(layers=2, hidden=3, bidirectional=True, dropout=0.0)
+    tape = forward(tiny_model(hyper), random_packed(rng, 6), training).propensities.tape
+    if training:  # every recorded op, leaves aside, keeps its VJP
+        assert all(node.vjp is not None for node in tape.nodes if node.parents)
+    else:
+        assert all(node.vjp is None for node in tape.nodes)
+
+
 def test_predict_chunking_matches_single_pass(rng):
     params = tiny_model(Hyper(hidden=5, dropout=0.0), seed=9)
     batch = random_packed(rng, 23)
@@ -383,10 +393,10 @@ def model_gradcheck(lam: float, hyper: Hyper, n: int, seed: int) -> None:
         res = forward(params, batch, training=False)
         return float(composite_loss(res.propensities, batch.y, batch.s, cfg).loss.value)
 
-    tape = Tape()
-    res = forward(params, batch, training=False, tape=tape)
+    # dropout is 0, so a training forward gives the eval forward's values
+    res = forward(params, batch, training=True)
     comp = composite_loss(res.propensities, batch.y, batch.s, cfg)
-    ad_grads = backward(tape, comp.loss, res.leaves)
+    ad_grads = backward(res.propensities.tape, comp.loss, res.leaves)
     fd_grads = central_diff(loss_value, params.arrays, step=1e-5)
     assert_grads_match(ad_grads, fd_grads)
 

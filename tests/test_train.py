@@ -16,13 +16,14 @@ import pytest
 from conftest import brute_force_pareto, build_datasets, random_packed, toy_encoder
 from fairppm.encoding import PackedDataset
 from fairppm.metrics import GroupedScores, UndefinedMetricError, abcc, abpc, auc, delta_dp_c
-from fairppm.nn import CompositeLossConfig, Hyper, init_params
+from fairppm.nn import CompositeLossConfig, Hyper, composite_loss, forward, init_params
 from fairppm.train import (
     IPM_BATCH,
     Checkpoint,
     GridCell,
     TrainConfig,
     TrainingError,
+    _validation_loss,
     default_grid,
     default_lambdas,
     evaluate,
@@ -127,6 +128,21 @@ def test_checkpoint_bookkeeping(small_data):
     assert np.array_equal(ckpt.valid_labels, valid.y)
     assert math.isfinite(ckpt.best_val_loss)
     assert ckpt.seed == 1
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_validation_loss_is_the_mean_of_the_batch_losses(lam, small_data):
+    encoder, _, valid, _ = small_data
+    params = init_params(Hyper(layers=2, hidden=3, bidirectional=True), encoder, 5)
+    cfg = CompositeLossConfig(lam=lam, sinkhorn=QUICK_SINKHORN)
+    batch = 16
+    losses = []
+    for start in range(0, len(valid), batch):
+        part = valid.subset(np.arange(start, min(start + batch, len(valid))))
+        scores = forward(params, part, training=False).propensities
+        losses.append(float(composite_loss(scores, part.y, part.s, cfg).loss.value))
+    assert len(losses) > 1
+    assert _validation_loss(params, valid, cfg, batch) == float(np.mean(losses))
 
 
 def test_train_model_rejects_empty_sets(small_data):
