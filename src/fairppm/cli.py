@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -41,7 +42,6 @@ from .metrics import (
     GroupedScores,
     UndefinedMetricError,
     density_curve,
-    write_density_csv,
 )
 from .nn import CompositeLossConfig, Hyper
 from .nn import predict
@@ -58,7 +58,6 @@ from .train import (
     pareto_front,
     save_checkpoint,
     train_model,
-    write_sweep_csv,
 )
 from .transport import SinkhornConfig
 
@@ -260,7 +259,7 @@ def _lambdas(config: dict) -> list:
         values = _get(config, "sweep", list, item=float)
     elif isinstance(raw, dict):
         span = _record(_SweepRange, config, "sweep")
-        count = int(round((span.stop - span.start) / span.step)) + 1
+        count = math.floor((span.stop - span.start) / span.step + 1e-9) + 1
         values = [round(span.start + i * span.step, 10) for i in range(count)]
     else:
         raise ConfigError("'sweep' must be a list of lambdas or {start, stop, step}")
@@ -286,6 +285,24 @@ def _write_json(path: Path, config: dict, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({**payload, "provenance": _provenance(config)}, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+# how a CSV column formats its values, by NumPy dtype kind; any other kind by str
+_CSV_FORMAT = {"f": repr, "b": lambda v: "true" if v else "false"}
+
+
+def _write_csv(path: Path, config: dict, columns: dict) -> None:
+    """``columns`` (header -> column of values) as CSV under the provenance
+    comment, with LF line ends and fields quoted as needed."""
+    cells = [
+        list(map(_CSV_FORMAT.get(col.dtype.kind, str), col.tolist()))
+        for col in map(np.asarray, columns.values())
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {_provenance_comment(config)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 def _sha256_file(path: Path) -> str:
@@ -490,12 +507,27 @@ def cmd_sweep(config: dict) -> int:
         cfg=train_cfg,
         jobs=jobs,
     )
-    write_sweep_csv(
-        points,
-        pareto_front(points, "abpc"),
-        pareto_front(points, "abcc"),
+
+    def column(key):
+        return [getattr(p, key) for p in points]
+
+    def on_front(key):
+        lams = {p.lam for p in pareto_front(points, key).points}
+        return [p.lam in lams for p in points]
+
+    _write_csv(
         out / SWEEP_FILE,
-        header_comment=_provenance_comment(config),
+        config,
+        {
+            "lambda": column("lam"),
+            "auc": column("auc"),
+            "abpc": column("abpc"),
+            "abcc": column("abcc"),
+            "on_pareto_abpc": on_front("abpc"),
+            "on_pareto_abcc": on_front("abcc"),
+            "seed": column("seed"),
+            "converged": column("converged"),
+        },
     )
     for p in points:
         if not (p.failed or p.converged):
@@ -519,11 +551,11 @@ def cmd_evaluate(config: dict) -> int:
     report = evaluate(ckpt, test_data, scores)
     _write_json(out / REPORT_FILE, config, {"report": report.to_dict()})
 
-    with open(out / SCORES_FILE, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_provenance_comment(config)}\n")
-        fh.write("score,outcome,sensitive\n")
-        for i in range(scores.size):
-            fh.write(f"{float(scores[i])!r},{int(test_data.y[i])},{int(test_data.s[i])}\n")
+    _write_csv(
+        out / SCORES_FILE,
+        config,
+        {"score": scores, "outcome": test_data.y.astype(int), "sensitive": test_data.s},
+    )
     print(f"evaluated -> {out / REPORT_FILE}")
     return EXIT_OK
 
@@ -545,19 +577,17 @@ def cmd_report(config: dict, runs: list) -> int:
         if (run_dir / SCORES_FILE).is_file():
             scores, sensitives = _artifact(run_dir, SCORES_FILE, _read_scores_csv)
             curve = density_curve(GroupedScores.from_scores(scores, sensitives))
-            write_density_csv(
-                curve,
+            _write_csv(
                 out / f"density_{run_dir.name}.csv",
-                header_comment=_provenance_comment(config),
+                config,
+                {"x": curve.grid, "f0": curve.f0, "f1": curve.f1, "F0": curve.F0, "F1": curve.F1},
             )
 
-    columns = [f.name for f in fields(EvalReport)]
     report_csv = out / "report.csv"
-    with open(report_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_provenance_comment(config)}\n")
-        fh.write("run," + ",".join(columns) + "\n")
-        for name, report in rows:
-            fh.write(name + "," + ",".join(repr(getattr(report, c)) for c in columns) + "\n")
+    columns = {"run": [name for name, _ in rows]}
+    for f in fields(EvalReport):
+        columns[f.name] = [getattr(report, f.name) for _, report in rows]
+    _write_csv(report_csv, config, columns)
     print(f"merged {len(rows)} run(s) -> {report_csv}")
     return EXIT_OK
 

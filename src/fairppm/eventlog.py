@@ -356,35 +356,30 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _holdout(items, fraction: float, seed: int, fraction_name: str, what: str):
+    """``items`` as (kept, held out) lists: a seeded permutation holds out
+    the round half up of ``fraction * len(items)``, and both parts keep
+    the input order."""
+    if not 0.0 < fraction < 1.0:
+        raise SplitError(f"{fraction_name} must be in (0,1)")
+    n = len(items)
+    if n < 2:
+        raise SplitError(f"need at least 2 {what} to split")
+    held = set(np.random.default_rng(seed).permutation(n)[: _round_half_up(fraction * n)].tolist())
+    kept = [x for i, x in enumerate(items) if i not in held]
+    return kept, [x for i, x in enumerate(items) if i in held]
+
+
 def split_cases(log: EventLog, test_fraction: float, seed: int) -> tuple[EventLog, EventLog]:
     """Case-level partition; |test| = round half up of fraction * cases."""
-    if not 0.0 < test_fraction < 1.0:
-        raise SplitError("test_fraction must be in (0,1)")
-    n = len(log.traces)
-    if n < 2:
-        raise SplitError("need at least 2 cases to split")
-    n_test = _round_half_up(test_fraction * n)
-    perm = np.random.default_rng(seed).permutation(n)
-    test_idx = set(perm[:n_test].tolist())
-    train = tuple(t for i, t in enumerate(log.traces) if i not in test_idx)
-    test = tuple(t for i, t in enumerate(log.traces) if i in test_idx)
-    return EventLog(train, log.schema), EventLog(test, log.schema)
+    train, test = _holdout(log.traces, test_fraction, seed, "test_fraction", "cases")
+    return EventLog(tuple(train), log.schema), EventLog(tuple(test), log.schema)
 
 
 def validation_split(samples: list, fraction: float, seed: int) -> tuple[list, list]:
     """Sample-level (not case-level) partition, round half up on the
     validation size; both halves keep the original relative order."""
-    if not 0.0 < fraction < 1.0:
-        raise SplitError("fraction must be in (0,1)")
-    n = len(samples)
-    if n < 2:
-        raise SplitError("need at least 2 samples to split")
-    n_valid = _round_half_up(fraction * n)
-    perm = np.random.default_rng(seed).permutation(n)
-    valid_idx = set(perm[:n_valid].tolist())
-    train = [s for i, s in enumerate(samples) if i not in valid_idx]
-    valid = [s for i, s in enumerate(samples) if i in valid_idx]
-    return train, valid
+    return _holdout(samples, fraction, seed, "fraction", "samples")
 
 
 # ---------------------------------------------------------------------------

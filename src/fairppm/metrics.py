@@ -12,7 +12,6 @@ integral of their gap over [0,1] is the exact 1-D Wasserstein-1 distance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "f1_acc_at",
     "optimal_threshold",
     "density_curve",
-    "write_density_csv",
     "eval_report",
 ]
 
@@ -293,25 +291,6 @@ def density_curve(g: GroupedScores) -> DensityCurve:
         F0=ecdf(g.s0, grid),
         F1=ecdf(g.s1, grid),
     )
-
-
-def write_density_csv(curve: DensityCurve, path, header_comment: str | None = None) -> None:
-    """Write a curve as CSV (x, f0, f1, F0, F1), optionally with a # header."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "f0", "f1", "F0", "F1"])
-        for i in range(curve.grid.size):
-            writer.writerow(
-                [
-                    repr(float(curve.grid[i])),
-                    repr(float(curve.f0[i])),
-                    repr(float(curve.f1[i])),
-                    repr(float(curve.F0[i])),
-                    repr(float(curve.F1[i])),
-                ]
-            )
 
 
 def eval_report(scores, labels, sensitive, opt_threshold_value: float) -> EvalReport:

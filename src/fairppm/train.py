@@ -68,7 +68,6 @@ __all__ = [
     "load_checkpoint",
     "from_fields",
     "json_cast",
-    "write_sweep_csv",
 ]
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
@@ -552,6 +551,9 @@ def load_checkpoint(path) -> Checkpoint:
         )
     hyper = from_fields(Hyper, payload["hyper"])
     arrays = {name: np.asarray(v, dtype=np.float64) for name, v in payload["arrays"].items()}
+    encoder_ref = payload.get("encoder_ref")
+    if not (encoder_ref is None or isinstance(encoder_ref, dict)):
+        raise ValueError(f"'encoder_ref' must be an object or null, got {encoder_ref!r}")
     loss_cfg = CompositeLossConfig(
         lam=float(payload["loss"]["lambda"]),
         sinkhorn=from_fields(SinkhornConfig, payload["loss"]["sinkhorn"]),
@@ -570,36 +572,5 @@ def load_checkpoint(path) -> Checkpoint:
         group_empty_batches=int(payload["counters"]["group_empty_batches"]),
         sinkhorn_evals=int(payload["counters"]["sinkhorn_evals"]),
         sinkhorn_nonconverged=int(payload["counters"]["sinkhorn_nonconverged"]),
-        encoder_ref=payload.get("encoder_ref"),
+        encoder_ref=encoder_ref,
     )
-
-
-def write_sweep_csv(
-    points: list,
-    front_abpc: ParetoFront,
-    front_abcc: ParetoFront,
-    path,
-    header_comment: str | None = None,
-) -> None:
-    on_abpc = {p.lam for p in front_abpc.points}
-    on_abcc = {p.lam for p in front_abcc.points}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("lambda,auc,abpc,abcc,on_pareto_abpc,on_pareto_abcc,seed,converged\n")
-        for p in points:
-            fh.write(
-                ",".join(
-                    [
-                        repr(float(p.lam)),
-                        repr(float(p.auc)),
-                        repr(float(p.abpc)),
-                        repr(float(p.abcc)),
-                        "true" if p.lam in on_abpc else "false",
-                        "true" if p.lam in on_abcc else "false",
-                        str(p.seed),
-                        "true" if p.converged else "false",
-                    ]
-                )
-                + "\n"
-            )

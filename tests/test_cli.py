@@ -6,11 +6,12 @@ deliberately tiny training budgets.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,9 @@ from fairppm.cli import (
     main,
 )
 from fairppm.eventlog import BiasSpec
+from fairppm.metrics import EvalReport
 from fairppm.nn import Hyper
-from fairppm.train import CHECKPOINT_VERSION, GRID_AXES, TrainConfig
+from fairppm.train import CHECKPOINT_VERSION, GRID_AXES, SweepPoint, TrainConfig, pareto_front
 from fairppm.transport import SinkhornConfig
 
 SYNTH_SCHEMA_JSON = {
@@ -82,6 +84,12 @@ def write_config(tmp_path, config: dict, name: str = "config.json") -> str:
 
 def run(command: str, cfg_path: str, *flags: str) -> int:
     return main([command, "--config", cfg_path, *flags])
+
+
+def read_csv(path):
+    """The rows of a CSV artifact below its ``#`` provenance line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row for row in csv.reader(fh) if not row[0].startswith("#")]
 
 
 def run_pipeline(tmp_path, out_name: str = "run", **extra):
@@ -192,12 +200,35 @@ def test_sweep_default_range_yields_eleven_rows(tmp_path):
     assert run("synth", cfg_path) == EXIT_OK
     assert run("ingest", cfg_path) == EXIT_OK
     assert run("sweep", cfg_path) == EXIT_OK
-    lines = (out / SWEEP_FILE).read_text().splitlines()
-    assert lines[0].startswith("# config_hash=")
-    assert lines[1].startswith("lambda,")
-    rows = [line.split(",") for line in lines[2:]]
+    assert (out / SWEEP_FILE).read_text().startswith("# config_hash=")
+    header, *rows = read_csv(out / SWEEP_FILE)
+    assert header == [
+        "lambda", "auc", "abpc", "abcc", "on_pareto_abpc", "on_pareto_abcc", "seed", "converged"
+    ]
     assert [float(r[0]) for r in rows] == [round(0.05 * i, 2) for i in range(11)]
     assert all(r[7] in ("true", "false") for r in rows)
+    assert rows[0][7] == "true"  # lambda=0 runs no Sinkhorn
+    points = [
+        SweepPoint(float(r[0]), float(r[1]), float(r[2]), float(r[3]), int(r[6]), r[7] == "true")
+        for r in rows
+    ]
+    for col, key in ((4, "abpc"), (5, "abcc")):
+        front = pareto_front(points, key).points
+        assert [r[col] for r in rows] == ["true" if p in front else "false" for p in points]
+
+
+@pytest.mark.parametrize(
+    "span, expected",
+    [
+        ({"start": 0, "stop": 0.5, "step": 0.3}, [0.0, 0.3]),
+        ({"start": 0.9, "stop": 1.0, "step": 0.15}, [0.9]),
+        ({"start": 0.0, "stop": 0.3, "step": 0.1}, [0.0, 0.1, 0.2, 0.3]),  # 0.3 / 0.1 < 3
+        ({"start": 0.0, "stop": 0.5, "step": 0.05}, [round(0.05 * i, 2) for i in range(11)]),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
+)
+def test_sweep_range_never_passes_stop(span, expected):
+    assert cli._lambdas({"sweep": span}) == expected
 
 
 def test_capped_sinkhorn_runs_warn_once_per_run(tmp_path, capsys):
@@ -237,8 +268,35 @@ def test_report_merges_runs_and_writes_density_curves(pipeline, tmp_path):
         density = report_out / f"density_{name}.csv"
         assert density.is_file()
         body = density.read_text().splitlines()
+        assert body[0].startswith("# config_hash=")
         assert body[1] == "x,f0,f1,F0,F1"
         assert len(body) == 2 + 10_001
+        assert float(body[2].split(",")[0]) == 0.0
+
+
+def test_every_csv_artifact_has_provenance_and_lf_line_ends(pipeline, tmp_path):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    cfg_path = write_config(tmp_path, {**base_config(copy), "sweep": [0.0], "runs": [str(copy)]})
+    assert run("sweep", cfg_path) == EXIT_OK
+    assert run("report", cfg_path) == EXIT_OK
+    names = ["log.csv", SCORES_FILE, SWEEP_FILE, "report.csv", f"density_{copy.name}.csv"]
+    assert sorted(path.name for path in copy.glob("*.csv")) == sorted(names)
+    for name in names:
+        data = (copy / name).read_bytes()
+        assert data.startswith(b"# config_hash=") and b"\r" not in data, name
+
+
+def test_report_quotes_a_run_name_with_a_comma(pipeline, tmp_path):
+    _, out, _ = pipeline
+    run_dir = tmp_path / "r,1"
+    shutil.copytree(out, run_dir)
+    cfg_path = write_config(tmp_path, {"out": str(tmp_path / "merged"), "seed": 7})
+    assert main(["report", "--config", cfg_path, "--runs", str(run_dir)]) == EXIT_OK
+    rows = read_csv(tmp_path / "merged" / "report.csv")
+    assert [len(row) for row in rows] == [1 + len(fields(EvalReport))] * 2
+    assert rows[1][0] == "r,1"
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +492,13 @@ def drop_key(*path):
     return edit
 
 
+def set_key(key, value):
+    def edit(text):
+        return json.dumps({**json.loads(text), key: value})
+
+    return edit
+
+
 def replace_line(number, line):
     def edit(text):
         lines = text.split("\n")
@@ -468,6 +533,10 @@ def not_json(text):
         ),
         pytest.param(
             "evaluate", CHECKPOINT_FILE, drop_key("seed"), "'seed'", id="checkpoint-no-seed"
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("encoder_ref", 5), "'encoder_ref'",
+            id="checkpoint-encoder-ref-not-an-object",
         ),
     ],
 )

@@ -440,7 +440,7 @@ def test_split_cases_deterministic():
 
 
 def test_split_cases_too_small():
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="at least 2 cases"):
         split_cases(make_log(make_trace("c1", ["A"])), 0.5, seed=0)
 
 
@@ -484,10 +484,11 @@ def test_validation_split_deterministic_partition():
     assert a == b
     train, valid = a
     assert sorted(train + valid) == samples
+    assert train == sorted(train) and valid == sorted(valid)  # both keep the input order
 
 
 def test_validation_split_too_small():
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="at least 2 samples"):
         validation_split([1], 0.5, seed=0)
 
 

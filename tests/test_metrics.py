@@ -30,7 +30,6 @@ from fairppm.metrics import (
     make_grid,
     optimal_threshold,
     trapezoid,
-    write_density_csv,
 )
 from fairppm.transport import exact_w1_1d
 
@@ -403,7 +402,7 @@ def test_eval_report_from_scores(rng):
     assert report.abcc == pytest.approx(abcc(g), abs=1e-15)
 
 
-def test_density_curve_and_csv(tmp_path):
+def test_density_curve():
     rng = np.random.default_rng(9)
     g = grouped(rng.random(50), rng.random(60))
     curve = density_curve(g)
@@ -411,11 +410,3 @@ def test_density_curve_and_csv(tmp_path):
     assert curve.f0.shape == curve.f1.shape == (GRID_POINTS,)
     assert curve.F0.shape == curve.F1.shape == (GRID_POINTS,)
     assert (np.diff(curve.F0) >= 0).all() and (np.diff(curve.F1) >= 0).all()
-    path = tmp_path / "density.csv"
-    write_density_csv(curve, path, header_comment="check")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "x,f0,f1,F0,F1"
-    assert len(lines) == 2 + GRID_POINTS
-    first = lines[2].split(",")
-    assert float(first[0]) == 0.0

@@ -35,7 +35,6 @@ from fairppm.train import (
     save_checkpoint,
     select_best,
     train_model,
-    write_sweep_csv,
 )
 
 FAST = TrainConfig(max_epochs=3, patience=2)
@@ -565,23 +564,3 @@ def test_checkpoint_version_check(tmp_path):
     path.write_text('{"format_version": 999}\n')
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
-
-
-def test_write_sweep_csv(tmp_path):
-    pts = [
-        make_point(0.0, 0.8, 1.0),
-        make_point(0.1, 0.7, 0.5),
-        make_point(0.2, 0.75, 1.2),
-    ]
-    front = pareto_front(pts, "abpc")
-    front_abcc = pareto_front(pts, "abcc")
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(pts, front, front_abcc, path, header_comment="run abc")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# run abc"
-    assert lines[1] == "lambda,auc,abpc,abcc,on_pareto_abpc,on_pareto_abcc,seed,converged"
-    assert len(lines) == 2 + len(pts)
-    rows = [line.split(",") for line in lines[2:]]
-    assert [float(r[0]) for r in rows] == [0.0, 0.1, 0.2]
-    assert [r[4] for r in rows] == ["true", "true", "false"]
-    assert all(r[7] == "true" for r in rows)
