@@ -564,13 +564,20 @@ def cmd_report(config: dict, runs: list) -> int:
     out = _out_dir(config)
     if not runs:
         raise ConfigError("report requires at least one --runs directory")
+    named = {}
+    for run_dir in map(Path, runs):
+        if run_dir.name in named:
+            raise ConfigError(
+                f"runs '{named[run_dir.name]}' and '{run_dir}' share the name "
+                f"'{run_dir.name}'; report needs distinct run names"
+            )
+        named[run_dir.name] = run_dir
     rows = []
-    for run in runs:
-        run_dir = Path(run)
+    for run_dir in named.values():
         report = _artifact(
             run_dir,
             REPORT_FILE,
-            lambda path: EvalReport.from_dict(json.loads(path.read_text("utf-8"))["report"]),
+            lambda path: from_fields(EvalReport, json.loads(path.read_text("utf-8"))["report"]),
         )
         rows.append((run_dir.name, report))
 
@@ -593,15 +600,21 @@ def cmd_report(config: dict, runs: list) -> int:
 
 
 def _read_scores_csv(path: Path):
-    """Scores and sensitive flags; a bad row raises ValueError naming its line."""
+    """Scores in [0,1] and sensitive flags in {0,1}; a bad row raises
+    ValueError naming its line."""
     scores, sensitives = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         numbered = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in numbered)
     for row in reader:
         try:
-            scores.append(float(row["score"]))
-            sensitives.append(int(row["sensitive"]))
+            score, sensitive = float(row["score"]), int(row["sensitive"])
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score {score} outside [0,1]")
+            if sensitive not in (0, 1):
+                raise ValueError(f"sensitive {sensitive} is not 0 or 1")
+            scores.append(score)
+            sensitives.append(sensitive)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from None
     return np.array(scores), np.array(sensitives)

@@ -12,7 +12,7 @@ integral of their gap over [0,1] is the exact 1-D Wasserstein-1 distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,11 +118,7 @@ class EvalReport:
     abcc: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls)})
+        return asdict(self)
 
 
 def delta_dp_c(g: GroupedScores) -> float:

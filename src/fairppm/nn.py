@@ -74,6 +74,9 @@ class ModelParams:
     hyper: Hyper
     arrays: dict
 
+    def __post_init__(self):
+        self.arrays = {name: np.asarray(v, dtype=np.float64) for name, v in self.arrays.items()}
+
     def copy(self) -> "ModelParams":
         return ModelParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()})
 

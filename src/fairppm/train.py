@@ -15,7 +15,8 @@ import concurrent.futures
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -72,7 +73,7 @@ __all__ = [
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
 
-CHECKPOINT_VERSION = 2  # 2: one stacked W, U and b per LSTM layer and direction
+CHECKPOINT_VERSION = 3  # 3: keyed by the Checkpoint record's field names
 
 
 class TrainingError(RuntimeError):
@@ -498,45 +499,53 @@ def json_cast(key: str, value, kind: type):
 def from_fields(cls, raw):
     """Build the dataclass ``cls`` from a JSON object keyed by its field names.
 
-    Each present value is read by ``json_cast`` with the type of the
-    field's default and an absent key takes the default. Raises ValueError
-    for a non-object, an unknown key (listing the valid ones) or a value
-    the type rule or the class's own checks reject.
+    Each present value is read by the field's annotated type: a dataclass
+    through ``from_fields``, ``np.ndarray`` as a float64 array from a list,
+    ``X | None`` as None or as an ``X``, anything else by ``json_cast``. An
+    absent key takes the field's default; a field without one is required.
+    Raises ValueError for a non-object, an unknown key (listing the valid
+    ones), a missing required key or a value the type rule or the class's
+    own checks reject.
     """
-    known = {f.name: f.default for f in fields(cls)}
+    known = typing.get_type_hints(cls)
     if not isinstance(raw, dict):
         raise ValueError(f"expected an object with keys {', '.join(known)}, got {raw!r}")
     unknown = [repr(key) for key in raw if key not in known]
     if unknown:
         raise ValueError(f"unknown key {', '.join(unknown)} (valid keys: {', '.join(known)})")
-    return cls(**{key: json_cast(key, value, type(known[key])) for key, value in raw.items()})
+    missing = [
+        repr(f.name)
+        for f in fields(cls)
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing key {', '.join(missing)}")
+    return cls(**{key: _read_field(key, value, known[key]) for key, value in raw.items()})
+
+
+def _read_field(key: str, value, kind):
+    """``value``, read from JSON for ``key``, as the annotated type ``kind``."""
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if value is None:
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if is_dataclass(kind):
+        try:
+            return from_fields(kind, value)
+        except ValueError as exc:
+            raise ValueError(f"in '{key}': {exc}") from None
+    if kind is np.ndarray:
+        return np.asarray(json_cast(key, value, list), dtype=np.float64)
+    return json_cast(key, value, kind)
 
 
 def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> None:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "hyper": asdict(ckpt.params.hyper),
-        "arrays": {name: arr.tolist() for name, arr in ckpt.params.arrays.items()},
-        "seed": ckpt.seed,
-        "loss": {"lambda": ckpt.loss_cfg.lam, "sinkhorn": asdict(ckpt.loss_cfg.sinkhorn)},
-        "train": asdict(ckpt.train_cfg),
-        "effective_batch": ckpt.effective_batch,
-        "best_val_loss": ckpt.best_val_loss,
-        "best_epoch": ckpt.best_epoch,
-        "epochs_run": ckpt.epochs_run,
-        "valid_scores": ckpt.valid_scores.tolist(),
-        "valid_labels": ckpt.valid_labels.tolist(),
-        "counters": {
-            "group_empty_batches": ckpt.group_empty_batches,
-            "sinkhorn_evals": ckpt.sinkhorn_evals,
-            "sinkhorn_nonconverged": ckpt.sinkhorn_nonconverged,
-        },
-        "encoder_ref": ckpt.encoder_ref,
-    }
+    payload = {"format_version": CHECKPOINT_VERSION, **asdict(ckpt)}
     if provenance:
         payload["provenance"] = provenance
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -549,28 +558,6 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported checkpoint format_version {found!r}, expected {CHECKPOINT_VERSION}: "
             "rerun `train` to write a current checkpoint"
         )
-    hyper = from_fields(Hyper, payload["hyper"])
-    arrays = {name: np.asarray(v, dtype=np.float64) for name, v in payload["arrays"].items()}
-    encoder_ref = payload.get("encoder_ref")
-    if not (encoder_ref is None or isinstance(encoder_ref, dict)):
-        raise ValueError(f"'encoder_ref' must be an object or null, got {encoder_ref!r}")
-    loss_cfg = CompositeLossConfig(
-        lam=float(payload["loss"]["lambda"]),
-        sinkhorn=from_fields(SinkhornConfig, payload["loss"]["sinkhorn"]),
-    )
-    return Checkpoint(
-        params=ModelParams(hyper, arrays),
-        seed=int(payload["seed"]),
-        loss_cfg=loss_cfg,
-        train_cfg=from_fields(TrainConfig, payload["train"]),
-        effective_batch=int(payload["effective_batch"]),
-        best_val_loss=float(payload["best_val_loss"]),
-        best_epoch=int(payload["best_epoch"]),
-        epochs_run=int(payload["epochs_run"]),
-        valid_scores=np.asarray(payload["valid_scores"], dtype=np.float64),
-        valid_labels=np.asarray(payload["valid_labels"], dtype=np.float64),
-        group_empty_batches=int(payload["counters"]["group_empty_batches"]),
-        sinkhorn_evals=int(payload["counters"]["sinkhorn_evals"]),
-        sinkhorn_nonconverged=int(payload["counters"]["sinkhorn_nonconverged"]),
-        encoder_ref=encoder_ref,
-    )
+    del payload["format_version"]
+    payload.pop("provenance", None)
+    return from_fields(Checkpoint, payload)

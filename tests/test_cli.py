@@ -192,6 +192,17 @@ def test_checkpoint_references_encoder_hash(pipeline):
     assert ckpt["encoder_ref"] == {"path": ENCODER_FILE, "sha256": digest}
 
 
+def test_checkpoint_keeps_the_top_level_keys_read_outside_train(pipeline):
+    # cli reads encoder_ref, provenance stamps every artifact, and the
+    # ingest_eval benchmark reads epochs_run straight from the JSON
+    _, out, _ = pipeline
+    ckpt = json.loads((out / CHECKPOINT_FILE).read_text())
+    assert ckpt["format_version"] == CHECKPOINT_VERSION
+    assert set(ckpt["provenance"]) == {"config_hash", "seed"}
+    assert set(ckpt["encoder_ref"]) == {"path", "sha256"}
+    assert isinstance(ckpt["epochs_run"], int) and ckpt["epochs_run"] >= 1
+
+
 def test_sweep_default_range_yields_eleven_rows(tmp_path):
     out = tmp_path / "sweep_run"
     config = base_config(out, n_cases=60, train={"max_epochs": 1, "patience": 1})
@@ -272,6 +283,20 @@ def test_report_merges_runs_and_writes_density_curves(pipeline, tmp_path):
         assert body[1] == "x,f0,f1,F0,F1"
         assert len(body) == 2 + 10_001
         assert float(body[2].split(",")[0]) == 0.0
+
+
+def test_report_on_two_runs_with_one_name_exits_2(pipeline, tmp_path, capsys):
+    _, out, _ = pipeline
+    first, second = tmp_path / "a" / "run", tmp_path / "b" / "run"
+    shutil.copytree(out, first)
+    shutil.copytree(out, second)
+    report_out = tmp_path / "merged"
+    cfg_path = write_config(tmp_path, {"out": str(report_out), "seed": 7})
+    capsys.readouterr()
+    assert main(["report", "--config", cfg_path, "--runs", str(first), str(second)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{first}'" in err and f"'{second}'" in err and "internal error" not in err
+    assert not (report_out / "report.csv").exists()
 
 
 def test_every_csv_artifact_has_provenance_and_lf_line_ends(pipeline, tmp_path):
@@ -357,9 +382,9 @@ def test_lambda_and_sinkhorn_flags_reach_checkpoint(pipeline, tmp_path):
         == EXIT_OK
     )
     ckpt = json.loads((override / CHECKPOINT_FILE).read_text())
-    assert ckpt["loss"]["lambda"] == 0.1
-    assert ckpt["loss"]["sinkhorn"]["epsilon"] == 0.05
-    assert ckpt["loss"]["sinkhorn"]["max_iters"] == 17
+    assert ckpt["loss_cfg"]["lam"] == 0.1
+    assert ckpt["loss_cfg"]["sinkhorn"]["epsilon"] == 0.05
+    assert ckpt["loss_cfg"]["sinkhorn"]["max_iters"] == 17
     assert ckpt["effective_batch"] == 512
 
 
@@ -492,9 +517,14 @@ def drop_key(*path):
     return edit
 
 
-def set_key(key, value):
+def set_key(*path, value):
     def edit(text):
-        return json.dumps({**json.loads(text), key: value})
+        payload = json.loads(text)
+        record = payload
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        return json.dumps(payload)
 
     return edit
 
@@ -521,7 +551,19 @@ def not_json(text):
             id="report-missing-field",
         ),
         pytest.param(
+            "report", REPORT_FILE, set_key("report", "auc", value="0.9"), "'auc'",
+            id="report-auc-a-string",
+        ),
+        pytest.param(
             "report", SCORES_FILE, replace_line(4, "abc,1,0"), "line 4", id="scores-bad-row"
+        ),
+        pytest.param(
+            "report", SCORES_FILE, replace_line(4, "1.5,1,0"), "line 4",
+            id="scores-score-above-one",
+        ),
+        pytest.param(
+            "report", SCORES_FILE, replace_line(4, "0.5,1,5"), "line 4",
+            id="scores-sensitive-not-a-flag",
         ),
         pytest.param("evaluate", ENCODER_FILE, not_json, "Expecting", id="encoder-not-json"),
         pytest.param(
@@ -535,8 +577,28 @@ def not_json(text):
             "evaluate", CHECKPOINT_FILE, drop_key("seed"), "'seed'", id="checkpoint-no-seed"
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("encoder_ref", 5), "'encoder_ref'",
+            "evaluate", CHECKPOINT_FILE, set_key("encoder_ref", value=5), "'encoder_ref'",
             id="checkpoint-encoder-ref-not-an-object",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("seed", value="5"), "'seed'",
+            id="checkpoint-seed-a-string",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("epochs_run", value=2.5), "'epochs_run'",
+            id="checkpoint-epochs-run-a-float",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("loss_cfg", "lam", value="0.3"), "'lam'",
+            id="checkpoint-lambda-a-string",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("params", "hyper", "depth", value=3), "'depth'",
+            id="checkpoint-unknown-hyper-key",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", value="x"), "'valid_scores'",
+            id="checkpoint-valid-scores-a-string",
         ),
     ],
 )

@@ -7,6 +7,8 @@ AUC, and exhaustive threshold scans for F1/accuracy selection.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from fairppm.metrics import (
     optimal_threshold,
     trapezoid,
 )
+from fairppm.train import from_fields
 from fairppm.transport import exact_w1_1d
 
 
@@ -383,7 +386,7 @@ def test_eval_report_round_trip():
         abpc=0.3,
         abcc=0.07,
     )
-    assert EvalReport.from_dict(report.to_dict()) == report
+    assert from_fields(EvalReport, json.loads(json.dumps(report.to_dict()))) == report
     assert len(report.to_dict()) == 11
 
 
