@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import PackedDataset, encode, encoder_from_json, encoder_to_json, fit_encoder
+from .encoding import EncoderSpec, PackedDataset, encode, fit_encoder
 from .eventlog import (
     BiasSpec,
     EventLogError,
@@ -43,16 +43,14 @@ from .metrics import (
     UndefinedMetricError,
     density_curve,
 )
-from .nn import CompositeLossConfig, Hyper
-from .nn import predict
+from .nn import CompositeLossConfig, Hyper, init_params, predict
+from .records import from_fields, json_cast
 from .train import (
     TrainConfig,
     default_grid,
     default_lambdas,
     evaluate,
-    from_fields,
     grid_search,
-    json_cast,
     lambda_sweep,
     load_checkpoint,
     pareto_front,
@@ -178,7 +176,7 @@ def _require(config: dict, key: str):
 
 def _get(config: dict, key: str, kind: type, default=None, item=None):
     """Top-level ``key`` as a ``kind``, and each entry as an ``item`` when
-    given, by the type rule of the nested records (``train.json_cast``); a
+    given, by the type rule of the nested records (``records.json_cast``); a
     key without a default is required."""
     value = _require(config, key) if default is None else config.get(key, default)
     try:
@@ -198,15 +196,10 @@ def _schema_from_config(config: dict) -> SchemaConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("'schema' must be an object or a path to one")
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
-    if not isinstance(raw.get("attributes"), dict):
+    if isinstance(raw, dict) and not isinstance(raw.get("attributes"), dict):
         raw = {"attributes": raw}
-    try:
-        return SchemaConfig.from_dict(raw)
-    except EventLogError as exc:
-        raise ConfigError(f"bad schema: {exc}") from None
+    return _record(SchemaConfig, {"schema": raw}, "schema")
 
 
 def _fraction(config: dict, key: str, default: float) -> float:
@@ -309,9 +302,21 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_packed(out: Path, name: str, encoder) -> PackedDataset:
-    samples = _artifact(out, name, read_samples_jsonl)
-    return PackedDataset.from_encoded([encode(encoder, s) for s in samples])
+def _encode(encoder: EncoderSpec, sample):
+    """``encode``, with an error that names the sample's case."""
+    try:
+        return encode(encoder, sample)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"case '{sample.case_id}' does not fit {ENCODER_FILE}: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _load_packed(out: Path, name: str, encoder: EncoderSpec) -> PackedDataset:
+    def read(path):
+        return PackedDataset.from_encoded([_encode(encoder, s) for s in read_samples_jsonl(path)])
+
+    return _artifact(out, name, read)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +342,8 @@ def _split_stats(samples) -> dict:
 def cmd_synth(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)
-    raw_spec = config.get("bias_spec")
-    if raw_spec is not None:
-        spec = BiasSpec.from_dict(raw_spec)
+    if config.get("bias_spec") is not None:
+        spec = _record(BiasSpec, config, "bias_spec")
     else:
         preset = _get(config, "bias_preset", str, "high")
         n_cases = _get(config, "n_cases", int, 2000)
@@ -351,8 +355,8 @@ def cmd_synth(config: dict) -> int:
     log_path = out / "log.csv"
     write_event_log(log, log_path, header_comment=_provenance_comment(config))
 
-    _write_json(out / "schema.json", config, log.schema.to_dict())
-    _write_json(out / "bias_spec.json", config, spec.to_dict())
+    _write_json(out / "schema.json", config, asdict(log.schema))
+    _write_json(out / "bias_spec.json", config, asdict(spec))
     print(f"wrote {log_path} ({len(log)} cases)")
     return EXIT_OK
 
@@ -388,7 +392,7 @@ def cmd_ingest(config: dict) -> int:
     write_samples_jsonl(valid_samples, out / VALID_SAMPLES, prov)
     write_samples_jsonl(test_samples, out / TEST_SAMPLES, prov)
 
-    _write_json(out / ENCODER_FILE, config, json.loads(encoder_to_json(encoder)))
+    _write_json(out / ENCODER_FILE, config, asdict(encoder))
     _write_json(
         out / SUMMARY_FILE,
         config,
@@ -408,8 +412,14 @@ def cmd_ingest(config: dict) -> int:
     return EXIT_OK
 
 
-def _load_encoder(out: Path):
-    return _artifact(out, ENCODER_FILE, lambda path: encoder_from_json(path.read_text("utf-8")))
+def _read_encoder(path: Path) -> EncoderSpec:
+    payload = json.loads(path.read_text("utf-8"))
+    payload.pop("provenance", None)
+    return from_fields(EncoderSpec, payload)
+
+
+def _load_encoder(out: Path) -> EncoderSpec:
+    return _artifact(out, ENCODER_FILE, _read_encoder)
 
 
 def cmd_train(config: dict) -> int:
@@ -546,6 +556,17 @@ def cmd_evaluate(config: dict) -> int:
         raise ConfigError(
             "encoder.json does not match the encoder this checkpoint was trained with"
         )
+    # the arrays must have the names and shapes init_params gives the hyper and encoder
+    found, expected = (
+        {name: a.shape for name, a in params.arrays.items()}
+        for params in (ckpt.params, init_params(ckpt.params.hyper, encoder, ckpt.seed))
+    )
+    for name in sorted(found.keys() | expected.keys()):
+        if found.get(name) != expected.get(name):
+            raise ConfigError(
+                f"malformed artifact '{out / CHECKPOINT_FILE}': params array '{name}' has "
+                f"shape {found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
+            )
 
     scores = predict(ckpt.params, test_data)
     report = evaluate(ckpt, test_data, scores)

@@ -11,7 +11,6 @@ keep their last ``max_len`` events.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ __all__ = [
     "PackedDataset",
     "fit_encoder",
     "encode",
-    "encoder_to_json",
-    "encoder_from_json",
 ]
 
 ACTIVITY = "activity"
@@ -35,29 +32,56 @@ ACTIVITY = "activity"
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    """Train-fitted vocabularies, scaling ranges and embedding sizes."""
+    """Train-fitted labels and scaling ranges; ``encoder.json`` is this record.
+
+    ``labels`` lists each categorical attribute's labels in index order: a
+    label's index is its position plus 1, and 0 is the padding and
+    out-of-vocabulary index. The label -> index maps (``vocabularies``) and
+    the embedding sizes are derived from it.
+    """
 
     max_len: int
     schema: SchemaConfig
-    vocabularies: dict  # categorical attr -> {label: index >= 1}
+    labels: dict  # categorical attr -> labels in index order
     numeric_ranges: dict  # numeric/boolean attr -> (min, max) from train
-    embedding_dims: dict  # categorical attr -> ceil(sqrt(vocab size))
     drop_sensitive: bool
     sensitive_attr: str
 
+    def __post_init__(self):
+        if self.max_len < 1:
+            raise ValueError("'max_len' must be >= 1")
+        for attr, ls in self.labels.items():
+            if not (_holds_only(ls, (str, bool)) and len(set(ls)) == len(ls)):
+                raise ValueError(f"'labels' of '{attr}' must be distinct strings or bools: {ls!r}")
+        for attr, span in self.numeric_ranges.items():
+            finite = _holds_only(span, (int, float)) and all(map(math.isfinite, span))
+            if not (finite and len(span) == 2 and span[0] <= span[1]):
+                raise ValueError(f"'numeric_ranges' of '{attr}' must be finite lo <= hi: {span!r}")
+        vocabularies = {a: dict(zip(ls, range(1, len(ls) + 1))) for a, ls in self.labels.items()}
+        ranges = {a: (float(lo), float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
+        object.__setattr__(self, "vocabularies", vocabularies)  # categorical attr -> {label: index}
+        object.__setattr__(self, "numeric_ranges", ranges)
+
+    @property
+    def embedding_dims(self) -> dict:
+        """Categorical attr -> ceil(sqrt(number of labels))."""
+        return {attr: math.ceil(math.sqrt(len(ls))) for attr, ls in self.labels.items()}
+
     @property
     def categorical_attrs(self) -> list:
-        return sorted(self.vocabularies)
+        return sorted(self.labels)
 
     @property
     def numeric_attrs(self) -> list:
         return sorted(self.numeric_ranges)
 
     def inverse_vocabulary(self, attr: str) -> dict:
-        return {index: label for label, index in self.vocabularies[attr].items()}
+        return dict(enumerate(self.labels[attr], 1))
 
-    def is_static(self, attr: str) -> bool:
-        return attr.startswith(STATIC_PREFIX)
+
+def _holds_only(items, kinds: tuple) -> bool:
+    """Whether ``items`` is a list or tuple of entries of exactly these types."""
+    return isinstance(items, (list, tuple)) and all(type(v) in kinds for v in items)
 
 
 @dataclass(frozen=True)
@@ -78,7 +102,7 @@ def fit_encoder(
     drop_sensitive: bool = False,
     sensitive_attr: str = "case:protected",
 ) -> EncoderSpec:
-    """Fit vocabularies and numeric ranges on training samples only.
+    """Fit labels and numeric ranges on training samples only.
 
     With ``drop_sensitive`` the sensitive attribute is excluded from every
     feature map (it survives only as the label ``s`` on each sample).
@@ -86,8 +110,6 @@ def fit_encoder(
     """
     if not train:
         raise ValueError("fit_encoder requires a nonempty training set")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     if drop_sensitive and sensitive_attr not in schema.attributes:
         raise ValueError(f"sensitive attribute '{sensitive_attr}' is not in the schema")
 
@@ -101,20 +123,17 @@ def fit_encoder(
         if k in ("numeric", "boolean") and a not in excluded
     )
 
-    vocabularies = {}
+    labels = {}
     for attr in cat_attrs:
-        labels = set()
+        found = set()
         for sample in train:
             if attr == ACTIVITY:
-                labels.update(e.activity for e in sample.events)
+                found.update(e.activity for e in sample.events)
             elif attr.startswith(STATIC_PREFIX):
-                labels.add(sample.static_attrs[attr])
+                found.add(sample.static_attrs[attr])
             else:
-                labels.update(e.dynamic_attrs[attr] for e in sample.events)
-        # labels may mix types (e.g. booleans beside strings); the tagged
-        # serialization key gives them one deterministic total order
-        ordered = sorted(labels, key=_label_key)
-        vocabularies[attr] = {label: i + 1 for i, label in enumerate(ordered)}
+                found.update(e.dynamic_attrs[attr] for e in sample.events)
+        labels[attr] = sorted(found, key=_label_key)
 
     numeric_ranges = {}
     for attr in num_attrs:
@@ -133,18 +152,19 @@ def fit_encoder(
             )
         numeric_ranges[attr] = (lo, hi)
 
-    embedding_dims = {
-        attr: math.ceil(math.sqrt(len(vocab))) for attr, vocab in vocabularies.items()
-    }
     return EncoderSpec(
         max_len=max_len,
         schema=schema,
-        vocabularies=vocabularies,
+        labels=labels,
         numeric_ranges=numeric_ranges,
-        embedding_dims=embedding_dims,
         drop_sensitive=drop_sensitive,
         sensitive_attr=sensitive_attr,
     )
+
+
+def _label_key(label) -> tuple:
+    # labels may mix types (booleans beside strings): booleans first, then by text
+    return (not isinstance(label, bool), str(label))
 
 
 def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
@@ -158,7 +178,7 @@ def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
         vocab = spec.vocabularies[attr]
         if attr == ACTIVITY:
             row = [vocab.get(e.activity, 0) for e in events]
-        elif spec.is_static(attr):
+        elif attr.startswith(STATIC_PREFIX):
             row = [vocab.get(sample.static_attrs.get(attr), 0)] * length
         else:
             row = [vocab.get(e.dynamic_attrs.get(attr), 0) for e in events]
@@ -167,7 +187,7 @@ def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
     num_values = {}
     for attr in spec.numeric_attrs:
         lo, hi = spec.numeric_ranges[attr]
-        if spec.is_static(attr):
+        if attr.startswith(STATIC_PREFIX):
             raw = [float(sample.static_attrs[attr])] * length
         else:
             raw = [float(e.dynamic_attrs[attr]) for e in events]
@@ -235,55 +255,3 @@ class PackedDataset:
 
     def __len__(self):
         return self.y.size
-
-
-def encoder_to_json(spec: EncoderSpec) -> str:
-    payload = {
-        "max_len": spec.max_len,
-        "schema": spec.schema.to_dict(),
-        "vocabularies": {
-            attr: {_label_key(l): i for l, i in sorted(vocab.items(), key=lambda kv: kv[1])}
-            for attr, vocab in sorted(spec.vocabularies.items())
-        },
-        "numeric_ranges": {
-            attr: [lo, hi] for attr, (lo, hi) in sorted(spec.numeric_ranges.items())
-        },
-        "embedding_dims": dict(sorted(spec.embedding_dims.items())),
-        "drop_sensitive": spec.drop_sensitive,
-        "sensitive_attr": spec.sensitive_attr,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _label_key(label) -> str:
-    # categorical labels may be booleans (static categorical flags); JSON
-    # object keys are strings, so tag the type for loss-free round-trips
-    if isinstance(label, bool):
-        return f"bool:{label}"
-    return f"str:{label}"
-
-
-def _label_from_key(key: str):
-    kind, _, raw = key.partition(":")
-    if kind == "bool":
-        return raw == "True"
-    return raw
-
-
-def encoder_from_json(text: str) -> EncoderSpec:
-    payload = json.loads(text)
-    return EncoderSpec(
-        max_len=int(payload["max_len"]),
-        schema=SchemaConfig.from_dict(payload["schema"]),
-        vocabularies={
-            attr: {_label_from_key(k): int(i) for k, i in vocab.items()}
-            for attr, vocab in payload["vocabularies"].items()
-        },
-        numeric_ranges={
-            attr: (float(lo), float(hi))
-            for attr, (lo, hi) in payload["numeric_ranges"].items()
-        },
-        embedding_dims={a: int(d) for a, d in payload["embedding_dims"].items()},
-        drop_sensitive=bool(payload["drop_sensitive"]),
-        sensitive_attr=payload["sensitive_attr"],
-    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -86,7 +86,7 @@ class SchemaConfig:
     """Kinds of all non-required columns. Names starting with `case:` are
     static (case-level); everything else is a dynamic event attribute."""
 
-    attributes: dict[str, str] = field(default_factory=dict)
+    attributes: dict = field(default_factory=dict)  # column name -> kind
 
     def __post_init__(self):
         for name, kind in self.attributes.items():
@@ -102,13 +102,6 @@ class SchemaConfig:
     @property
     def dynamic_attrs(self) -> dict[str, str]:
         return {n: k for n, k in self.attributes.items() if not n.startswith(STATIC_PREFIX)}
-
-    def to_dict(self) -> dict:
-        return {"attributes": dict(sorted(self.attributes.items()))}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchemaConfig":
-        return cls(attributes=dict(d.get("attributes", {})))
 
 
 @dataclass(frozen=True)
@@ -189,9 +182,12 @@ def _parse_value(raw: str, kind: str, column: str, line: int):
         return raw
     if kind == "numeric":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise RowError(f"line {line}: column '{column}' value '{raw}' is not numeric") from None
+            value = math.nan
+        if not math.isfinite(value):  # "nan" and "inf" parse as floats but fit no range
+            raise RowError(f"line {line}: column '{column}' value '{raw}' is not a finite number")
+        return value
     upper = raw.strip().upper()
     if upper == "TRUE":
         return True
@@ -437,18 +433,6 @@ class BiasSpec:
         if name not in cls.PRESETS:
             raise BiasSpecError(f"unknown preset '{name}' (have {sorted(cls.PRESETS)})")
         return cls(n_cases=n_cases, **cls.PRESETS[name])
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BiasSpec":
-        from .train import from_fields  # imported here: train depends on this module
-
-        try:
-            return from_fields(cls, d)
-        except ValueError as exc:
-            raise BiasSpecError(f"bad bias_spec: {exc}") from None
 
 
 SYNTH_SCHEMA = SchemaConfig(

@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .encoding import EncoderSpec, PackedDataset
+from .records import float_array
 from .transport import SinkhornConfig, SinkhornResult, sinkhorn_distance
 
 __all__ = [
@@ -75,7 +76,11 @@ class ModelParams:
     arrays: dict
 
     def __post_init__(self):
-        self.arrays = {name: np.asarray(v, dtype=np.float64) for name, v in self.arrays.items()}
+        # arrays read from JSON arrive as nested lists, which must hold only numbers
+        self.arrays = {
+            k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) else float_array(k, v)
+            for k, v in self.arrays.items()
+        }
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()})
@@ -110,7 +115,7 @@ def init_params(hyper: Hyper, encoder: EncoderSpec, seed: int) -> ModelParams:
     arrays = {}
     input_size = 0
     for attr in encoder.categorical_attrs:
-        vocab = len(encoder.vocabularies[attr])
+        vocab = len(encoder.labels[attr])
         dim = encoder.embedding_dims[attr]
         arrays[f"emb:{attr}"] = uniform((vocab + 1, dim), vocab + 1)
         input_size += dim

@@ -1,0 +1,88 @@
+"""The type rule that reads configs and JSON artifacts into dataclass
+records, the inverse of ``dataclasses.asdict``. It imports no other
+``fairppm`` module, so every layer may use it."""
+
+from __future__ import annotations
+
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+
+import numpy as np
+
+__all__ = ["json_cast", "from_fields", "float_array"]
+
+# the types a value may have for a field type other than that type alone
+_JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
+
+
+def json_cast(key: str, value, kind: type):
+    """``value``, read from JSON for ``key``, as a ``kind``.
+
+    The value must already have that type: a bool for bool, an int but not
+    a bool for int, an int or a float but not a bool for float (cast to
+    float), a list for tuple (cast to tuple), a str for str. A tuple, which
+    a record's own ``asdict`` gives, passes for tuple too. Raises
+    ValueError naming the key otherwise.
+    """
+    if isinstance(value, bool):
+        fits = kind is bool
+    else:
+        fits = isinstance(value, _JSON_KINDS.get(kind, kind))
+    if not fits:
+        raise ValueError(f"'{key}' value {value!r} does not cast to {kind.__name__}")
+    return kind(value)
+
+
+def float_array(key: str, value) -> np.ndarray:
+    """``value``, a JSON list of numbers nested to any depth, as a float64
+    array; an entry that is not an int or a float (null, a bool, a ragged
+    row) raises ValueError naming the key."""
+    items = np.asarray(json_cast(key, value, list), dtype=object)
+    bad = [v for v in items.flat if type(v) not in (int, float)]
+    if bad:
+        raise ValueError(f"'{key}' holds {bad[0]!r}, not a number")
+    return items.astype(np.float64)
+
+
+def from_fields(cls, raw):
+    """Build the dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Each present value is read by the field's annotated type: a dataclass
+    through ``from_fields``, ``np.ndarray`` by ``float_array``, ``X | None``
+    as None or as an ``X``, anything else by ``json_cast``. An absent key
+    takes the field's default; a field without one is required. Raises
+    ValueError for a non-object, an unknown key (listing the valid ones), a
+    missing required key or a value the type rule or the class's own checks
+    reject.
+    """
+    known = typing.get_type_hints(cls)
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected an object with keys {', '.join(known)}, got {raw!r}")
+    unknown = [repr(key) for key in raw if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(unknown)} (valid keys: {', '.join(known)})")
+    missing = [
+        repr(f.name)
+        for f in fields(cls)
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing key {', '.join(missing)}")
+    return cls(**{key: _read_field(key, value, known[key]) for key, value in raw.items()})
+
+
+def _read_field(key: str, value, kind):
+    """``value``, read from JSON for ``key``, as the annotated type ``kind``."""
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if value is None:
+            return None
+        (kind,) = [t for t in options if t is not type(None)]
+    if is_dataclass(kind):
+        try:
+            return from_fields(kind, value)
+        except ValueError as exc:
+            raise ValueError(f"in '{key}': {exc}") from None
+    if kind is np.ndarray:
+        return float_array(key, value)
+    return json_cast(key, value, kind)

@@ -15,8 +15,7 @@ import concurrent.futures
 import itertools
 import json
 import math
-import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .nn import (
     init_params,
     predict,
 )
+from .records import from_fields
 from .transport import SinkhornConfig
 
 __all__ = [
@@ -67,8 +67,6 @@ __all__ = [
     "evaluate",
     "save_checkpoint",
     "load_checkpoint",
-    "from_fields",
-    "json_cast",
 ]
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
@@ -472,72 +470,6 @@ def evaluate(
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-# the types a value may have for a field type other than that type alone
-_JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
-
-
-def json_cast(key: str, value, kind: type):
-    """``value``, read from JSON for ``key``, as a ``kind``.
-
-    The value must already have that type: a bool for bool, an int but not
-    a bool for int, an int or a float but not a bool for float (cast to
-    float), a list for tuple (cast to tuple), a str for str. A tuple, which
-    a record's own ``asdict`` gives, passes for tuple too. Raises
-    ValueError naming the key otherwise.
-    """
-    if isinstance(value, bool):
-        fits = kind is bool
-    else:
-        fits = isinstance(value, _JSON_KINDS.get(kind, kind))
-    if not fits:
-        raise ValueError(f"'{key}' value {value!r} does not cast to {kind.__name__}")
-    return kind(value)
-
-
-def from_fields(cls, raw):
-    """Build the dataclass ``cls`` from a JSON object keyed by its field names.
-
-    Each present value is read by the field's annotated type: a dataclass
-    through ``from_fields``, ``np.ndarray`` as a float64 array from a list,
-    ``X | None`` as None or as an ``X``, anything else by ``json_cast``. An
-    absent key takes the field's default; a field without one is required.
-    Raises ValueError for a non-object, an unknown key (listing the valid
-    ones), a missing required key or a value the type rule or the class's
-    own checks reject.
-    """
-    known = typing.get_type_hints(cls)
-    if not isinstance(raw, dict):
-        raise ValueError(f"expected an object with keys {', '.join(known)}, got {raw!r}")
-    unknown = [repr(key) for key in raw if key not in known]
-    if unknown:
-        raise ValueError(f"unknown key {', '.join(unknown)} (valid keys: {', '.join(known)})")
-    missing = [
-        repr(f.name)
-        for f in fields(cls)
-        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ValueError(f"missing key {', '.join(missing)}")
-    return cls(**{key: _read_field(key, value, known[key]) for key, value in raw.items()})
-
-
-def _read_field(key: str, value, kind):
-    """``value``, read from JSON for ``key``, as the annotated type ``kind``."""
-    options = typing.get_args(kind)
-    if type(None) in options:
-        if value is None:
-            return None
-        (kind,) = [t for t in options if t is not type(None)]
-    if is_dataclass(kind):
-        try:
-            return from_fields(kind, value)
-        except ValueError as exc:
-            raise ValueError(f"in '{key}': {exc}") from None
-    if kind is np.ndarray:
-        return np.asarray(json_cast(key, value, list), dtype=np.float64)
-    return json_cast(key, value, kind)
 
 
 def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> None:

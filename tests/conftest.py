@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from fairppm import autodiff as ad
-from fairppm.encoding import PackedDataset, encode, fit_encoder
+from fairppm.encoding import EncoderSpec, PackedDataset, encode, fit_encoder
 from fairppm.eventlog import (
     SYNTH_SCHEMA,
     BiasSpec,
+    SchemaConfig,
     extract_prefixes,
     generate_synthetic_log,
     split_cases,
@@ -255,17 +256,11 @@ def build_datasets(
 
 def toy_encoder(vocab: int = 5, max_len: int = 4):
     """EncoderSpec matching random_packed's channel layout."""
-    import math
-
-    from fairppm.encoding import EncoderSpec
-    from fairppm.eventlog import SchemaConfig
-
     return EncoderSpec(
         max_len=max_len,
         schema=SchemaConfig({"score": "numeric"}),
-        vocabularies={"activity": {f"a{i}": i for i in range(1, vocab + 1)}},
+        labels={"activity": [f"a{i}" for i in range(1, vocab + 1)]},
         numeric_ranges={"score": (0.0, 1.0)},
-        embedding_dims={"activity": math.ceil(math.sqrt(vocab))},
         drop_sensitive=False,
         sensitive_attr="case:protected",
     )

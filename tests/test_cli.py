@@ -542,6 +542,21 @@ def not_json(text):
     return "{not json"
 
 
+def edit_sample(number, change):
+    """Apply ``change`` to the record on line ``number`` of a JSONL artifact,
+    renaming its case 'edited'."""
+
+    def edit(text):
+        lines = text.split("\n")
+        record = json.loads(lines[number - 1])
+        change(record)
+        record["case_id"] = "edited"
+        lines[number - 1] = json.dumps(record)
+        return "\n".join(lines)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "command, name, edit, named",
     [
@@ -566,6 +581,40 @@ def not_json(text):
             id="scores-sensitive-not-a-flag",
         ),
         pytest.param("evaluate", ENCODER_FILE, not_json, "Expecting", id="encoder-not-json"),
+        pytest.param(
+            "train", ENCODER_FILE, set_key("max_len", value="6"), "'max_len'",
+            id="encoder-max-len-a-string",
+        ),
+        pytest.param(
+            "train", ENCODER_FILE, set_key("labels", "resource", value=["r1", "r1"]), "'labels'",
+            id="encoder-repeated-label",
+        ),
+        pytest.param(
+            "train", ENCODER_FILE, set_key("numeric_ranges", "score", value=[1, "x"]),
+            "'numeric_ranges'", id="encoder-range-not-numbers",
+        ),
+        pytest.param(
+            "train", ENCODER_FILE, set_key("drop_sensitive", value="false"), "'drop_sensitive'",
+            id="encoder-drop-sensitive-a-string",
+        ),
+        pytest.param(
+            "train", ENCODER_FILE, set_key("embedding_dims", value={"activity": 3}),
+            "'embedding_dims'", id="encoder-dropped-embedding-dims-key",
+        ),
+        pytest.param(
+            "train", TRAIN_SAMPLES,
+            edit_sample(2, lambda record: record["static_attrs"].update({"case:proxy": "abc"})),
+            "case 'edited'", id="samples-proxy-not-a-number",
+        ),
+        pytest.param(
+            "train", TRAIN_SAMPLES,
+            edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].pop("score")),
+            "case 'edited'", id="samples-event-without-score",
+        ),
+        pytest.param(
+            "train", VALID_SAMPLES, lambda text: text.split("\n", 1)[0] + "\n", "empty",
+            id="samples-none",
+        ),
         pytest.param(
             "evaluate", TEST_SAMPLES, replace_line(3, "{not json"), "line 3",
             id="samples-bad-line",
@@ -599,6 +648,26 @@ def not_json(text):
         pytest.param(
             "evaluate", CHECKPOINT_FILE, set_key("valid_scores", value="x"), "'valid_scores'",
             id="checkpoint-valid-scores-a-string",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=None), "'valid_scores'",
+            id="checkpoint-valid-score-null",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("valid_labels", 0, value=True), "'valid_labels'",
+            id="checkpoint-valid-label-a-bool",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "lstm0:f:b", value=5),
+            "'lstm0:f:b'", id="checkpoint-array-a-scalar",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "lstm0:f:b", value=[5]),
+            "'lstm0:f:b'", id="checkpoint-array-wrong-shape",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "extra", value=[1]),
+            "'extra'", id="checkpoint-extra-array",
         ),
     ],
 )
@@ -668,7 +737,7 @@ def test_readme_config_keys_match_the_record_defaults():
         "sinkhorn": as_json(asdict(SinkhornConfig())),
         "grid": as_json(GRID_AXES),
         "sweep": as_json(asdict(cli._SweepRange())),
-        "bias_spec": as_json(BiasSpec().to_dict()),
+        "bias_spec": as_json(asdict(BiasSpec())),
     }
     for key, cls in (("hyper", Hyper), ("train", TrainConfig), ("sinkhorn", SinkhornConfig)):
         assert cli._record(cls, keys, key) == cls()

@@ -6,22 +6,18 @@ structural checks (attribute absence, mask shape, index round-trips).
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from dataclasses import asdict
 from datetime import datetime
 
 import numpy as np
 import pytest
 
-from fairppm.encoding import (
-    EncoderSpec,
-    PackedDataset,
-    encode,
-    encoder_from_json,
-    encoder_to_json,
-    fit_encoder,
-)
+from fairppm.encoding import EncoderSpec, PackedDataset, encode, fit_encoder
 from fairppm.eventlog import Event, RawPrefixSample, SchemaConfig
+from fairppm.records import from_fields
 
 SCHEMA = SchemaConfig(
     attributes={
@@ -216,32 +212,51 @@ def test_encoding_invariants():
 # serialization and packing
 
 
+def json_round_trip(spec: EncoderSpec) -> EncoderSpec:
+    """``spec`` written as ``encoder.json`` is, then read back."""
+    return from_fields(EncoderSpec, json.loads(json.dumps(asdict(spec), sort_keys=True)))
+
+
+def flag_sample(flags) -> RawPrefixSample:
+    """One prefix whose events carry the categorical ``flag`` labels given."""
+    return RawPrefixSample(
+        case_id="c1",
+        events=tuple(
+            Event("c1", "A", datetime(2024, 1, 5, i), {"flag": flag})
+            for i, flag in enumerate(flags)
+        ),
+        static_attrs={"case:protected": False},
+        outcome=0,
+        sensitive=0,
+    )
+
+
+FLAG_SCHEMA = SchemaConfig(attributes={"flag": "categorical"})
+
+
 def test_encoder_json_round_trip():
     for drop in (False, True):
         spec = fit_encoder(TRAIN, SCHEMA, max_len=5, drop_sensitive=drop)
-        again = encoder_from_json(encoder_to_json(spec))
+        again = json_round_trip(spec)
         assert again == spec
+        assert again.vocabularies == spec.vocabularies
+        assert again.embedding_dims == spec.embedding_dims
 
 
 def test_encoder_json_preserves_label_types():
     # boolean-valued categorical labels must not collapse into strings
-    schema = SchemaConfig(attributes={"case:protected": "boolean", "flag": "categorical"})
-    train = [
-        RawPrefixSample(
-            case_id="c1",
-            events=(
-                Event("c1", "A", datetime(2024, 1, 5), {"flag": True}),
-                Event("c1", "B", datetime(2024, 1, 5, 1), {"flag": "True"}),
-            ),
-            static_attrs={"case:protected": False},
-            outcome=0,
-            sensitive=0,
-        )
-    ]
-    spec = fit_encoder(train, schema)
-    again = encoder_from_json(encoder_to_json(spec))
+    spec = fit_encoder([flag_sample([True, "True"])], FLAG_SCHEMA)
+    again = json_round_trip(spec)
     assert again.vocabularies["flag"] == spec.vocabularies["flag"]
     assert True in again.vocabularies["flag"] and "True" in again.vocabularies["flag"]
+
+
+def test_fit_orders_boolean_labels_before_strings():
+    # the index order encoder.json has always had: booleans (False, True), then by text
+    spec = fit_encoder([flag_sample(["b", "True", True, "False", False, "a"])], FLAG_SCHEMA)
+    assert spec.vocabularies["flag"] == {False: 1, True: 2, "False": 3, "True": 4, "a": 5, "b": 6}
+    spec = fit_encoder([flag_sample(["True", True])], FLAG_SCHEMA)
+    assert spec.vocabularies["flag"] == {True: 1, "True": 2}
 
 
 def test_packed_dataset_shapes_and_subset():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -45,6 +46,7 @@ from fairppm.eventlog import (
     write_event_log,
     write_samples_jsonl,
 )
+from fairppm.records import from_fields
 
 SCHEMA = SchemaConfig(attributes={"case:protected": "boolean", "cost": "numeric"})
 
@@ -145,6 +147,18 @@ def test_parse_line_numbers_count_quoted_newlines(tmp_path):
         "c1,review,not-a-time,TRUE,0\n",
     )
     with pytest.raises(RowError, match="line 4: unparseable timestamp"):
+        parse_event_log(path, SCHEMA)
+
+
+@pytest.mark.parametrize("cost", ["abc", "nan", "inf", "-Infinity"])
+def test_parse_numeric_value_must_be_a_finite_number(tmp_path, cost):
+    path = write_csv(
+        tmp_path,
+        "case_id,activity,timestamp,case:protected,cost\n"
+        f"c1,submit,{ts(0)},TRUE,0\n"
+        f"c1,review,{ts(5)},TRUE,{cost}\n",
+    )
+    with pytest.raises(RowError, match=f"line 3: column 'cost' value '{cost}' is not a finite"):
         parse_event_log(path, SCHEMA)
 
 
@@ -308,7 +322,7 @@ def test_schema_rejects_unknown_kind_and_reserved_name():
 
 
 def test_schema_round_trip():
-    assert SchemaConfig.from_dict(SCHEMA.to_dict()) == SCHEMA
+    assert from_fields(SchemaConfig, json.loads(json.dumps(dataclasses.asdict(SCHEMA)))) == SCHEMA
 
 
 def test_csv_round_trip(tmp_path):
@@ -580,7 +594,7 @@ def test_bias_spec_presets_and_serde():
     assert (medium.r0, medium.r1) == (0.50, 0.25)
     low = BiasSpec.preset("low")
     assert (low.r0, low.r1) == (0.50, 0.40)
-    assert BiasSpec.from_dict(high.to_dict()) == high
+    assert from_fields(BiasSpec, json.loads(json.dumps(dataclasses.asdict(high)))) == high
     with pytest.raises(BiasSpecError):
         BiasSpec.preset("extreme")
 

@@ -1,0 +1,54 @@
+"""The ``fairppm`` modules form one import order: each imports only modules
+before it, and only at module level. ``__init__`` re-exports them all."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fairppm
+
+# bottom layer first
+LAYERS = (
+    "records", "autodiff", "transport", "metrics", "eventlog", "encoding", "nn", "train", "cli",
+)
+PACKAGE = Path(fairppm.__file__).parent
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def relative_imports(tree: ast.Module):
+    """(line, module) for every relative import anywhere in ``tree``,
+    function bodies included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+            for name in names:
+                yield node.lineno, name
+
+
+def test_every_module_has_a_layer():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert modules == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_module_imports_only_earlier_layers(module):
+    earlier = LAYERS[: LAYERS.index(module)]
+    imports = relative_imports(parse(module))
+    assert [(line, name) for line, name in imports if name not in earlier] == []
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_sit_at_module_level(module):
+    tree = parse(module)
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []

@@ -33,7 +33,7 @@ from fairppm.metrics import (
     optimal_threshold,
     trapezoid,
 )
-from fairppm.train import from_fields
+from fairppm.records import from_fields
 from fairppm.transport import exact_w1_1d
 
 

@@ -17,6 +17,7 @@ from conftest import brute_force_pareto, build_datasets, random_packed, toy_enco
 from fairppm.encoding import PackedDataset
 from fairppm.metrics import GroupedScores, UndefinedMetricError, abcc, abpc, auc, delta_dp_c
 from fairppm.nn import CompositeLossConfig, Hyper, composite_loss, forward, init_params
+from fairppm.records import from_fields
 from fairppm.train import (
     IPM_BATCH,
     Checkpoint,
@@ -27,7 +28,6 @@ from fairppm.train import (
     default_grid,
     default_lambdas,
     evaluate,
-    from_fields,
     grid_search,
     lambda_sweep,
     load_checkpoint,
