@@ -31,9 +31,7 @@ __all__ = [
     "exp",
     "maximum",
     "absolute",
-    "clip",
     "reduce_sum",
-    "reduce_mean",
     "reshape",
     "concat",
     "take",
@@ -295,11 +293,6 @@ def absolute(a: Var) -> Var:
     return maximum(a, neg(a))
 
 
-def clip(a: Var, lo: float, hi: float) -> Var:
-    x = a.value
-    return custom_op((a,), np.clip(x, lo, hi), lambda g: (g * ((x >= lo) & (x <= hi)),))
-
-
 def reduce_sum(a: Var, axis=None) -> Var:
     shape = a.shape
 
@@ -307,11 +300,6 @@ def reduce_sum(a: Var, axis=None) -> Var:
         return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
 
     return custom_op((a,), a.value.sum(axis=axis), vjp)
-
-
-def reduce_mean(a: Var) -> Var:
-    x = a.value
-    return custom_op((a,), x.mean(), lambda g: (np.broadcast_to(g / x.size, x.shape),))
 
 
 def reshape(a: Var, shape) -> Var:

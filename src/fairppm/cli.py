@@ -193,7 +193,7 @@ def _schema_from_config(config: dict) -> SchemaConfig:
         if not path.is_file():
             raise ConfigError(f"schema file '{path}' does not exist")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = _read_json(path)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
@@ -250,6 +250,8 @@ def _lambdas(config: dict) -> list:
         return default_lambdas()
     if isinstance(raw, list):
         values = _get(config, "sweep", list, item=float)
+        if not values:
+            raise ConfigError("'sweep' must list at least one lambda")
     elif isinstance(raw, dict):
         span = _record(_SweepRange, config, "sweep")
         count = math.floor((span.stop - span.start) / span.step + 1e-9) + 1
@@ -271,6 +273,15 @@ def _artifact(out: Path, name: str, reader):
         return reader(path)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed artifact '{path}': {type(exc).__name__}: {exc}") from None
+
+
+def _read_json(path: Path):
+    """A JSON file's payload, less the ``provenance`` object that every
+    command stamps into the JSON it writes (``schema.json``, ``encoder.json``)."""
+    payload = json.loads(path.read_text("utf-8"))
+    if isinstance(payload, dict) and isinstance(payload.get("provenance"), dict):
+        del payload["provenance"]
+    return payload
 
 
 def _write_json(path: Path, config: dict, payload: dict) -> None:
@@ -412,14 +423,8 @@ def cmd_ingest(config: dict) -> int:
     return EXIT_OK
 
 
-def _read_encoder(path: Path) -> EncoderSpec:
-    payload = json.loads(path.read_text("utf-8"))
-    payload.pop("provenance", None)
-    return from_fields(EncoderSpec, payload)
-
-
 def _load_encoder(out: Path) -> EncoderSpec:
-    return _artifact(out, ENCODER_FILE, _read_encoder)
+    return _artifact(out, ENCODER_FILE, lambda path: from_fields(EncoderSpec, _read_json(path)))
 
 
 def cmd_train(config: dict) -> int:
@@ -543,6 +548,8 @@ def cmd_sweep(config: dict) -> int:
         if not (p.failed or p.converged):
             _warn_not_converged(p.lam, sinkhorn, "half or more of the Sinkhorn calls")
     failed = [p for p in points if p.failed]
+    for p in failed:
+        print(f"warning: lambda={p.lam} failed: {p.error or 'NaN test AUC'}", file=sys.stderr)
     print(f"swept {len(points)} lambdas ({len(failed)} failed) -> {out / SWEEP_FILE}")
     return EXIT_OK
 

@@ -168,7 +168,7 @@ def _label_key(label) -> tuple:
 
 
 def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
-    """Encode one sample; total for any sample once the spec is fitted."""
+    """Encode one sample; a non-finite numeric or boolean value raises ValueError."""
     events = sample.events[-spec.max_len :]
     length = len(events)
     pad = spec.max_len - length
@@ -191,6 +191,8 @@ def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
             raw = [float(sample.static_attrs[attr])] * length
         else:
             raw = [float(e.dynamic_attrs[attr]) for e in events]
+        if not all(map(math.isfinite, raw)):
+            raise ValueError(f"'{attr}' holds a value that is not a finite number: {raw}")
         if hi > lo:
             scaled = [min(max((v - lo) / (hi - lo), 0.0), 1.0) for v in raw]
         else:

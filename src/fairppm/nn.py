@@ -224,14 +224,10 @@ def forward(
         raise ValueError("every sample must have at least one unmasked event")
     n, steps = batch.mask.shape
 
-    channels = []
-    for attr in batch.cat_order:
-        emb = leaves[f"emb:{attr}"]
-        dim = emb.value.shape[1]
-        flat = ad.take(emb, batch.cat[attr].reshape(-1))
-        channels.append(ad.reshape(flat, (n, steps, dim)))
-    for attr in batch.num_order:
-        channels.append(tape.constant(batch.num[attr][:, :, None]))
+    # columns in cat_order, then num_order: the order of layer 0's W rows
+    channels = [ad.take(leaves[f"emb:{attr}"], batch.cat[attr]) for attr in batch.cat_order]
+    if batch.num_order:
+        channels.append(tape.constant(np.stack([batch.num[a] for a in batch.num_order], -1)))
     x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
 
     # per-row reversal of the unmasked span; padding maps to itself
@@ -271,11 +267,19 @@ def predict(params: ModelParams, data: PackedDataset, chunk: int = 2048) -> np.n
 
 
 def bce_loss(propensities: Var, labels) -> Var:
-    """Mean binary cross-entropy; propensities clamped to [1e-7, 1-1e-7]."""
-    tape = propensities.tape
-    y = tape.constant(np.asarray(labels, dtype=np.float64))
-    p = ad.clip(propensities, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return ad.neg(ad.reduce_mean(y * ad.log(p) + (1.0 - y) * ad.log(1.0 - p)))
+    """Mean binary cross-entropy against 0/1 labels, as one tape node; an
+    entry outside [1e-7, 1-1e-7] is clamped to it and gets zero gradient."""
+    p = propensities.value
+    positive = np.asarray(labels) == 1
+    q = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    inside = (p >= BCE_CLAMP) & (p <= 1.0 - BCE_CLAMP)
+
+    def vjp(g):
+        s = -g / p.size
+        return (np.where(positive, s / q, -(s / (1.0 - q))) * inside,)
+
+    value = -np.where(positive, np.log(q), np.log(1.0 - q)).mean()
+    return ad.custom_op((propensities,), value, vjp)
 
 
 @dataclass
@@ -293,8 +297,8 @@ def composite_loss(
     """(1-lambda)*BCE + lambda*Sinkhorn between the batch's group scores.
 
     With a single-group batch the transport term is 0 (flagged via
-    ``group_empty``); at the endpoints lambda in {0,1} the returned loss is
-    literally the single surviving term.
+    ``group_empty``). At lambda = 0 the loss is the BCE node itself and no
+    Sinkhorn runs; every lambda > 0 takes the one mixed path.
     """
     sensitive = np.asarray(sensitive)
     bce = bce_loss(propensities, labels)
@@ -310,10 +314,7 @@ def composite_loss(
     result = sinkhorn_distance(
         ad.take(propensities, idx0), ad.take(propensities, idx1), cfg.sinkhorn
     )
-    if lam == 1.0:
-        loss = result.var
-    else:
-        loss = bce * (1.0 - lam) + result.var * lam
+    loss = bce * (1.0 - lam) + result.var * lam
     return CompositeLossResult(loss, float(bce.value), result.value, False, result)
 
 

@@ -97,21 +97,9 @@ def test_absolute_grad_away_from_zero(rng):
     check_op(lambda lv: weighted_sum(w)(ad.absolute(lv["a"])), {"a": a})
 
 
-def test_clip_grad_interior_and_exterior(rng):
-    # interior points pass gradient through, clipped points block it
-    a = np.array([0.3, 0.7, 1.5, -0.5])
-    w = rng.normal(size=4)
-    check_op(lambda lv: weighted_sum(w)(ad.clip(lv["a"], 0.0, 1.0)), {"a": a})
-    tape = Tape()
-    x = tape.leaf(a)
-    tape.backward(ad.reduce_sum(ad.clip(x, 0.0, 1.0)))
-    assert np.array_equal(tape.grad(x), np.array([1.0, 1.0, 0.0, 0.0]))
-
-
 def test_reduce_ops_grads(rng):
     a = rng.normal(size=(3, 5))
     check_op(lambda lv: ad.reduce_sum(lv["a"]), {"a": a})
-    check_op(lambda lv: ad.reduce_mean(lv["a"]), {"a": a})
     w = rng.normal(size=(5,))
     check_op(lambda lv: weighted_sum(w)(ad.reduce_sum(lv["a"], axis=0)), {"a": a.copy()})
     w2 = rng.normal(size=(3,))

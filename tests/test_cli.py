@@ -36,7 +36,14 @@ from fairppm.cli import (
 from fairppm.eventlog import BiasSpec
 from fairppm.metrics import EvalReport
 from fairppm.nn import Hyper
-from fairppm.train import CHECKPOINT_VERSION, GRID_AXES, SweepPoint, TrainConfig, pareto_front
+from fairppm.train import (
+    CHECKPOINT_VERSION,
+    GRID_AXES,
+    SweepPoint,
+    TrainConfig,
+    pareto_front,
+    train_model,
+)
 from fairppm.transport import SinkhornConfig
 
 SYNTH_SCHEMA_JSON = {
@@ -242,6 +249,27 @@ def test_sweep_range_never_passes_stop(span, expected):
     assert cli._lambdas({"sweep": span}) == expected
 
 
+def test_sweep_names_each_failed_point_and_its_error(pipeline, tmp_path, capsys, monkeypatch):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+
+    def sabotaged(train, valid, encoder, hyper, loss_cfg, seed, cfg=None):
+        if loss_cfg.lam == 0.3:
+            raise RuntimeError("diverged")
+        return train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg)
+
+    monkeypatch.setattr("fairppm.train.train_model", sabotaged)
+    capsys.readouterr()
+    assert run("sweep", write_config(tmp_path, base_config(copy, sweep=[0.0, 0.3]))) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "(1 failed)" in captured.out
+    assert captured.err == "warning: lambda=0.3 failed: RuntimeError: diverged\n"
+    _, ok, bad = read_csv(copy / SWEEP_FILE)
+    assert ok[0] == "0.0" and ok[1] != "nan"
+    assert bad[:4] == ["0.3", "nan", "nan", "nan"]
+
+
 def test_capped_sinkhorn_runs_warn_once_per_run(tmp_path, capsys):
     out = tmp_path / "capped"
     config = base_config(
@@ -388,6 +416,16 @@ def test_lambda_and_sinkhorn_flags_reach_checkpoint(pipeline, tmp_path):
     assert ckpt["effective_batch"] == 512
 
 
+def test_schema_file_written_by_synth_is_read_back(pipeline, tmp_path):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    config = base_config(copy, schema=str(copy / "schema.json"))
+    assert run("ingest", write_config(tmp_path, config)) == EXIT_OK
+    by_file, inline = (json.loads((d / ENCODER_FILE).read_text()) for d in (copy, out))
+    assert by_file["schema"] == inline["schema"] == {"attributes": SYNTH_SCHEMA_JSON}
+
+
 def test_max_len_flag_reaches_encoder(tmp_path):
     out = tmp_path / "short"
     cfg_path = write_config(tmp_path, base_config(out, n_cases=40))
@@ -473,6 +511,7 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("train", {"hyper": "grid", "grid": {"layers": [0]}}, "layers must be >= 1"),
         ("sweep", {"sweep": {"start": 0.0, "stp": 0.1}}, "'stp'"),
         ("sweep", {"sweep": ["a"]}, "'a'"),
+        ("sweep", {"sweep": []}, "'sweep'"),
         ("synth", {"bias_spec": {"n_case": 10}}, "'n_case'"),
         ("ingest", {"schema": BAD_SCHEMA_FILE}, "not valid JSON"),
         ("train", {"lamda": 0.3}, "'lamda'"),
@@ -610,6 +649,20 @@ def edit_sample(number, change):
             "train", TRAIN_SAMPLES,
             edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].pop("score")),
             "case 'edited'", id="samples-event-without-score",
+        ),
+        pytest.param(
+            "train", TRAIN_SAMPLES,
+            edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].update(
+                {"score": float("nan")}
+            )),
+            "case 'edited'", id="samples-score-nan",
+        ),
+        pytest.param(
+            "evaluate", TEST_SAMPLES,
+            edit_sample(2, lambda record: record["static_attrs"].update(
+                {"case:proxy": float("inf")}
+            )),
+            "case 'edited'", id="samples-proxy-infinity",
         ),
         pytest.param(
             "train", VALID_SAMPLES, lambda text: text.split("\n", 1)[0] + "\n", "empty",
@@ -760,7 +813,8 @@ def test_single_group_test_set_is_undefined_metric(tmp_path, capsys):
     )
     cfg_path = write_config(tmp_path, config)
     assert run("synth", cfg_path) == EXIT_OK
-    assert run("ingest", cfg_path) == EXIT_OK
+    with pytest.warns(UserWarning, match="'case:protected' is constant"):
+        assert run("ingest", cfg_path) == EXIT_OK
     assert run("train", cfg_path) == EXIT_OK
     assert run("evaluate", cfg_path) == EXIT_UNDEFINED
     assert "undefined metric" in capsys.readouterr().err

@@ -75,7 +75,8 @@ def test_fit_embedding_dim_is_ceil_sqrt_vocab():
     for n_labels in (1, 2, 3, 4, 5, 9, 10):
         train = [make_sample([f"act{i}" for i in range(n_labels)], costs=[1.0] * n_labels)]
         train.append(make_sample(["act0"], costs=[2.0]))
-        spec = fit_encoder(train, SCHEMA)
+        with pytest.warns(UserWarning, match="case:protected"):  # every sample has False
+            spec = fit_encoder(train, SCHEMA)
         size = len(spec.vocabularies["activity"])
         assert size == n_labels
         assert spec.embedding_dims["activity"] == math.ceil(math.sqrt(size))
@@ -96,7 +97,7 @@ def test_fit_requires_training_data():
 
 def test_fit_constant_numeric_warns():
     train = [make_sample(["A"], costs=[5.0]), make_sample(["B"], costs=[5.0])]
-    with pytest.warns(UserWarning, match="cost"):
+    with pytest.warns(UserWarning, match="cost"), pytest.warns(UserWarning, match="protected"):
         spec = fit_encoder(train, SCHEMA)
     encoded = encode(spec, train[0])
     assert encoded.num_values["cost"][0] == 0.0

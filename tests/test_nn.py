@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 import scipy.special
 
-from conftest import assert_grads_match, central_diff, random_packed, toy_encoder
+from conftest import (
+    assert_grads_match,
+    build_datasets,
+    central_diff,
+    random_packed,
+    toy_encoder,
+)
 from fairppm import autodiff as ad
 from fairppm.autodiff import Tape
 from fairppm.nn import (
@@ -194,6 +200,28 @@ def test_only_a_training_forward_records_vjps(training, rng):
         assert all(node.vjp is None for node in tape.nodes)
 
 
+@pytest.mark.parametrize(
+    "hyper, lam, nodes",
+    [
+        # the README quick-start model at a fairness weight: the fair_train step
+        (Hyper(hidden=16, batch=512, lr=0.01, dropout=0.0), 0.3, 27),
+        # a 2-layer bidirectional grid cell trained on BCE alone: the bce_train step
+        (Hyper(layers=2, hidden=32, bidirectional=True, batch=128, dropout=0.2), 0.0, 36),
+    ],
+)
+def test_training_step_tape_node_counts(hyper, lam, nodes):
+    # leaves, one gather per embedding, one numeric constant, the concat, the
+    # LSTM nodes, dropout, the last-step gathers, the head and the loss: the
+    # synthetic-log encoder has two categorical and three numeric channels
+    encoder, train, _, _ = build_datasets(n_cases=60, seed=3)
+    assert (len(encoder.categorical_attrs), len(encoder.numeric_attrs)) == (2, 3)
+    batch = train.subset(np.arange(40))
+    assert set(batch.s.tolist()) == {0, 1}
+    result = forward(init_params(hyper, encoder, 0), batch, True, np.random.default_rng(0))
+    composite_loss(result.propensities, batch.y, batch.s, CompositeLossConfig(lam=lam))
+    assert len(result.propensities.tape.nodes) == nodes
+
+
 def test_predict_chunking_matches_single_pass(rng):
     params = tiny_model(Hyper(hidden=5, dropout=0.0), seed=9)
     batch = random_packed(rng, 23)
@@ -303,6 +331,25 @@ def test_bce_calculator_example():
     expected = -(np.log(0.9) + np.log(0.8)) / 2.0
     assert bce_loss(p, [1.0, 0.0]).value == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.1643, abs=5e-5)
+
+
+def test_bce_grad_interior_and_clamped():
+    # interior entries pass the gradient through, clamped entries block it;
+    # the clamp bound itself counts as inside
+    p = np.array([0.3, 0.7, 0.0, 1.0, 1e-9, 0.55, 1e-7])
+    labels = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    tape, var = var_of(p)
+    tape.backward(bce_loss(var, labels))
+    grad = tape.grad(var)
+    assert np.array_equal(grad[2:5], np.zeros(3))
+    assert grad[6] == -1.0 / 7 / 1e-7
+    interior = [0, 1, 5]
+
+    def loss_value() -> float:
+        return float(bce_loss(var_of(p)[1], labels).value)
+
+    fd = central_diff(loss_value, {"p": p}, step=1e-6)["p"]
+    assert_grads_match({"p": grad[interior]}, {"p": fd[interior]})
 
 
 def composite_fixture(lam: float, rng=None):
