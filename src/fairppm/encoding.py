@@ -75,9 +75,6 @@ class EncoderSpec:
     def numeric_attrs(self) -> list:
         return sorted(self.numeric_ranges)
 
-    def inverse_vocabulary(self, attr: str) -> dict:
-        return dict(enumerate(self.labels[attr], 1))
-
 
 def _holds_only(items, kinds: tuple) -> bool:
     """Whether ``items`` is a list or tuple of entries of exactly these types."""

@@ -59,8 +59,8 @@ def _as_scores(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError(f"{name} contains values outside [0,1]")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+        raise ValueError(f"{name} contains NaN or values outside [0,1]")
     return arr
 
 

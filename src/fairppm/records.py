@@ -4,6 +4,7 @@ records, the inverse of ``dataclasses.asdict``. It imports no other
 
 from __future__ import annotations
 
+import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -14,12 +15,15 @@ __all__ = ["json_cast", "from_fields", "float_array"]
 # the types a value may have for a field type other than that type alone
 _JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
 
+# a float must lie within +-this: NaN fails both bounds, an int past float's range one
+_FLOAT_MAX = sys.float_info.max
+
 
 def json_cast(key: str, value, kind: type):
     """``value``, read from JSON for ``key``, as a ``kind``.
 
     The value must already have that type: a bool for bool, an int but not
-    a bool for int, an int or a float but not a bool for float (cast to
+    a bool for int, a finite int or float but not a bool for float (cast to
     float), a list for tuple (cast to tuple), a str for str. A tuple, which
     a record's own ``asdict`` gives, passes for tuple too. Raises
     ValueError naming the key otherwise.
@@ -30,18 +34,17 @@ def json_cast(key: str, value, kind: type):
         fits = isinstance(value, _JSON_KINDS.get(kind, kind))
     if not fits:
         raise ValueError(f"'{key}' value {value!r} does not cast to {kind.__name__}")
+    if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"'{key}' value {value!r} is not a finite number")
     return kind(value)
 
 
 def float_array(key: str, value) -> np.ndarray:
     """``value``, a JSON list of numbers nested to any depth, as a float64
-    array; an entry that is not an int or a float (null, a bool, a ragged
-    row) raises ValueError naming the key."""
+    array; each entry is read by ``json_cast`` as a float, so null, a bool,
+    a ragged row, NaN or Infinity raises ValueError naming the key."""
     items = np.asarray(json_cast(key, value, list), dtype=object)
-    bad = [v for v in items.flat if type(v) not in (int, float)]
-    if bad:
-        raise ValueError(f"'{key}' holds {bad[0]!r}, not a number")
-    return items.astype(np.float64)
+    return np.array([json_cast(key, v, float) for v in items.flat]).reshape(items.shape)
 
 
 def from_fields(cls, raw):

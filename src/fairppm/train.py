@@ -4,9 +4,10 @@ fronts and test evaluation.
 A training run shuffles mini-batches per epoch (per-epoch seed derived from
 the run seed and epoch index), optimizes with AdamW under a plateau LR
 schedule, early-stops on validation loss and returns the best-validation
-snapshot. Validation propensities are stored in the checkpoint so threshold
-tuning at evaluation time never touches training data again. When the
-fairness term is active (lambda > 0) the batch size is forced to 512.
+snapshot; a non-finite validation loss ends the run with no snapshot.
+Validation propensities are stored in the checkpoint so threshold tuning at
+evaluation time never touches training data again. When the fairness term
+is active (lambda > 0) the batch size is forced to 512.
 """
 
 from __future__ import annotations
@@ -71,25 +72,22 @@ __all__ = [
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
 
-CHECKPOINT_VERSION = 3  # 3: keyed by the Checkpoint record's field names
+CHECKPOINT_VERSION = 4  # 4: train_cfg holds only max_epochs and patience
 
 
 class TrainingError(RuntimeError):
-    """Orchestration-level failure (empty data, all grid cells failed)."""
+    """Orchestration-level failure (empty data, a non-finite validation
+    loss, all grid cells failed)."""
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop settings; defaults are the main-experiment values."""
+    """Epoch budget and early-stopping patience; defaults are the
+    main-experiment values. The optimizer and the learning-rate schedule
+    are fixed: ``adamw_step``'s and ``PlateauScheduler``'s defaults."""
 
     max_epochs: int = 300
     patience: int = 50
-    plateau_factor: float = 0.75
-    plateau_patience: int = 10
-    plateau_margin: float = 1e-3
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -161,12 +159,7 @@ def train_model(
 
     params = init_params(hyper, encoder, seed)
     adam = AdamWState()
-    scheduler = PlateauScheduler(
-        hyper.lr,
-        factor=cfg.plateau_factor,
-        patience=cfg.plateau_patience,
-        margin=cfg.plateau_margin,
-    )
+    scheduler = PlateauScheduler(hyper.lr)
     stopper = EarlyStopper(cfg.patience, max_epochs=cfg.max_epochs)
 
     group_empty = 0
@@ -187,21 +180,15 @@ def train_model(
                 if not closs.sinkhorn.converged:
                     sink_nonconverged += 1
             grads = backward(result.propensities.tape, closs.loss, result.leaves)
-            adamw_step(
-                params,
-                grads,
-                adam,
-                lr=scheduler.lr,
-                betas=cfg.betas,
-                eps=cfg.adam_eps,
-                weight_decay=cfg.weight_decay,
-            )
+            adamw_step(params, grads, adam, scheduler.lr)
         val_loss = _validation_loss(params, valid, loss_cfg, effective_batch)
+        if not math.isfinite(val_loss):
+            raise TrainingError(f"validation loss is {val_loss} at epoch {epoch}")
         scheduler.step(val_loss)
         if stopper.update(val_loss, params):
             break
 
-    best = stopper.best_params if stopper.best_params is not None else params
+    best = stopper.best_params
     valid_scores = predict(best, valid)
     return Checkpoint(
         params=best,

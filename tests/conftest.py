@@ -1,7 +1,8 @@
 """Shared oracle helpers and fixtures for the test suite.
 
 The helpers here are deliberately independent implementations (plain loops,
-closed forms) used to cross-check the package's vectorized code paths.
+closed forms, an unrolled Sinkhorn on tape primitives of its own) used to
+cross-check the package's vectorized code paths.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from fairppm import autodiff as ad
+from fairppm.autodiff import _unbroadcast
 from fairppm.encoding import EncoderSpec, PackedDataset, encode, fit_encoder
 from fairppm.eventlog import (
     SYNTH_SCHEMA,
@@ -151,6 +153,75 @@ def brute_force_pareto(points, fairness_key):
 
 
 # ---------------------------------------------------------------------------
+# tape primitives the package does not need, built on ``custom_op`` for the
+# oracles and gradient checks
+
+
+def sub(a, b):
+    sa, sb = a.shape, b.shape
+    return ad.custom_op(
+        (a, b), a.value - b.value, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
+    )
+
+
+def div(a, b):
+    x, y = a.value, b.value
+    return ad.custom_op(
+        (a, b),
+        x / y,
+        lambda g: (_unbroadcast(g / y, x.shape), _unbroadcast(-g * x / (y * y), y.shape)),
+    )
+
+
+def neg(a):
+    return ad.custom_op((a,), -a.value, lambda g: (-g,))
+
+
+def tanh(a):
+    t = np.tanh(a.value)
+    return ad.custom_op((a,), t, lambda g: (g * (1.0 - t * t),))
+
+
+def log(a):
+    x = a.value
+    return ad.custom_op((a,), np.log(x), lambda g: (g / x,))
+
+
+def exp(a):
+    e = np.exp(a.value)
+    return ad.custom_op((a,), e, lambda g: (g * e,))
+
+
+def maximum(a, b):
+    """Elementwise max; at exact ties the adjoint is split half/half."""
+    x, y = a.value, b.value
+
+    def vjp(g):
+        wa = np.where(x > y, 1.0, np.where(x == y, 0.5, 0.0))
+        return _unbroadcast(g * wa, x.shape), _unbroadcast(g * (1.0 - wa), y.shape)
+
+    return ad.custom_op((a, b), np.maximum(x, y), vjp)
+
+
+def absolute(a):
+    return maximum(a, neg(a))
+
+
+def reduce_sum(a, axis=None):
+    shape = a.shape
+
+    def vjp(g):
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
+
+    return ad.custom_op((a,), a.value.sum(axis=axis), vjp)
+
+
+def reshape(a, shape):
+    old = a.shape
+    return ad.custom_op((a,), a.value.reshape(shape), lambda g: (g.reshape(old),))
+
+
+# ---------------------------------------------------------------------------
 # unrolled Sinkhorn oracle
 
 
@@ -160,12 +231,12 @@ def _tape_softmin(pot, cost, eps: float, log_w, axis: int):
     behind is the exact derivative whatever the shift."""
     tape = cost.tape
     shape = (1, -1) if axis == 1 else (-1, 1)
-    z = (ad.reshape(pot, shape) - cost) / tape.constant(eps) + tape.constant(
+    z = div(sub(reshape(pot, shape), cost), tape.constant(eps)) + tape.constant(
         log_w.reshape(shape)
     )
     shift = z.value.max(axis=axis)
-    summed = ad.reduce_sum(ad.exp(z - tape.constant(np.expand_dims(shift, axis))), axis=axis)
-    return (ad.log(summed) + tape.constant(shift)) * -eps
+    summed = reduce_sum(exp(sub(z, tape.constant(np.expand_dims(shift, axis)))), axis=axis)
+    return (log(summed) + tape.constant(shift)) * -eps
 
 
 def _row_marginal_violation(f, g, cost, eps, log_u, log_v, u) -> float:
@@ -194,7 +265,7 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
     log_u = np.full(n, -np.log(n))
     log_v = np.full(m, -np.log(m))
     u = np.full(n, 1.0 / n)
-    cost = ad.absolute(ad.sub(ad.reshape(a_sorted, (n, 1)), ad.reshape(b_sorted, (1, m))))
+    cost = absolute(sub(reshape(a_sorted, (n, 1)), reshape(b_sorted, (1, m))))
     f = tape.constant(np.zeros(n))
     g = tape.constant(np.zeros(m))
 
@@ -214,11 +285,11 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
         converged = True
 
     log_plan = (
-        (ad.reshape(f, (n, 1)) + ad.reshape(g, (1, m)) - cost) * (1.0 / eps)
+        sub(reshape(f, (n, 1)) + reshape(g, (1, m)), cost) * (1.0 / eps)
         + tape.constant(log_u.reshape(n, 1))
         + tape.constant(log_v.reshape(1, m))
     )
-    total = ad.reduce_sum(ad.exp(log_plan) * cost)
+    total = reduce_sum(exp(log_plan) * cost)
     return SinkhornResult(
         var=total,
         value=float(total.value),

@@ -2,18 +2,39 @@
 
 Every primitive is exercised inside a scalar loss so the finite-difference
 oracle in conftest applies uniformly: perturb one input entry, re-run the
-whole forward function, difference the scalar outputs.
+whole forward function, difference the scalar outputs. The primitives are
+the package's and the ones conftest builds for its oracles.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, central_diff, grad_close
+import conftest as oracle
+from conftest import (
+    absolute,
+    assert_grads_match,
+    build_datasets,
+    central_diff,
+    div,
+    exp,
+    grad_close,
+    log,
+    maximum,
+    neg,
+    reduce_sum,
+    reshape,
+    sub,
+    tanh,
+)
 from fairppm import autodiff as ad
+from fairppm import transport
 from fairppm.autodiff import Tape
-from fairppm.nn import _lstm_layer
+from fairppm.nn import CompositeLossConfig, Hyper, _lstm_layer
+from fairppm.train import TrainConfig, evaluate, train_model
 from fairppm.transport import _Kernel
 
 
@@ -42,9 +63,15 @@ def weighted_sum(loss_weights):
     def fold(var):
         tape = var.tape
         w = tape.constant(loss_weights.reshape(var.value.shape))
-        return ad.reduce_sum(var * w)
+        return reduce_sum(var * w)
 
     return fold
+
+
+def primitive(name):
+    """The package's primitive ``name``, or the conftest oracle's for an op
+    that only the tests use."""
+    return getattr(ad if name in ad.__all__ else oracle, name)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +83,7 @@ def weighted_sum(loss_weights):
     ["add", "sub", "mul", "div", "maximum"],
 )
 def test_binary_elementwise_grads(name, rng):
-    op = getattr(ad, name)
+    op = primitive(name)
     a = rng.uniform(0.5, 2.0, size=(3, 4))
     b = rng.uniform(0.5, 2.0, size=(3, 4))
     w = rng.normal(size=(3, 4))
@@ -79,7 +106,7 @@ def test_broadcasting_grads(shapes, rng):
 
 @pytest.mark.parametrize("name", ["neg", "sigmoid", "tanh", "exp"])
 def test_unary_grads(name, rng):
-    op = getattr(ad, name)
+    op = primitive(name)
     a = rng.uniform(-2.0, 2.0, size=(2, 5))
     w = rng.normal(size=(2, 5))
     check_op(lambda lv: weighted_sum(w)(op(lv["a"])), {"a": a})
@@ -88,22 +115,22 @@ def test_unary_grads(name, rng):
 def test_log_grad(rng):
     a = rng.uniform(0.2, 3.0, size=(6,))
     w = rng.normal(size=(6,))
-    check_op(lambda lv: weighted_sum(w)(ad.log(lv["a"])), {"a": a})
+    check_op(lambda lv: weighted_sum(w)(log(lv["a"])), {"a": a})
 
 
 def test_absolute_grad_away_from_zero(rng):
     a = rng.uniform(0.1, 1.0, size=(8,)) * rng.choice([-1.0, 1.0], size=8)
     w = rng.normal(size=(8,))
-    check_op(lambda lv: weighted_sum(w)(ad.absolute(lv["a"])), {"a": a})
+    check_op(lambda lv: weighted_sum(w)(absolute(lv["a"])), {"a": a})
 
 
 def test_reduce_ops_grads(rng):
     a = rng.normal(size=(3, 5))
-    check_op(lambda lv: ad.reduce_sum(lv["a"]), {"a": a})
+    check_op(lambda lv: reduce_sum(lv["a"]), {"a": a})
     w = rng.normal(size=(5,))
-    check_op(lambda lv: weighted_sum(w)(ad.reduce_sum(lv["a"], axis=0)), {"a": a.copy()})
+    check_op(lambda lv: weighted_sum(w)(reduce_sum(lv["a"], axis=0)), {"a": a.copy()})
     w2 = rng.normal(size=(3,))
-    check_op(lambda lv: weighted_sum(w2)(ad.reduce_sum(lv["a"], axis=1)), {"a": a.copy()})
+    check_op(lambda lv: weighted_sum(w2)(reduce_sum(lv["a"], axis=1)), {"a": a.copy()})
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +168,7 @@ def test_reshape_concat_grads(rng):
 
     check_op(loss, {"a": a, "b": b})
     w2 = rng.normal(size=(12,))
-    check_op(lambda lv: weighted_sum(w2)(ad.reshape(lv["a"], (12,))), {"a": a.copy()})
+    check_op(lambda lv: weighted_sum(w2)(reshape(lv["a"], (12,))), {"a": a.copy()})
 
 
 def test_take_grad_with_repeats(rng):
@@ -152,7 +179,7 @@ def test_take_grad_with_repeats(rng):
     # repeated rows must accumulate, not overwrite
     tape = Tape()
     e = tape.leaf(np.ones((3, 2)))
-    tape.backward(ad.reduce_sum(ad.take(e, np.array([1, 1, 1]))))
+    tape.backward(reduce_sum(ad.take(e, np.array([1, 1, 1]))))
     assert np.array_equal(tape.grad(e), np.array([[0, 0], [3, 3], [0, 0]], dtype=float))
 
 
@@ -255,9 +282,9 @@ ON_CONSTANTS = {
     "mul": lambda c: ad.mul(c, c),
     "matmul": lambda c: ad.matmul(c, c),
     "take": lambda c: ad.take(c, [1, 0, 1]),
-    "gather_steps": lambda c: ad.gather_steps(ad.reshape(c, (2, 2, 1)), [1, 0]),
+    "gather_steps": lambda c: ad.gather_steps(reshape(c, (2, 2, 1)), [1, 0]),
     "concat": lambda c: ad.concat([c, c], axis=0),
-    "reduce_sum": lambda c: ad.reduce_sum(c, axis=0),
+    "reduce_sum": lambda c: reduce_sum(c, axis=0),
 }
 
 
@@ -270,7 +297,7 @@ def test_custom_op_on_constants_needs_no_vjp(name):
     out = ON_CONSTANTS[name](x)
     node = tape.nodes[out.idx]
     assert not node.needs_grad and node.vjp is None
-    tape.backward(ad.reduce_sum(out))
+    tape.backward(reduce_sum(out))
     assert np.array_equal(tape.grad(x), np.zeros((2, 2)))
 
 
@@ -292,7 +319,7 @@ def test_unused_leaf_gets_zero_gradient():
     tape = Tape()
     used = tape.leaf(np.array([2.0]))
     unused = tape.leaf(np.array([5.0, 6.0]))
-    tape.backward(ad.reduce_sum(used * used))
+    tape.backward(reduce_sum(used * used))
     assert np.array_equal(tape.grad(unused), np.zeros(2))
     assert float(tape.grad(used)[0]) == 4.0
 
@@ -346,7 +373,7 @@ def test_maximum_tie_splits_adjoint():
     tape = Tape()
     a = tape.leaf(np.asarray([1.0, 2.0]))
     b = tape.leaf(np.asarray([1.0, 0.5]))
-    tape.backward(ad.reduce_sum(ad.maximum(a, b)))
+    tape.backward(reduce_sum(maximum(a, b)))
     assert np.array_equal(tape.grad(a), np.array([0.5, 1.0]))
     assert np.array_equal(tape.grad(b), np.array([0.5, 0.0]))
 
@@ -365,9 +392,9 @@ def prop_random_graph_gradients(cases: int, seed: int = 7) -> None:
         w = rng.normal(size=(n,))
 
         def loss(lv, w=w):
-            h = ad.sigmoid(lv["a"] * lv["b"] - lv["b"])
-            h = ad.tanh(h + ad.exp(ad.neg(lv["a"])))
-            h = h / (1.0 + ad.absolute(lv["b"]))
+            h = ad.sigmoid(sub(lv["a"] * lv["b"], lv["b"]))
+            h = tanh(h + exp(neg(lv["a"])))
+            h = div(h, absolute(lv["b"]) + 1.0)
             return weighted_sum(w)(h)
 
         check_op(loss, {"a": a, "b": b})
@@ -375,3 +402,45 @@ def prop_random_graph_gradients(cases: int, seed: int = 7) -> None:
 
 def test_random_graph_gradients():
     prop_random_graph_gradients(25)
+
+
+# ---------------------------------------------------------------------------
+# the package holds only what the pipeline runs
+
+
+def test_pipeline_reaches_every_exported_primitive(monkeypatch):
+    # one training epoch and evaluate, at lambda 0 (two bidirectional layers
+    # with dropout) and at lambda 0.3, call every function autodiff exports
+    # and every special method of Var: an op only the tests use belongs in
+    # the conftest oracle
+    called = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    exported = [name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))]
+    operators = [
+        name
+        for name, member in vars(ad.Var).items()
+        if name.startswith("__") and callable(member) and name != "__init__"
+    ]
+    for name in exported:
+        monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
+    for name in ("take", "custom_op"):  # transport imports these by name
+        monkeypatch.setattr(transport, name, counting(name, getattr(transport, name)))
+    for name in operators:
+        monkeypatch.setattr(ad.Var, name, counting(name, getattr(ad.Var, name)))
+
+    encoder, train, valid, test = build_datasets(n_cases=300, seed=3)
+    budget = TrainConfig(max_epochs=1, patience=1)
+    for hyper, lam in (
+        (Hyper(layers=2, hidden=4, bidirectional=True, dropout=0.2), 0.0),
+        (Hyper(hidden=4, dropout=0.0), 0.3),
+    ):
+        ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=lam), 0, budget)
+        evaluate(ckpt, test)
+    assert sorted(set(exported + operators) - called) == []

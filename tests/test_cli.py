@@ -504,8 +504,12 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("train", {"train": {"max_epoch": 5}}, "'max_epoch'"),
         ("train", {"train": {"patience": 0}}, "patience must be >= 1"),
         ("train", {"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
-        ("train", {"train": {"betas": 0.9}}, "'betas' value 0.9 does not cast"),
         ("train", {"sinkhorn": {"epsilon": 0.01, "iters": 5}}, "'iters'"),
+        ("train", {"hyper": {"lr": float("inf")}}, "'lr' value inf is not a finite number"),
+        ("train", {"sinkhorn": {"epsilon": float("nan")}}, "'epsilon' value nan is not a finite"),
+        pytest.param(
+            "train", {"sinkhorn": {"epsilon": 10**400}}, "'epsilon' value 1000", id="epsilon-10**400"
+        ),
         ("train", {"hyper": "grid", "grid": {"hiden": [2]}}, "'hiden'"),
         ("train", {"hyper": "grid", "grid": {"hidden": 2}}, "'hidden'"),
         ("train", {"hyper": "grid", "grid": {"layers": [0]}}, "layers must be >= 1"),
@@ -513,6 +517,7 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("sweep", {"sweep": ["a"]}, "'a'"),
         ("sweep", {"sweep": []}, "'sweep'"),
         ("synth", {"bias_spec": {"n_case": 10}}, "'n_case'"),
+        ("synth", {"bias_spec": {"activities": "abc"}}, "'activities' value 'abc' does not cast"),
         ("ingest", {"schema": BAD_SCHEMA_FILE}, "not valid JSON"),
         ("train", {"lamda": 0.3}, "'lamda'"),
         ("sweep", {"jobs": "2"}, "'jobs'"),
@@ -705,6 +710,10 @@ def edit_sample(number, change):
         pytest.param(
             "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=None), "'valid_scores'",
             id="checkpoint-valid-score-null",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=float("nan")),
+            "'valid_scores' value nan", id="checkpoint-valid-score-nan",
         ),
         pytest.param(
             "evaluate", CHECKPOINT_FILE, set_key("valid_labels", 0, value=True), "'valid_labels'",

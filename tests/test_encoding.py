@@ -140,7 +140,7 @@ def test_encode_long_prefix_keeps_last_events():
     acts = ["A", "B", "C", "A", "B", "C", "A", "B", "C"]
     encoded = encode(spec, make_sample(acts, costs=list(range(1, 10))))
     assert encoded.mask == (True,) * 6
-    inverse = spec.inverse_vocabulary("activity")
+    inverse = dict(enumerate(spec.labels["activity"], 1))
     decoded = [inverse[i] for i in encoded.cat_indices["activity"]]
     assert decoded == acts[3:]  # events 4..9
 
@@ -199,7 +199,7 @@ def prop_encoding_invariants(cases: int, seed: int = 71) -> None:
                 assert row[n_true:] == (0.0,) * (max_len - n_true)
             for attr, row in encoded.cat_indices.items():
                 assert row[n_true:] == (0,) * (max_len - n_true)
-            inverse = spec.inverse_vocabulary("activity")
+            inverse = dict(enumerate(spec.labels["activity"], 1))
             kept = sample.events[-max_len:]
             for e, idx in zip(kept, encoded.cat_indices["activity"]):
                 assert inverse[idx] == e.activity

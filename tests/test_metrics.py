@@ -98,6 +98,12 @@ def test_grouped_scores_from_arrays():
     assert g.s1.tolist() == [0.9]
 
 
+def test_grouped_scores_reject_nan():
+    # NaN compares False with both bounds, so a plain range check lets it through
+    with pytest.raises(ValueError, match="s0 contains NaN"):
+        GroupedScores([np.nan], [0.5])
+
+
 def prop_ddp_metrics_direct_arithmetic(cases: int, seed: int = 5) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):

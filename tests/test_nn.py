@@ -17,9 +17,9 @@ from conftest import (
     build_datasets,
     central_diff,
     random_packed,
+    reduce_sum,
     toy_encoder,
 )
-from fairppm import autodiff as ad
 from fairppm.autodiff import Tape
 from fairppm.nn import (
     GATES,
@@ -413,11 +413,11 @@ def test_composite_config_validation():
 def test_backward_identity_and_square():
     tape = Tape()
     w = tape.leaf(np.array(3.0))
-    grads = backward(tape, ad.reduce_sum(w), {"w": w})
+    grads = backward(tape, reduce_sum(w), {"w": w})
     assert grads["w"] == pytest.approx(1.0)
     tape = Tape()
     w = tape.leaf(np.array(3.0))
-    grads = backward(tape, ad.reduce_sum(w * w), {"w": w})
+    grads = backward(tape, reduce_sum(w * w), {"w": w})
     assert grads["w"] == pytest.approx(6.0)
 
 
@@ -425,7 +425,7 @@ def test_backward_unused_parameter_gets_zeros():
     tape = Tape()
     used = tape.leaf(np.array([2.0]))
     unused = tape.leaf(np.array([[1.0, 2.0]]))
-    grads = backward(tape, ad.reduce_sum(used), {"used": used, "unused": unused})
+    grads = backward(tape, reduce_sum(used), {"used": used, "unused": unused})
     assert np.array_equal(grads["unused"], np.zeros((1, 2)))
 
 

@@ -8,6 +8,7 @@ for determinism and serialization round-trips.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import brute_force_pareto, build_datasets, random_packed, toy_encoder
 from fairppm.encoding import PackedDataset
+from fairppm.eventlog import BiasSpec
 from fairppm.metrics import GroupedScores, UndefinedMetricError, abcc, abpc, auc, delta_dp_c
 from fairppm.nn import CompositeLossConfig, Hyper, composite_loss, forward, init_params
 from fairppm.records import from_fields
@@ -153,6 +155,15 @@ def test_train_model_rejects_empty_sets(small_data):
         train_model(train, empty, encoder, Hyper(hidden=4), CompositeLossConfig(), 0, FAST)
 
 
+def test_train_model_refuses_a_non_finite_validation_loss(small_data, monkeypatch):
+    encoder, train, valid, _ = small_data
+    monkeypatch.setattr(
+        "fairppm.train.predict", lambda params, data, chunk=None: np.full(len(data), np.nan)
+    )
+    with pytest.raises(TrainingError, match="validation loss is nan at epoch 1"):
+        train_model(train, valid, encoder, Hyper(hidden=4), CompositeLossConfig(), 0, FAST)
+
+
 def test_training_is_deterministic(small_data):
     encoder, train, valid, _ = small_data
     hyper = Hyper(hidden=3, dropout=0.2)
@@ -227,7 +238,9 @@ def test_from_fields_casts_to_default_types_and_rejects_unknown_keys():
     hyper = from_fields(Hyper, {"layers": 2, "lr": 1, "bidirectional": True})
     assert hyper == Hyper(layers=2, lr=1.0, bidirectional=True)
     assert type(hyper.layers) is int and type(hyper.lr) is float
-    assert from_fields(TrainConfig, {"betas": [0.8, 0.9]}).betas == (0.8, 0.9)
+    assert from_fields(BiasSpec, {"activities": ["a", "b", "offer"]}).activities == (
+        "a", "b", "offer",
+    )
     # a JSON value must already have its field's type: no truncation, no truthiness
     for raw, kind in (
         ({"layers": 2.0}, "int"),
@@ -240,12 +253,16 @@ def test_from_fields_casts_to_default_types_and_rejects_unknown_keys():
     ):
         with pytest.raises(ValueError, match=f"does not cast to {kind}"):
             from_fields(Hyper, raw)
-    with pytest.raises(ValueError, match="'betas' value 0.9 does not cast to tuple"):
-        from_fields(TrainConfig, {"betas": 0.9})
+    with pytest.raises(ValueError, match="'activities' value 'abc' does not cast to tuple"):
+        from_fields(BiasSpec, {"activities": "abc"})
     with pytest.raises(ValueError, match=r"unknown key 'hiden' \(valid keys: layers, hidden, "):
         from_fields(Hyper, {"hiden": 2})
     with pytest.raises(ValueError, match="'hidden' value 'x' does not cast to int"):
         from_fields(Hyper, {"hidden": "x"})
+    # only finite numbers read as floats: NaN, the infinities, and numbers past the float range
+    for text in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+        with pytest.raises(ValueError, match="'lr' value .* is not a finite number"):
+            from_fields(Hyper, {"lr": json.loads(text)})
     with pytest.raises(ValueError, match="expected an object"):
         from_fields(Hyper, [1])
     with pytest.raises(ValueError, match="patience must be >= 1"):
