@@ -107,7 +107,7 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file '{path}' does not exist")
         try:
             config = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
@@ -194,7 +194,7 @@ def _schema_from_config(config: dict) -> SchemaConfig:
             raise ConfigError(f"schema file '{path}' does not exist")
         try:
             raw = _read_json(path)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
     if isinstance(raw, dict) and not isinstance(raw.get("attributes"), dict):

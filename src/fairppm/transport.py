@@ -3,7 +3,9 @@
 Two routes: an exact closed form (integral of |F_a - F_b| over the merged
 support, no grid), and an entropic-regularized Sinkhorn approximation that
 can sit inside a training loss. The Sinkhorn iterations are log-domain
-(stabilized) and run in plain NumPy; the whole loop is one tape node that,
+(stabilized) and run in plain NumPy over the sorted samples, where each
+soft-min update is a prefix and a suffix log-sum-exp: O(n + m) time and
+memory, with no (n, m) cost matrix. The whole loop is one tape node that,
 like every node, carries its own VJP. It replays the stored potentials in
 reverse, so its gradient is the exact adjoint of the unrolled iterations.
 """
@@ -119,111 +121,140 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
     then g_k to the soft-min over i of C - f_k. The row-marginal violation
     of the plan at (f_k, g_k) is read off the next f-update: row i of that
     plan sums to u_i * exp((f_k - f_{k+1})_i / eps), and f_{k+1} is the
-    next iteration's f.
+    next iteration's f. Samples and potentials are kept in units of eps,
+    the samples shifted so that their minimum is 0; C is never formed.
     """
     xs, ys = x.value, y.value
     n, m = xs.size, ys.size
     eps = config.epsilon
+    low = min(xs[0], ys[0])  # C is translation invariant
     log_u = np.full(n, -np.log(n))
     log_v = np.full(m, -np.log(m))
     u = np.full(n, 1.0 / n)
-    cost = np.abs(xs[:, None] - ys[None, :])
-    kernel = _Kernel(cost, eps)
+    f_of = _Softmin(xs, ys, low, eps, log_v)  # f from g
+    g_of = _Softmin(ys, xs, low, eps, log_u)  # g from f
     record = x.tape.nodes[x.idx].needs_grad or y.tape.nodes[y.idx].needs_grad
-    history = []  # (f_k, g_k) per iteration, replayed by the backward pass
+    history = []  # f_k, g_k and their updates' slopes, replayed by the backward pass
 
     converged = False
-    f_next = kernel.update(np.zeros(m), log_v, 1)
+    f_next, f_next_sums = f_of(np.zeros(m))
     for iterations in range(1, config.max_iters + 1):
-        f = f_next
-        g = kernel.update(f, log_u, 0)
-        f_next = kernel.update(g, log_v, 1)
-        violation = float(np.abs(u * np.exp((f - f_next) / eps) - u).sum())
+        f, f_sums = f_next, f_next_sums
+        g, g_sums = g_of(f)
+        f_next, f_next_sums = f_of(g)
+        violation = float(np.abs(u * np.exp(f - f_next) - u).sum())
         if record:
-            history.append((f, g))
+            history.append((f, g, f_of.slope(f, f_sums), g_of.slope(g, g_sums)))
         if config.tol > 0 and violation <= config.tol:
             converged = True
             break
     if config.tol == 0:
         converged = True  # fixed-budget mode: ran exactly as requested
 
-    plan = np.exp(
-        (f[:, None] + g[None, :] - cost) * (1.0 / eps) + log_u[:, None] + log_v[None, :]
-    )
-    total = np.sum(plan * cost)
+    row_cost, d_x_cost = f_of.moments(f + log_u, g + log_v)
+    total = eps * row_cost.sum()
 
     def vjp(g_out):
         # the sharp cost first, then each iteration's two soft-min updates in
-        # reverse; every adjoint w.r.t. C lands in d_cost
-        inner = g_out * cost * plan * (1.0 / eps)
-        d_cost = g_out * plan - inner
-        d_f, d_g = inner.sum(axis=1), inner.sum(axis=0)  # adjoints of f_K, g_K
+        # reverse. In units of eps, d cost / d f is row_cost / eps, and an
+        # adjoint of x is eps times that of x / eps, so no eps appears.
+        col_cost, d_y_cost = g_of.moments(g + log_v, f + log_u)
+        d_f, d_g = g_out * row_cost, g_out * col_cost  # adjoints of f_K, g_K
+        d_x, d_y = g_out * d_x_cost, g_out * d_y_cost
         for k in range(len(history) - 1, -1, -1):
-            f_k, g_k = history[k]
-            w = kernel.weights(f_k, log_u, g_k, 0)  # the update g_k of f_k
-            w *= d_g[None, :]
-            d_cost += w
-            d_f = d_f - kernel.row_sums(w)
+            f_k, g_k, f_slope, g_slope = history[k]
+            d_pot, d_t, d_s = g_of.vjp(d_g, f_k, g_k, g_slope)  # the update g_k of f_k
+            d_y += d_t
+            d_x += d_s
             g_prev = history[k - 1][1] if k else np.zeros(m)
-            w = kernel.weights(g_prev, log_v, f_k, 1)  # the update f_k of g_{k-1}
-            w *= d_f[:, None]
-            d_cost += w
             # f_{k-1} reaches the loss only through g_{k-1}
-            d_f, d_g = 0.0, -kernel.col_sums(w)
-        # dC/dx_i = sign(x_i - y_j); sign(0) = 0 matches the even split of
-        # |.| at a tie
-        d_cost *= np.sign(xs[:, None] - ys[None, :])
-        return d_cost.sum(axis=1), -d_cost.sum(axis=0)
+            d_g, d_t, d_s = f_of.vjp(d_f + d_pot, g_prev, f_k, f_slope)
+            d_x += d_t
+            d_y += d_s
+            d_f = 0.0
+        return d_x, d_y
 
     var = custom_op((x, y), total, vjp if record else None)
-    return SinkhornResult(
-        var=var,
-        value=float(total),
-        converged=converged,
-        iterations=iterations,
-        marginal_violation=violation,
-    )
+    return SinkhornResult(var, float(total), converged, iterations, violation)
 
 
-class _Kernel:
-    """The soft-min updates over one (n, m) cost matrix, sharing one scratch
-    buffer. A whole-matrix NumPy pass costs about as much as the ``exp``
-    itself, so the cost is scaled by -1/eps once and the sums are
-    matrix-vector products."""
+def _prefix_lse(v):
+    """Entry k of each row: log-sum-exp of v[..., :k] (-inf at k = 0)."""
+    out = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    out[..., 0] = -np.inf
+    np.logaddexp.accumulate(v, axis=-1, out=out[..., 1:])
+    return out
 
-    def __init__(self, cost: np.ndarray, eps: float):
-        n, m = cost.shape
-        self.eps = eps
-        self.neg_cost = cost * (-1.0 / eps)
-        self.buf = np.empty((n, m))
-        self.ones = (np.ones(n), np.ones(m))
 
-    def row_sums(self, a):
-        return a @ self.ones[1]
+def _suffix_lse(v):
+    """Entry k of each row: log-sum-exp of v[..., k:] (-inf at the end)."""
+    return _prefix_lse(v[..., ::-1])[..., ::-1]
 
-    def col_sums(self, a):
-        return self.ones[0] @ a
 
-    def _logits(self, pot, log_w, axis):
-        """(pot - C) / eps + log_w, with ``pot`` and ``log_w`` along ``axis``."""
-        return np.add(
-            self.neg_cost, np.expand_dims(pot / self.eps + log_w, 1 - axis), out=self.buf
-        )
+class _Softmin:
+    """The soft-min update out_i = -LSE_j(p_j + lw_j - |t_i - s_j|) of the
+    potentials on sorted targets t from those on sorted sources s, in
+    units of eps: t and s are the samples less ``low``, over eps. A source
+    at or below t_i enters as A_j - t_i with A_j = p_j + lw_j + s_j, one
+    above it as B_j + t_i with B_j = p_j + lw_j - s_j, so the sum over j is
+    a prefix LSE of A and a suffix LSE of B at t_i's search index: O(n + m)
+    time and memory. The raw samples decide the sides, so a tie
+    (sign(t_i - s_j) = 0) falls on neither side."""
 
-    def update(self, pot, log_w, axis):
-        """One potential update, the soft-min
-        -eps * logsumexp((pot - C) / eps + log_w) over ``axis``."""
-        z = self._logits(pot, log_w, axis)
-        shift = z.max(axis=axis)
-        z -= np.expand_dims(shift, axis)
-        np.exp(z, out=z)
-        sums = self.row_sums(z) if axis == 1 else self.col_sums(z)
-        return -self.eps * (shift + np.log(sums))
+    def __init__(self, t, s, low, eps, log_w):
+        self.t, self.s = te, se = (t - low) / eps, (s - low) / eps
+        self.up, self.down = log_w + se, log_w - se
+        self.below = np.searchsorted(s, t, "left")  # sources < t_i
+        self.not_above = np.searchsorted(s, t, "right")  # sources <= t_i
+        self.t_below = np.searchsorted(t, s, "left")  # targets < s_j
+        self.t_not_above = np.searchsorted(t, s, "right")  # targets <= s_j
+        # t_i's gaps to its nearest sources, and log(s_l - s_{l-1}) -inf-padded
+        self.gap_below = te - se[self.below - 1]
+        self.gap_above = np.append(se, 0.0)[self.not_above] - te
+        with np.errstate(divide="ignore"):
+            self.log_gaps = np.log(np.diff(se, prepend=se[0])), np.log(np.diff(se, append=se[-1]))
 
-    def weights(self, pot, log_w, out, axis):
-        """The softmax weights behind ``out = update(pot, log_w, axis)``,
-        i.e. d out / d C; they sum to 1 along ``axis``. Returns the scratch
-        buffer."""
-        z = self._logits(pot, log_w, axis)
-        z += np.expand_dims(out / self.eps, axis)
-        return np.exp(z, out=z)
+    def __call__(self, p):
+        """The update of p, and the prefix and suffix LSEs it was built from."""
+        pre, suf = _prefix_lse(p + self.up), _suffix_lse(p + self.down)
+        k = self.not_above
+        return -np.logaddexp(pre[k] - self.t, suf[k] + self.t), (pre, suf)
+
+    def slope(self, out, sums):
+        """d out_i / d t_i for ``out, sums = self(p)``: the weights of the
+        sources below t_i less those of the sources above it."""
+        below = np.exp(sums[0][self.below] + (out - self.t))
+        return below - np.exp(sums[1][self.not_above] + (out + self.t))
+
+    def vjp(self, d_out, p, out, slope):
+        """Adjoints of p, t and s for the adjoint ``d_out`` of ``out``, with
+        ``out`` and ``slope`` from ``self(p)`` and ``self.slope``. The positive
+        and negative parts of d_out are the two rows of one log-domain sum,
+        so no e^A or e^B is formed."""
+        a, b = p + self.up, p + self.down
+        with np.errstate(divide="ignore"):
+            log_d = np.log(np.maximum(np.stack([d_out, -d_out]), 0.0)) + out
+        lt = np.exp(_prefix_lse(log_d + self.t)[:, self.t_below] + b)  # targets < s_j
+        suf = _suffix_lse(log_d - self.t)
+        ge = np.exp(suf[:, self.t_below] + a)  # targets >= s_j
+        gt = np.exp(suf[:, self.t_not_above] + a)  # targets > s_j
+        lt, ge, gt = lt[0] - lt[1], ge[0] - ge[1], gt[0] - gt[1]
+        return -(ge + lt), d_out * slope, lt - gt
+
+    def moments(self, t_w, s_w):
+        """Per target, the sums over sources of P_ij |t_i - s_j| and of
+        P_ij (1 - |t_i - s_j|) sign(t_i - s_j), with P_ij =
+        exp(t_w_i + s_w_j - |t_i - s_j|): the sharp cost and its direct
+        adjoint. Below t_i, |t_i - s_j| = (t_i - s_{k-1}) + (s_{k-1} - s_j)
+        for the nearest source s_{k-1}, and with e_j = e^{s_w_j + s_j},
+        sum_{j<k} e_j (s_{k-1} - s_j) is the prefix sum of
+        (s_l - s_{l-1}) sum_{j<l} e_j; above t_i likewise. Every term is
+        nonnegative, so nothing cancels (t_i * sum e_j - sum e_j s_j would)."""
+        pre, suf = _prefix_lse(s_w + self.s), _suffix_lse(s_w - self.s)
+        far_below = _prefix_lse(self.log_gaps[0] + pre[:-1])[self.below]
+        far_above = _suffix_lse(self.log_gaps[1] + suf[1:])[self.not_above]
+        lo, hi = t_w - self.t, t_w + self.t
+        m_below, m_above = np.exp(pre[self.below] + lo), np.exp(suf[self.not_above] + hi)
+        below = m_below * self.gap_below + np.exp(far_below + lo)
+        above = m_above * self.gap_above + np.exp(far_above + hi)
+        return below + above, m_below - m_above - below + above

@@ -35,7 +35,6 @@ from fairppm import transport
 from fairppm.autodiff import Tape
 from fairppm.nn import CompositeLossConfig, Hyper, _lstm_layer
 from fairppm.train import TrainConfig, evaluate, train_model
-from fairppm.transport import _Kernel
 
 
 def check_op(build_loss, arrays: dict, step: float = 1e-5):
@@ -195,27 +194,37 @@ def test_gather_steps_grads(rng):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_softmin_grads(axis, rng):
-    # the Sinkhorn soft-min update, entered as one custom_op whose VJP is
-    # built from the kernel's softmax weights: d out / d C = w, d out / d pot = -w
-    n, m = 4, 3
-    pot = rng.normal(scale=0.05, size=(m if axis == 1 else n,))
-    cost = rng.uniform(0.0, 1.0, size=(n, m))
-    log_w = np.log(np.full(pot.size, 1.0 / pot.size))
-    out_size = n if axis == 1 else m
-    w = rng.normal(size=(out_size,))
+    # the linear-time Sinkhorn soft-min update, entered as one custom_op with
+    # the update's own VJP, on random samples and on cross-set ties
+    # x_i == y_j; axis 1 updates the potential on x from the one on y, axis 0
+    # the reverse. The update works in units of eps; the op does not. At a
+    # tie the central difference is off by about (tie weight) * step / eps,
+    # so the tie case runs at a larger eps; putting a tie on either side
+    # instead of neither would be off by the tie weight itself.
+    cases = [
+        (rng.random(5), rng.random(4), 0.05),
+        ([0.2, 0.3, 0.5, 0.8], [0.2, 0.5, 0.9], 0.5),
+    ]
+    for x, y, eps in cases:
+        arrays = {"x": np.sort(x), "y": np.sort(y)}
+        t_name, s_name = ("x", "y") if axis == 1 else ("y", "x")
+        arrays["pot"] = rng.normal(scale=0.05, size=len(arrays[s_name]))
+        w = rng.normal(size=len(arrays[t_name]))
 
-    def softmin(lv):
-        kernel = _Kernel(lv["cost"].value, 0.05)
-        out = kernel.update(lv["pot"].value, log_w, axis)
+        def softmin(lv):
+            t, s = lv[t_name].value, lv[s_name].value
+            log_w = np.full(s.size, -np.log(s.size))
+            update = transport._Softmin(t, s, min(t[0], s[0]), eps, log_w)
+            p = lv["pot"].value / eps
+            out, sums = update(p)
+            op = ad.custom_op(
+                (lv["pot"], lv[t_name], lv[s_name]),
+                eps * out,
+                lambda g: update.vjp(g, p, out, update.slope(out, sums)),
+            )
+            return weighted_sum(w)(op)
 
-        def vjp(g):
-            d_cost = kernel.weights(lv["pot"].value, log_w, out, axis) * np.expand_dims(g, axis)
-            d_pot = -(kernel.col_sums(d_cost) if axis == 1 else kernel.row_sums(d_cost))
-            return d_pot, d_cost
-
-        return weighted_sum(w)(ad.custom_op((lv["pot"], lv["cost"]), out, vjp))
-
-    check_op(softmin, {"pot": pot, "cost": cost})
+        check_op(softmin, arrays)
 
 
 def test_custom_op_vjp_grads(rng):

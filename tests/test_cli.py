@@ -461,6 +461,28 @@ def test_malformed_json_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["config", "schema file"])
+def test_json_int_over_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, where):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal over Python's 4300-digit conversion limit
+    huge = '{"epsilon": 1' + "0" * 5000 + "}"
+    out = tmp_path / "huge"
+    out.mkdir()
+    (out / "log.csv").write_text("")
+    if where == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(out, sinkhorn="HUGE")).replace('"HUGE"', huge))
+        command = "train"
+    else:
+        path = tmp_path / "schema.json"
+        path.write_text(huge)
+        command = "ingest"
+        write_config(tmp_path, base_config(out, schema=str(path)))
+    assert run(command, str(tmp_path / "config.json")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{path}' is not valid JSON" in err and "internal error" not in err
+
+
 def test_missing_required_field(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"out": str(tmp_path / "x"), "schema": SYNTH_SCHEMA_JSON})
     assert run("ingest", cfg_path) == EXIT_CONFIG

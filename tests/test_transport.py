@@ -2,7 +2,8 @@
 
 Oracles: scipy.stats.wasserstein_distance (independent exact W1), the
 sorted-matching closed form for equal sample counts, central finite
-differences for gradients, and the Sinkhorn loop unrolled on the tape
+differences for gradients, a soft-min over the dense cost matrix for the
+linear-time update, and the Sinkhorn loop unrolled on the tape
 (conftest.reference_sinkhorn) for the fused Sinkhorn node. Gradient checks
 run in fixed-budget mode (tol=0) so the compared program has an
 input-independent iteration count.
@@ -10,13 +11,17 @@ input-independent iteration count.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import grad_close, reference_sinkhorn, sorted_matching_w1
 from fairppm.autodiff import Tape
-from fairppm.transport import SinkhornConfig, exact_w1_1d, sinkhorn_distance
+from fairppm.transport import SinkhornConfig, _Softmin, exact_w1_1d, sinkhorn_distance
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,59 @@ def prop_sinkhorn_shift_sensitivity(cases: int, seed: int = 43) -> None:
 
 def test_sinkhorn_shift_sensitivity():
     prop_sinkhorn_shift_sensitivity(50)
+
+
+# ---------------------------------------------------------------------------
+# sinkhorn: the linear-time soft-min update against a dense one
+
+
+def dense_softmin(pot, x, y, eps, log_w):
+    """-eps * logsumexp((pot_j - |x_i - y_j|) / eps + log_w_j) over j, from
+    the (n, m) cost matrix, shifted by its row maxima."""
+    z = (pot[None, :] - np.abs(x[:, None] - y[None, :])) / eps + log_w[None, :]
+    top = z.max(axis=1)
+    return -eps * (top + np.log(np.exp(z - top[:, None]).sum(axis=1)))
+
+
+# a coarse grid makes duplicates within a set and ties across sets likely
+sample = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0))
+samples = st.lists(sample, min_size=1, max_size=40).map(lambda v: np.sort(np.array(v)))
+SPREAD = np.linspace(0.0, 1.0, 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=samples,
+    y=samples,
+    eps=st.sampled_from([0.1, 0.01, 1e-3]),
+    pot_seed=st.integers(0, 2**32 - 1),
+)
+@example(x=SPREAD, y=SPREAD[::2] + 0.01, eps=1e-3, pot_seed=0)  # e^(A_j) alone would overflow
+def test_linear_softmin_matches_dense_property(x, y, eps, pot_seed):
+    rng = np.random.default_rng(pot_seed)
+    pot = rng.normal(scale=0.3, size=y.size)
+    log_w = np.log(rng.dirichlet(np.ones(y.size)))
+    out, _ = _Softmin(x, y, min(x[0], y[0]), eps, log_w)(pot / eps)
+    ref = dense_softmin(pot, x, y, eps, log_w)
+    np.testing.assert_allclose(eps * out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_sinkhorn_memory_is_linear_in_the_sample_count():
+    # 10 iterations with a backward at n = m = 5000; three (n, m) float64
+    # arrays would take 600 MB
+    rng = np.random.default_rng(5)
+    tape = Tape()
+    a, b = tape.leaf(rng.random(5000)), tape.leaf(rng.random(5000))
+    tracemalloc.start()
+    try:
+        result = sinkhorn_distance(a, b, SinkhornConfig(epsilon=0.01, max_iters=10, tol=0.0))
+        tape.backward(result.var)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 10
+    assert np.isfinite(tape.grad(a)).all() and np.isfinite(tape.grad(b)).all()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
