@@ -5,9 +5,17 @@ support, no grid), and an entropic-regularized Sinkhorn approximation that
 can sit inside a training loss. The Sinkhorn iterations are log-domain
 (stabilized) and run in plain NumPy over the sorted samples, where each
 soft-min update is a prefix and a suffix log-sum-exp: O(n + m) time and
-memory, with no (n, m) cost matrix. The whole loop is one tape node that,
+memory, with no (n, m) cost matrix. Every iteration after the first is
+overrelaxed, f <- (1 - w) f + w U(g) and likewise for g with w = OMEGA,
+which reaches the same fixed point in fewer iterations (Thibault et al.
+2017, arXiv:1711.01851). A safeguard falls back to plain updates (w = 1)
+for the rest of a call once the marginal violation has gone STALL
+iterations without a new minimum. The whole loop is one tape node that,
 like every node, carries its own VJP. It replays the stored potentials in
-reverse, so its gradient is the exact adjoint of the unrolled iterations.
+reverse, so its gradient is the exact adjoint of the unrolled relaxed
+iterations: each update's output receives w times the adjoint of the
+potential it is relaxed into, and 1 - w of that adjoint carries over to
+the potential's previous value.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ import numpy as np
 from .autodiff import Tape, Var, custom_op, take
 
 __all__ = ["SinkhornConfig", "SinkhornResult", "exact_w1_1d", "sinkhorn_distance"]
+
+OMEGA = 1.8  # overrelaxation factor of every Sinkhorn iteration after the first
+STALL = 30  # iterations without a new minimum violation before w falls back to 1
 
 
 def exact_w1_1d(a, b) -> float:
@@ -68,6 +79,8 @@ class SinkhornResult:
 
     ``var`` is the differentiable scalar (use in losses); ``value`` is its
     float. Non-convergence is reported through ``converged``, never raised.
+    ``stalled_at`` is the iteration after which the stall safeguard turned
+    overrelaxation off, 0 if it never did.
     """
 
     var: Var
@@ -75,6 +88,7 @@ class SinkhornResult:
     converged: bool
     iterations: int
     marginal_violation: float
+    stalled_at: int = 0
 
 
 def _canonical_key(values: np.ndarray):
@@ -114,15 +128,26 @@ def sinkhorn_distance(a, b, config: SinkhornConfig | None = None) -> SinkhornRes
 
 
 def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
-    """Run the log-domain iterations on C = |x_i - y_j| and push the sharp
-    cost <P, C> as one tape node.
+    """Run the overrelaxed log-domain iterations on C = |x_i - y_j| and push
+    the sharp cost <P, C> as one tape node.
 
-    Iteration k sets f_k to the soft-min over j of C - g_{k-1} (g_0 = 0),
-    then g_k to the soft-min over i of C - f_k. The row-marginal violation
-    of the plan at (f_k, g_k) is read off the next f-update: row i of that
-    plan sums to u_i * exp((f_k - f_{k+1})_i / eps), and f_{k+1} is the
-    next iteration's f. Samples and potentials are kept in units of eps,
-    the samples shifted so that their minimum is 0; C is never formed.
+    With U_f(g) the soft-min over j of C - g and U_g(f) the soft-min over i
+    of C - f, iteration k sets f_k = (1 - w_k) f_{k-1} + w_k U_f(g_{k-1})
+    (g_0 = 0), then g_k = (1 - w_k) g_{k-1} + w_k U_g(f_k). The first
+    iteration is plain (w_1 = 1); later ones use w = OMEGA until the
+    row-marginal violation has gone STALL iterations without a new minimum
+    while that minimum is above roundoff, and w = 1 from then on. The
+    violation of the plan at (f_k, g_k) is read off the unrelaxed
+    U_f(g_k): row i of that plan sums to u_i * exp((f_k - U_f(g_k))_i / eps),
+    and U_f(g_k) is what iteration k + 1 relaxes into f_{k+1}. Samples and
+    potentials are kept in units of eps, the samples shifted so that their
+    minimum is 0; C is never formed.
+
+    The backward pass replays the iterations in reverse. Each update's
+    output receives w_k times the adjoint of the potential it is relaxed
+    into, and the other (1 - w_k) carries over to that potential's previous
+    value. The soft-min VJPs take the unrelaxed outputs, so ``history``
+    keeps w_k, f_k, g_k and both unrelaxed outputs with their slopes.
     """
     xs, ys = x.value, y.value
     n, m = xs.size, ys.size
@@ -133,21 +158,35 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
     u = np.full(n, 1.0 / n)
     f_of = _Softmin(xs, ys, low, eps, log_v)  # f from g
     g_of = _Softmin(ys, xs, low, eps, log_u)  # g from f
+    # below this a violation is rounding noise: f - U_f(g) subtracts terms of
+    # the order of the span over eps, and the LSEs run over n + m samples
+    roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + (max(xs[-1], ys[-1]) - low) / eps)
     record = x.tape.nodes[x.idx].needs_grad or y.tape.nodes[y.idx].needs_grad
-    history = []  # f_k, g_k and their updates' slopes, replayed by the backward pass
+    # per iteration w_k, f_k, g_k and the unrelaxed U_f(g_{k-1}), U_g(f_k)
+    # with their slopes, replayed by the backward pass
+    history = []
 
     converged = False
-    f_next, f_next_sums = f_of(np.zeros(m))
+    best, best_at, stalled_at = np.inf, 0, 0
+    f_up, f_up_sums = f_of(np.zeros(m))
     for iterations in range(1, config.max_iters + 1):
-        f, f_sums = f_next, f_next_sums
-        g, g_sums = g_of(f)
+        w = OMEGA if iterations > 1 and not stalled_at else 1.0
+        f = f_up if w == 1.0 else (1.0 - w) * f + w * f_up
+        g_up, g_up_sums = g_of(f)
+        g = g_up if w == 1.0 else (1.0 - w) * g + w * g_up
         f_next, f_next_sums = f_of(g)
         violation = float(np.abs(u * np.exp(f - f_next) - u).sum())
         if record:
-            history.append((f, g, f_of.slope(f, f_sums), g_of.slope(g, g_sums)))
+            f_slope, g_slope = f_of.slope(f_up, f_up_sums), g_of.slope(g_up, g_up_sums)
+            history.append((w, f, g, f_up, f_slope, g_up, g_slope))
         if config.tol > 0 and violation <= config.tol:
             converged = True
             break
+        if violation < best:
+            best, best_at = violation, iterations
+        elif not stalled_at and iterations - best_at >= STALL and best > roundoff:
+            stalled_at = iterations
+        f_up, f_up_sums = f_next, f_next_sums
     if config.tol == 0:
         converged = True  # fixed-budget mode: ran exactly as requested
 
@@ -155,27 +194,32 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
     total = eps * row_cost.sum()
 
     def vjp(g_out):
-        # the sharp cost first, then each iteration's two soft-min updates in
+        # the sharp cost first, then each iteration's two relaxed updates in
         # reverse. In units of eps, d cost / d f is row_cost / eps, and an
         # adjoint of x is eps times that of x / eps, so no eps appears.
         col_cost, d_y_cost = g_of.moments(g + log_v, f + log_u)
         d_f, d_g = g_out * row_cost, g_out * col_cost  # adjoints of f_K, g_K
         d_x, d_y = g_out * d_x_cost, g_out * d_y_cost
         for k in range(len(history) - 1, -1, -1):
-            f_k, g_k, f_slope, g_slope = history[k]
-            d_pot, d_t, d_s = g_of.vjp(d_g, f_k, g_k, g_slope)  # the update g_k of f_k
+            w, f_k, _, f_up, f_slope, g_up, g_slope = history[k]
+            # g_k = (1 - w) g_{k-1} + w U_g(f_k)
+            d_pot, d_t, d_s = g_of.vjp(w * d_g, f_k, g_up, g_slope)
             d_y += d_t
             d_x += d_s
-            g_prev = history[k - 1][1] if k else np.zeros(m)
-            # f_{k-1} reaches the loss only through g_{k-1}
-            d_g, d_t, d_s = f_of.vjp(d_f + d_pot, g_prev, f_k, f_slope)
+            d_f = d_f + d_pot
+            # f_k = (1 - w) f_{k-1} + w U_f(g_{k-1})
+            g_prev = history[k - 1][2] if k else np.zeros(m)
+            d_pot, d_t, d_s = f_of.vjp(w * d_f, g_prev, f_up, f_slope)
             d_x += d_t
             d_y += d_s
-            d_f = 0.0
+            d_f, d_g = (1.0 - w) * d_f, (1.0 - w) * d_g + d_pot
         return d_x, d_y
 
     var = custom_op((x, y), total, vjp if record else None)
-    return SinkhornResult(var, float(total), converged, iterations, violation)
+    return SinkhornResult(var, float(total), converged, iterations, violation, stalled_at)
+
+
+_SIGNS = np.array([[1.0], [-1.0]])  # rows of the positive and negative parts
 
 
 def _prefix_lse(v):
@@ -233,7 +277,8 @@ class _Softmin:
         so no e^A or e^B is formed."""
         a, b = p + self.up, p + self.down
         with np.errstate(divide="ignore"):
-            log_d = np.log(np.maximum(np.stack([d_out, -d_out]), 0.0)) + out
+            log_abs = np.log(np.abs(d_out)) + out
+        log_d = np.where(d_out * _SIGNS > 0, log_abs, -np.inf)
         lt = np.exp(_prefix_lse(log_d + self.t)[:, self.t_below] + b)  # targets < s_j
         suf = _suffix_lse(log_d - self.t)
         ge = np.exp(suf[:, self.t_below] + a)  # targets >= s_j

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fairppm import autodiff as ad
+from fairppm import transport
 from fairppm.autodiff import _unbroadcast
 from fairppm.encoding import EncoderSpec, PackedDataset, encode, fit_encoder
 from fairppm.eventlog import (
@@ -245,10 +246,14 @@ def _row_marginal_violation(f, g, cost, eps, log_u, log_v, u) -> float:
 
 
 def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornResult:
-    """The log-domain Sinkhorn unrolled on the tape, two soft-min nodes per
-    iteration, with the row-marginal violation recomputed from the plan:
-    the oracle for the package's fused node. Same sorting, canonical order,
-    stopping rule and outputs as ``fairppm.transport.sinkhorn_distance``."""
+    """The overrelaxed log-domain Sinkhorn unrolled on the tape, two soft-min
+    nodes and two relaxation steps per iteration, with the row-marginal
+    violation recomputed from the plan on every iteration: the oracle for
+    the package's fused node. Same sorting, canonical order, relaxation
+    schedule (w = 1 on the first iteration, ``transport.OMEGA`` after it,
+    1 again once the violation has gone ``transport.STALL`` iterations
+    without a new minimum above roundoff), stopping rule and outputs as
+    ``fairppm.transport.sinkhorn_distance``."""
     config = config or SinkhornConfig()
     tape = a.tape if isinstance(a, ad.Var) else b.tape if isinstance(b, ad.Var) else ad.Tape()
     av = a if isinstance(a, ad.Var) else tape.constant(np.asarray(a, dtype=np.float64))
@@ -266,22 +271,27 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
     log_v = np.full(m, -np.log(m))
     u = np.full(n, 1.0 / n)
     cost = absolute(sub(reshape(a_sorted, (n, 1)), reshape(b_sorted, (1, m))))
+    both = np.concatenate([a_sorted.value, b_sorted.value])
+    roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + (both.max() - both.min()) / eps)
     f = tape.constant(np.zeros(n))
     g = tape.constant(np.zeros(m))
 
     converged = False
-    violation = np.inf
+    best, best_at, stalled_at = np.inf, 0, 0
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        f = _tape_softmin(g, cost, eps, log_v, axis=1)
-        g = _tape_softmin(f, cost, eps, log_u, axis=0)
-        if config.tol > 0:
-            violation = _row_marginal_violation(f.value, g.value, cost.value, eps, log_u, log_v, u)
-            if violation <= config.tol:
-                converged = True
-                break
-    if config.tol == 0:
+        w = transport.OMEGA if iterations > 1 and not stalled_at else 1.0
+        f = f * (1.0 - w) + _tape_softmin(g, cost, eps, log_v, axis=1) * w
+        g = g * (1.0 - w) + _tape_softmin(f, cost, eps, log_u, axis=0) * w
         violation = _row_marginal_violation(f.value, g.value, cost.value, eps, log_u, log_v, u)
+        if config.tol > 0 and violation <= config.tol:
+            converged = True
+            break
+        if violation < best:
+            best, best_at = violation, iterations
+        elif not stalled_at and iterations - best_at >= transport.STALL and best > roundoff:
+            stalled_at = iterations
+    if config.tol == 0:
         converged = True
 
     log_plan = (
@@ -296,6 +306,7 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
         converged=converged,
         iterations=iterations,
         marginal_violation=float(violation),
+        stalled_at=stalled_at,
     )
 
 

@@ -3,10 +3,13 @@
 Oracles: scipy.stats.wasserstein_distance (independent exact W1), the
 sorted-matching closed form for equal sample counts, central finite
 differences for gradients, a soft-min over the dense cost matrix for the
-linear-time update, and the Sinkhorn loop unrolled on the tape
-(conftest.reference_sinkhorn) for the fused Sinkhorn node. Gradient checks
-run in fixed-budget mode (tol=0) so the compared program has an
-input-independent iteration count.
+linear-time update, and the overrelaxed Sinkhorn loop unrolled on the tape
+(conftest.reference_sinkhorn) for the fused Sinkhorn node; the same oracle
+with ``transport.OMEGA`` set to 1 is plain Sinkhorn. Gradient checks run in
+fixed-budget mode (tol=0) so the compared program has an input-independent
+iteration count; the relaxed gradient check also asserts that no
+finite-difference step moves the iteration at which the stall safeguard
+turns relaxation off.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grad_close, reference_sinkhorn, sorted_matching_w1
+from fairppm import transport
 from fairppm.autodiff import Tape
-from fairppm.transport import SinkhornConfig, _Softmin, exact_w1_1d, sinkhorn_distance
+from fairppm.transport import STALL, SinkhornConfig, _Softmin, exact_w1_1d, sinkhorn_distance
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +284,21 @@ def sinkhorn_fd_case(rng: np.random.Generator, max_side: int = 8):
     return a, b
 
 
-def sinkhorn_grad_vs_fd(a, b, cfg: SinkhornConfig, step: float = 1e-5):
+def sinkhorn_grad_vs_fd(a, b, cfg: SinkhornConfig, step: float = 1e-5) -> set:
+    """Check the gradients against central differences; returns the set of
+    iterations at which the stall safeguard fell back to plain updates, over
+    the checked call and every moved one (0 where it never did)."""
     tape = Tape()
     va, vb = tape.leaf(a), tape.leaf(b)
     result = sinkhorn_distance(va, vb, cfg)
     tape.backward(result.var)
     ga, gb = tape.grad(va).copy(), tape.grad(vb).copy()
+    stalls = {result.stalled_at}
 
     def value(x, y):
-        return sinkhorn_distance(x, y, cfg).value
+        moved = sinkhorn_distance(x, y, cfg)
+        stalls.add(moved.stalled_at)
+        return moved.value
 
     for arr, grad, other, swap in ((a, ga, b, False), (b, gb, a, True)):
         for i in range(arr.size):
@@ -302,6 +312,7 @@ def sinkhorn_grad_vs_fd(a, b, cfg: SinkhornConfig, step: float = 1e-5):
             assert grad_close(float(grad[i]), fd), (
                 f"sinkhorn grad mismatch (swap={swap}) at {i}: ad={grad[i]!r} fd={fd!r}"
             )
+    return stalls
 
 
 def prop_sinkhorn_gradcheck(cases: int, seed: int = 53) -> None:
@@ -314,6 +325,22 @@ def prop_sinkhorn_gradcheck(cases: int, seed: int = 53) -> None:
 
 def test_sinkhorn_gradcheck():
     prop_sinkhorn_gradcheck(30)
+
+
+def test_relaxed_sinkhorn_gradcheck():
+    # the fallback is a discrete branch, so no finite-difference step may
+    # straddle it. Within STALL iterations the safeguard cannot fire, so every
+    # iteration after the first is relaxed; the spread against every other
+    # point moved by 3 eps falls back to plain updates at the same iteration
+    # at every step, so the gradient runs through both phases
+    rng = np.random.default_rng(59)
+    relaxed = SinkhornConfig(epsilon=0.05, max_iters=STALL, tol=0.0)
+    for _ in range(10):
+        assert sinkhorn_grad_vs_fd(*sinkhorn_fd_case(rng), relaxed) == {0}
+    spread = np.linspace(0.0, 1.0, 8)
+    for epsilon in (0.02, 0.01):
+        cfg = SinkhornConfig(epsilon=epsilon, max_iters=80, tol=0.0)
+        assert sinkhorn_grad_vs_fd(spread, spread[::2] + 3 * epsilon, cfg) == {1 + STALL}
 
 
 def test_sinkhorn_gradients_flow_in_losses(rng):
@@ -363,3 +390,40 @@ def test_fused_sinkhorn_matches_unrolled_reference(epsilon, tol):
             assert got.marginal_violation == pytest.approx(
                 ref.marginal_violation, rel=1e-6, abs=1e-12
             ), label
+            assert got.stalled_at == ref.stalled_at, label
+
+
+# ---------------------------------------------------------------------------
+# sinkhorn: overrelaxation and its stall safeguard
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.01])
+def test_relaxed_sinkhorn_reaches_the_plain_fixed_point(epsilon, monkeypatch):
+    # each call stops with its row marginals within tol (L1) of exact, and a
+    # unit of misplaced mass moves the cost by at most the span of the
+    # samples, so two converged calls sit within about 2 * tol * span
+    rng = np.random.default_rng(71)
+    cfg = SinkhornConfig(epsilon=epsilon, max_iters=5000)
+    for _ in range(4):
+        a = rng.random(int(rng.integers(10, 40)))
+        b = rng.beta(2.0, 3.0, int(rng.integers(10, 40)))
+        relaxed = sinkhorn_distance(a, b, cfg)
+        with monkeypatch.context() as plain_omega:
+            plain_omega.setattr(transport, "OMEGA", 1.0)
+            plain = reference_sinkhorn(a, b, cfg)
+        assert relaxed.converged and plain.converged
+        span = max(a.max(), b.max()) - min(a.min(), b.min())
+        assert abs(relaxed.value - plain.value) <= 2 * cfg.tol * span
+        if epsilon == 0.01:
+            assert relaxed.iterations < plain.iterations
+
+
+def test_stall_safeguard_falls_back_to_plain_updates():
+    # a 40-point spread against every other point moved by 3 eps: the relaxed
+    # violation never again reaches its first-iteration value
+    spread = np.linspace(0.0, 1.0, 40)
+    cfg = SinkhornConfig(epsilon=1e-3)
+    result = sinkhorn_distance(spread, spread[::2] + 3e-3, cfg)
+    assert result.stalled_at == 1 + STALL
+    assert np.isfinite(result.value)
+    assert result.converged == (result.marginal_violation <= cfg.tol)
