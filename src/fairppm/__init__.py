@@ -54,7 +54,6 @@ from .nn import (
 )
 from .train import (
     Checkpoint,
-    ParetoFront,
     SweepPoint,
     TrainConfig,
     evaluate,

@@ -16,9 +16,8 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +86,11 @@ CONFIG_KEYS = (
 )
 
 
+# the top-level keys that flags override, each the argparse dest of its flag; the
+# --sinkhorn-* flags write into the nested "sinkhorn" record instead
+_FLAG_KEYS = ("seed", "lambda", "drop_sensitive", "max_len", "jobs", "out")
+
+
 class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
@@ -116,27 +120,18 @@ def _load_config(args) -> dict:
             raise ConfigError(
                 f"unknown config key {', '.join(unknown)} (valid keys: {', '.join(CONFIG_KEYS)})"
             )
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if getattr(args, "lam", None) is not None:
-        config["lambda"] = args.lam
-    if getattr(args, "drop_sensitive", False):
-        config["drop_sensitive"] = True
-    if getattr(args, "max_len", None) is not None:
-        config["max_len"] = args.max_len
+    for key in _FLAG_KEYS:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     for key, value in (("epsilon", args.sinkhorn_eps), ("max_iters", args.sinkhorn_iters)):
         if value is not None:
             sinkhorn = config.setdefault("sinkhorn", {})
             if not isinstance(sinkhorn, dict):
                 raise ConfigError(f"bad 'sinkhorn' config: expected an object, got {sinkhorn!r}")
             sinkhorn[key] = value
-    if args.jobs is not None:
-        config["jobs"] = args.jobs
     jobs = _get(config, "jobs", int, 1)
     if jobs < 1:
         raise ConfigError(f"'jobs' (--jobs) must be an integer >= 1, got {jobs!r}")
-    if args.out is not None:
-        config["out"] = args.out
     return config
 
 
@@ -231,36 +226,17 @@ def _lambda(config: dict, default: float = 0.0) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class _SweepRange:
-    """The ``{start, stop, step}`` form of the config's ``sweep``."""
-
-    start: float = 0.0
-    stop: float = 0.5
-    step: float = 0.05
-
-    def __post_init__(self):
-        if self.step <= 0 or self.stop < self.start:
-            raise ValueError("the range must have step > 0 and stop >= start")
-
-
 def _lambdas(config: dict) -> list:
-    raw = config.get("sweep")
-    if raw is None:
+    if config.get("sweep") is None:
         return default_lambdas()
-    if isinstance(raw, list):
-        values = _get(config, "sweep", list, item=float)
-        if not values:
-            raise ConfigError("'sweep' must list at least one lambda")
-    elif isinstance(raw, dict):
-        span = _record(_SweepRange, config, "sweep")
-        count = math.floor((span.stop - span.start) / span.step + 1e-9) + 1
-        values = [round(span.start + i * span.step, 10) for i in range(count)]
-    else:
-        raise ConfigError("'sweep' must be a list of lambdas or {start, stop, step}")
-    for v in values:
+    values = _get(config, "sweep", list, item=float)
+    if not values:
+        raise ConfigError("'sweep' must list at least one lambda")
+    for i, v in enumerate(values):
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"sweep lambda {v} outside [0,1]")
+        if v in values[:i]:
+            raise ConfigError(f"'sweep' lists lambda {v} twice")
     return values
 
 
@@ -527,7 +503,7 @@ def cmd_sweep(config: dict) -> int:
         return [getattr(p, key) for p in points]
 
     def on_front(key):
-        lams = {p.lam for p in pareto_front(points, key).points}
+        lams = {p.lam for p in pareto_front(points, key)}
         return [p.lam in lams for p in points]
 
     _write_csv(
@@ -669,10 +645,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run-config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--lambda", dest="lam", type=float, default=None, help="override lambda")
+        p.add_argument("--lambda", dest="lambda", type=float, default=None, help="override lambda")
         p.add_argument(
             "--drop-sensitive",
             action="store_true",
+            default=None,
             help="exclude the sensitive attribute from model inputs",
         )
         p.add_argument("--max-len", type=int, default=None, help="override max prefix length")

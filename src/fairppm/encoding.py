@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,29 +215,23 @@ class PackedDataset:
     mask: np.ndarray  # (N, T) bool
     y: np.ndarray  # (N,) float64
     s: np.ndarray  # (N,) int64
-    cat_order: list = field(default_factory=list)
-    num_order: list = field(default_factory=list)
 
     @classmethod
     def from_encoded(cls, encoded: list) -> "PackedDataset":
         if not encoded:
             raise ValueError("cannot pack an empty sample list")
-        cat_order = sorted(encoded[0].cat_indices)
-        num_order = sorted(encoded[0].num_values)
         return cls(
             cat={
                 a: np.array([e.cat_indices[a] for e in encoded], dtype=np.int64)
-                for a in cat_order
+                for a in sorted(encoded[0].cat_indices)
             },
             num={
                 a: np.array([e.num_values[a] for e in encoded], dtype=np.float64)
-                for a in num_order
+                for a in sorted(encoded[0].num_values)
             },
             mask=np.array([e.mask for e in encoded], dtype=bool),
             y=np.array([e.y for e in encoded], dtype=np.float64),
             s=np.array([e.s for e in encoded], dtype=np.int64),
-            cat_order=cat_order,
-            num_order=num_order,
         )
 
     def subset(self, indices) -> "PackedDataset":
@@ -248,8 +242,6 @@ class PackedDataset:
             mask=self.mask[idx],
             y=self.y[idx],
             s=self.s[idx],
-            cat_order=list(self.cat_order),
-            num_order=list(self.num_order),
         )
 
     def __len__(self):

@@ -149,8 +149,8 @@ def _silverman_bandwidth(samples: np.ndarray) -> float:
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
-def kde_pdf(samples, grid: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian-kernel density estimate on ``grid``.
+def kde_pdf(samples) -> np.ndarray:
+    """Gaussian-kernel density estimate on the standard grid.
 
     Bandwidth is Silverman's rule h = 0.9*min(sigma, IQR/1.34)*n^(-1/5),
     floored at 1e-3 so degenerate score piles stay finite.
@@ -158,28 +158,24 @@ def kde_pdf(samples, grid: np.ndarray | None = None) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("kde_pdf requires a nonempty sample")
-    if grid is None:
-        grid = _GRID
     h = _silverman_bandwidth(samples)
-    out = np.zeros(grid.size)
+    out = np.zeros(GRID_POINTS)
     # chunk the sample axis so the (chunk x grid) temporary stays small
     for start in range(0, samples.size, 512):
         chunk = samples[start : start + 512]
-        z = (grid[None, :] - chunk[:, None]) / h
+        z = (_GRID[None, :] - chunk[:, None]) / h
         out += np.exp(-0.5 * z * z).sum(axis=0)
     out /= samples.size * h * np.sqrt(2.0 * np.pi)
     return out
 
 
-def ecdf(samples, grid: np.ndarray | None = None) -> np.ndarray:
-    """Empirical CDF on ``grid``: fraction of samples <= x (right-continuous)."""
+def ecdf(samples) -> np.ndarray:
+    """Empirical CDF on the standard grid: fraction of samples <= x (right-continuous)."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("ecdf requires a nonempty sample")
-    if grid is None:
-        grid = _GRID
     sorted_samples = np.sort(samples)
-    return np.searchsorted(sorted_samples, grid, side="right") / samples.size
+    return np.searchsorted(sorted_samples, _GRID, side="right") / samples.size
 
 
 def trapezoid(values, grid) -> float:
@@ -193,12 +189,10 @@ def trapezoid(values, grid) -> float:
     return float(np.trapezoid(values, grid))
 
 
-def abpc(g: GroupedScores, grid: np.ndarray | None = None) -> float:
+def abpc(g: GroupedScores) -> float:
     """Area between the two groups' KDE probability density curves."""
     g.require_both("abpc")
-    if grid is None:
-        grid = _GRID
-    return trapezoid(np.abs(kde_pdf(g.s0, grid) - kde_pdf(g.s1, grid)), grid)
+    return trapezoid(np.abs(kde_pdf(g.s0) - kde_pdf(g.s1)), _GRID)
 
 
 def abcc(g: GroupedScores) -> float:
@@ -279,13 +273,12 @@ def optimal_threshold(scores, labels) -> float:
 def density_curve(g: GroupedScores) -> DensityCurve:
     """Both groups' PDFs and CDFs on the standard grid, for export/plotting."""
     g.require_both("density_curve")
-    grid = make_grid()
     return DensityCurve(
-        grid=grid,
-        f0=kde_pdf(g.s0, grid),
-        f1=kde_pdf(g.s1, grid),
-        F0=ecdf(g.s0, grid),
-        F1=ecdf(g.s1, grid),
+        grid=make_grid(),
+        f0=kde_pdf(g.s0),
+        f1=kde_pdf(g.s1),
+        F0=ecdf(g.s0),
+        F1=ecdf(g.s1),
     )
 
 

@@ -42,6 +42,13 @@ __all__ = [
 
 GATES = ("i", "f", "g", "o")
 BCE_CLAMP = 1e-7
+# the fixed optimizer (AdamW) and learning-rate schedule (cuts on plateaus)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+LR_FACTOR = 0.75
+LR_PATIENCE = 10
+LR_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -224,10 +231,10 @@ def forward(
         raise ValueError("every sample must have at least one unmasked event")
     n, steps = batch.mask.shape
 
-    # columns in cat_order, then num_order: the order of layer 0's W rows
-    channels = [ad.take(leaves[f"emb:{attr}"], batch.cat[attr]) for attr in batch.cat_order]
-    if batch.num_order:
-        channels.append(tape.constant(np.stack([batch.num[a] for a in batch.num_order], -1)))
+    # categorical columns by sorted name, then numeric ones: the order of layer 0's W rows
+    channels = [ad.take(leaves[f"emb:{attr}"], batch.cat[attr]) for attr in sorted(batch.cat)]
+    if batch.num:
+        channels.append(tape.constant(np.stack([batch.num[a] for a in sorted(batch.num)], -1)))
     x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
 
     # per-row reversal of the unmasked span; padding maps to itself
@@ -332,18 +339,10 @@ class AdamWState:
     v: dict = field(default_factory=dict)
 
 
-def adamw_step(
-    params: ModelParams,
-    grads: dict,
-    state: AdamWState,
-    lr: float,
-    betas: tuple = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 0.01,
-) -> None:
+def adamw_step(params: ModelParams, grads: dict, state: AdamWState, lr: float) -> None:
     """One AdamW update in place: decoupled decay, bias-corrected moments."""
     state.step += 1
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
     for name, w in params.arrays.items():
@@ -354,44 +353,40 @@ def adamw_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        w -= lr * weight_decay * w
-        w -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        w -= lr * WEIGHT_DECAY * w
+        w -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 class PlateauScheduler:
-    """Cut the learning rate by ``factor`` after ``patience`` consecutive
-    epochs whose validation loss fails to beat the best by more than
-    ``margin``; the stall counter resets on improvement and on reduction."""
+    """Cut the learning rate by LR_FACTOR after LR_PATIENCE consecutive epochs
+    whose validation loss fails to beat the best by more than LR_MARGIN; the
+    stall counter resets on improvement and on reduction."""
 
-    def __init__(self, lr: float, factor: float = 0.75, patience: int = 10, margin: float = 1e-3):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.factor = factor
-        self.patience = patience
-        self.margin = margin
         self.best = np.inf
         self.stall = 0
 
     def step(self, validation_loss: float) -> float:
-        if validation_loss < self.best - self.margin:
+        if validation_loss < self.best - LR_MARGIN:
             self.best = validation_loss
             self.stall = 0
         else:
             self.stall += 1
-            if self.stall >= self.patience:
-                self.lr *= self.factor
+            if self.stall >= LR_PATIENCE:
+                self.lr *= LR_FACTOR
                 self.stall = 0
         return self.lr
 
 
 class EarlyStopper:
-    """Stop after ``patience`` epochs without strict best-loss improvement,
-    or at the epoch cap; keeps a snapshot of the best parameters."""
+    """Stop after ``patience`` epochs without strict best-loss improvement
+    (the caller's loop caps the epochs); keeps the best parameters."""
 
-    def __init__(self, patience: int, max_epochs: int = 300):
+    def __init__(self, patience: int):
         if patience < 1:
             raise ValueError("patience must be >= 1")
         self.patience = patience
-        self.max_epochs = max_epochs
         self.best = np.inf
         self.best_epoch = 0
         self.best_params: ModelParams | None = None
@@ -407,4 +402,4 @@ class EarlyStopper:
             self.stall = 0
         else:
             self.stall += 1
-        return self.stall >= self.patience or self.epoch >= self.max_epochs
+        return self.stall >= self.patience

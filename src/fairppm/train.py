@@ -13,6 +13,7 @@ is active (lambda > 0) the batch size is forced to 512.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -56,7 +57,6 @@ __all__ = [
     "GridCell",
     "GridResult",
     "SweepPoint",
-    "ParetoFront",
     "GRID_AXES",
     "default_grid",
     "default_lambdas",
@@ -84,7 +84,7 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     """Epoch budget and early-stopping patience; defaults are the
     main-experiment values. The optimizer and the learning-rate schedule
-    are fixed: ``adamw_step``'s and ``PlateauScheduler``'s defaults."""
+    are fixed: the ``nn`` constants ``ADAM_BETAS`` through ``LR_MARGIN``."""
 
     max_epochs: int = 300
     patience: int = 50
@@ -160,7 +160,7 @@ def train_model(
     params = init_params(hyper, encoder, seed)
     adam = AdamWState()
     scheduler = PlateauScheduler(hyper.lr)
-    stopper = EarlyStopper(cfg.patience, max_epochs=cfg.max_epochs)
+    stopper = EarlyStopper(cfg.patience)
 
     group_empty = 0
     sink_evals = 0
@@ -278,12 +278,8 @@ def grid_search(
     AUC. Per-cell failures are recorded; only a fully failed grid raises."""
     grid = grid if grid is not None else default_grid()
     cfg = replace(cfg or TrainConfig(), patience=20)
-    loss_cfg = CompositeLossConfig(lam=0.0)
-
-    tasks = [
-        (train, valid, encoder, hyper, loss_cfg, seed, cfg) for hyper in grid
-    ]
-    outcomes = _run_tasks(_grid_cell_task, tasks, jobs)
+    task = functools.partial(_grid_cell_task, train, valid, encoder, seed, cfg)
+    outcomes = _run_tasks(task, grid, jobs)
 
     cells = []
     scored = []
@@ -298,10 +294,9 @@ def grid_search(
     return GridResult(best=select_best(scored), cells=cells)
 
 
-def _grid_cell_task(args):
-    train, valid, encoder, hyper, loss_cfg, seed, cfg = args
+def _grid_cell_task(train, valid, encoder, seed, cfg, hyper):
     try:
-        ckpt = train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg)
+        ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=0.0), seed, cfg)
         return float(auc(ckpt.valid_scores, ckpt.valid_labels))
     except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
         return f"{type(exc).__name__}: {exc}"
@@ -337,12 +332,6 @@ class SweepPoint:
         return self.error is not None or math.isnan(self.auc)
 
 
-@dataclass(frozen=True)
-class ParetoFront:
-    fairness_key: str  # "abpc" | "abcc"
-    points: tuple
-
-
 def lambda_sweep(
     train: PackedDataset,
     valid: PackedDataset,
@@ -364,25 +353,15 @@ def lambda_sweep(
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda {lam} outside [0,1]")
     sinkhorn = sinkhorn or SinkhornConfig()
-    tasks = [
-        (train, valid, test, encoder, hyper, float(lam), sinkhorn, seed, cfg)
-        for lam in sorted(lambdas)
-    ]
-    return _run_tasks(_sweep_point_task, tasks, jobs)
+    task = functools.partial(_sweep_point_task, train, valid, test, encoder, hyper, seed, cfg)
+    loss_cfgs = [CompositeLossConfig(lam=float(lam), sinkhorn=sinkhorn) for lam in sorted(lambdas)]
+    return _run_tasks(task, loss_cfgs, jobs)
 
 
-def _sweep_point_task(args) -> SweepPoint:
-    train, valid, test, encoder, hyper, lam, sinkhorn, seed, cfg = args
+def _sweep_point_task(train, valid, test, encoder, hyper, seed, cfg, loss_cfg) -> SweepPoint:
+    lam = loss_cfg.lam
     try:
-        ckpt = train_model(
-            train,
-            valid,
-            encoder,
-            hyper,
-            CompositeLossConfig(lam=lam, sinkhorn=sinkhorn),
-            seed,
-            cfg,
-        )
+        ckpt = train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg)
         scores = predict(ckpt.params, test)
         grouped = GroupedScores.from_scores(scores, test.s)
         return SweepPoint(
@@ -405,8 +384,8 @@ def _sweep_point_task(args) -> SweepPoint:
         )
 
 
-def pareto_front(points: list, fairness_key: str) -> ParetoFront:
-    """Non-dominated subset under (maximize AUC, minimize fairness metric).
+def pareto_front(points: list, fairness_key: str) -> tuple:
+    """Non-dominated points under (maximize AUC, minimize ``fairness_key``).
 
     Exact metric duplicates keep the lowest lambda; failed points are
     excluded. The front is sorted by AUC descending.
@@ -436,7 +415,7 @@ def pareto_front(points: list, fairness_key: str) -> ParetoFront:
         if not dominated:
             front.append(p)
     front.sort(key=lambda p: (-p.auc, fair(p), p.lam))
-    return ParetoFront(fairness_key=fairness_key, points=tuple(front))
+    return tuple(front)
 
 
 # ---------------------------------------------------------------------------

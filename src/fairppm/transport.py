@@ -9,7 +9,7 @@ memory, with no (n, m) cost matrix. Every iteration after the first is
 overrelaxed, f <- (1 - w) f + w U(g) and likewise for g with w = OMEGA,
 which reaches the same fixed point in fewer iterations (Thibault et al.
 2017, arXiv:1711.01851). A safeguard falls back to plain updates (w = 1)
-for the rest of a call once the marginal violation has gone STALL
+for the rest of a call once the row-marginal violation has gone STALL
 iterations without a new minimum. The whole loop is one tape node that,
 like every node, carries its own VJP. It replays the stored potentials in
 reverse, so its gradient is the exact adjoint of the unrolled relaxed
@@ -55,10 +55,10 @@ def exact_w1_1d(a, b) -> float:
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Entropic-OT settings. ``tol`` is an L1 bound on the row-marginal
-    violation of the implied plan; ``tol=0`` disables early exit so the
-    iteration count is input-independent (useful for finite-difference
-    checks). Cost exponent is fixed at 1 (absolute difference)."""
+    """Entropic-OT settings. ``tol`` is an L1 bound on the row- and on the
+    column-marginal violation of the implied plan; ``tol=0`` disables early
+    exit so the iteration count is input-independent (useful for finite-
+    difference checks). Cost exponent is fixed at 1 (absolute difference)."""
 
     epsilon: float = 0.01
     max_iters: int = 200
@@ -79,8 +79,9 @@ class SinkhornResult:
 
     ``var`` is the differentiable scalar (use in losses); ``value`` is its
     float. Non-convergence is reported through ``converged``, never raised.
-    ``stalled_at`` is the iteration after which the stall safeguard turned
-    overrelaxation off, 0 if it never did.
+    ``marginal_violation`` is the larger of the row and column L1
+    violations. ``stalled_at`` is the iteration after which the stall
+    safeguard turned overrelaxation off, 0 if it never did.
     """
 
     var: Var
@@ -137,11 +138,13 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
     iteration is plain (w_1 = 1); later ones use w = OMEGA until the
     row-marginal violation has gone STALL iterations without a new minimum
     while that minimum is above roundoff, and w = 1 from then on. The
-    violation of the plan at (f_k, g_k) is read off the unrelaxed
+    row violation of the plan at (f_k, g_k) is read off the unrelaxed
     U_f(g_k): row i of that plan sums to u_i * exp((f_k - U_f(g_k))_i / eps),
-    and U_f(g_k) is what iteration k + 1 relaxes into f_{k+1}. Samples and
-    potentials are kept in units of eps, the samples shifted so that their
-    minimum is 0; C is never formed.
+    and U_f(g_k) is what iteration k + 1 relaxes into f_{k+1}. Column j sums
+    to v_j * exp((1 - w_k)(g_{k-1} - U_g(f_k))_j / eps), v_j when w_k = 1;
+    both L1 violations must be within tol. Samples and potentials are kept
+    in units of eps, the samples shifted so that their minimum is 0; C is
+    never formed.
 
     The backward pass replays the iterations in reverse. Each update's
     output receives w_k times the adjoint of the potential it is relaxed
@@ -155,7 +158,11 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
     low = min(xs[0], ys[0])  # C is translation invariant
     log_u = np.full(n, -np.log(n))
     log_v = np.full(m, -np.log(m))
-    u = np.full(n, 1.0 / n)
+    u, v = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+
+    def column_violation(g_prev, g_up, w):  # the L1 violation of the columns; 0 if w = 1
+        return float((v * np.abs(np.expm1((1.0 - w) * (g_prev - g_up)))).sum())
+
     f_of = _Softmin(xs, ys, low, eps, log_v)  # f from g
     g_of = _Softmin(ys, xs, low, eps, log_u)  # g from f
     # below this a violation is rounding noise: f - U_f(g) subtracts terms of
@@ -168,27 +175,30 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
 
     converged = False
     best, best_at, stalled_at = np.inf, 0, 0
-    f_up, f_up_sums = f_of(np.zeros(m))
+    g = np.zeros(m)
+    f_up, f_up_sums = f_of(g)
     for iterations in range(1, config.max_iters + 1):
         w = OMEGA if iterations > 1 and not stalled_at else 1.0
         f = f_up if w == 1.0 else (1.0 - w) * f + w * f_up
         g_up, g_up_sums = g_of(f)
-        g = g_up if w == 1.0 else (1.0 - w) * g + w * g_up
+        g_prev, g = g, (g_up if w == 1.0 else (1.0 - w) * g + w * g_up)
         f_next, f_next_sums = f_of(g)
-        violation = float(np.abs(u * np.exp(f - f_next) - u).sum())
+        row = float(np.abs(u * np.exp(f - f_next) - u).sum())
         if record:
             f_slope, g_slope = f_of.slope(f_up, f_up_sums), g_of.slope(g_up, g_up_sums)
             history.append((w, f, g, f_up, f_slope, g_up, g_slope))
-        if config.tol > 0 and violation <= config.tol:
+        # the column violation is computed only where it can decide the stop
+        if config.tol > 0 and row <= config.tol and column_violation(g_prev, g_up, w) <= config.tol:
             converged = True
             break
-        if violation < best:
-            best, best_at = violation, iterations
+        if row < best:
+            best, best_at = row, iterations
         elif not stalled_at and iterations - best_at >= STALL and best > roundoff:
             stalled_at = iterations
         f_up, f_up_sums = f_next, f_next_sums
     if config.tol == 0:
         converged = True  # fixed-budget mode: ran exactly as requested
+    violation = max(row, column_violation(g_prev, g_up, w))
 
     row_cost, d_x_cost = f_of.moments(f + log_u, g + log_v)
     total = eps * row_cost.sum()

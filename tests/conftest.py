@@ -240,20 +240,22 @@ def _tape_softmin(pot, cost, eps: float, log_w, axis: int):
     return (log(summed) + tape.constant(shift)) * -eps
 
 
-def _row_marginal_violation(f, g, cost, eps, log_u, log_v, u) -> float:
-    log_plan = (f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :]
-    return float(np.abs(np.exp(log_plan).sum(axis=1) - u).sum())
+def _marginal_violations(f, g, cost, eps, log_u, log_v) -> tuple:
+    """The L1 violations of the row and of the column marginals of the plan."""
+    plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :])
+    row = np.abs(plan.sum(axis=1) - 1.0 / f.size).sum()
+    return float(row), float(np.abs(plan.sum(axis=0) - 1.0 / g.size).sum())
 
 
 def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornResult:
     """The overrelaxed log-domain Sinkhorn unrolled on the tape, two soft-min
-    nodes and two relaxation steps per iteration, with the row-marginal
-    violation recomputed from the plan on every iteration: the oracle for
+    nodes and two relaxation steps per iteration, with both marginal
+    violations recomputed from the plan on every iteration: the oracle for
     the package's fused node. Same sorting, canonical order, relaxation
     schedule (w = 1 on the first iteration, ``transport.OMEGA`` after it,
-    1 again once the violation has gone ``transport.STALL`` iterations
-    without a new minimum above roundoff), stopping rule and outputs as
-    ``fairppm.transport.sinkhorn_distance``."""
+    1 again once the row violation has gone ``transport.STALL`` iterations
+    without a new minimum above roundoff), stopping rule (both violations
+    within tol) and outputs as ``fairppm.transport.sinkhorn_distance``."""
     config = config or SinkhornConfig()
     tape = a.tape if isinstance(a, ad.Var) else b.tape if isinstance(b, ad.Var) else ad.Tape()
     av = a if isinstance(a, ad.Var) else tape.constant(np.asarray(a, dtype=np.float64))
@@ -269,7 +271,6 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
     eps = config.epsilon
     log_u = np.full(n, -np.log(n))
     log_v = np.full(m, -np.log(m))
-    u = np.full(n, 1.0 / n)
     cost = absolute(sub(reshape(a_sorted, (n, 1)), reshape(b_sorted, (1, m))))
     both = np.concatenate([a_sorted.value, b_sorted.value])
     roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + (both.max() - both.min()) / eps)
@@ -283,8 +284,8 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
         w = transport.OMEGA if iterations > 1 and not stalled_at else 1.0
         f = f * (1.0 - w) + _tape_softmin(g, cost, eps, log_v, axis=1) * w
         g = g * (1.0 - w) + _tape_softmin(f, cost, eps, log_u, axis=0) * w
-        violation = _row_marginal_violation(f.value, g.value, cost.value, eps, log_u, log_v, u)
-        if config.tol > 0 and violation <= config.tol:
+        violation, col = _marginal_violations(f.value, g.value, cost.value, eps, log_u, log_v)
+        if config.tol > 0 and max(violation, col) <= config.tol:
             converged = True
             break
         if violation < best:
@@ -305,7 +306,7 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
         value=float(total.value),
         converged=converged,
         iterations=iterations,
-        marginal_violation=float(violation),
+        marginal_violation=max(violation, col),
         stalled_at=stalled_at,
     )
 
@@ -367,8 +368,6 @@ def random_packed(rng: np.random.Generator, n: int, steps: int = 4, vocab: int =
         mask=mask,
         y=y.astype(np.float64),
         s=s.astype(np.int64),
-        cat_order=["activity"],
-        num_order=["score"],
     )
 
 

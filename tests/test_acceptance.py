@@ -153,10 +153,10 @@ def test_c5_lambda_trades_parity_gap_for_little_auc():
         "C5 lambda trade-off trend",
         top.abcc < 0.5 * base.abcc
         and top.auc <= base.auc + 0.02
-        and len(front.points) >= 3
+        and len(front) >= 3
         and elapsed < 1200,
         f"abcc {base.abcc:.3f} -> {mid.abcc:.3f} -> {top.abcc:.3f}, "
-        f"auc {base.auc:.3f} -> {top.auc:.3f}, front {len(front.points)} points, {elapsed:.0f}s",
+        f"auc {base.auc:.3f} -> {top.auc:.3f}, front {len(front)} points, {elapsed:.0f}s",
     )
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from fairppm import cli
+from fairppm import cli, nn
 from fairppm.cli import (
     CHECKPOINT_FILE,
     ENCODER_FILE,
@@ -41,6 +41,7 @@ from fairppm.train import (
     GRID_AXES,
     SweepPoint,
     TrainConfig,
+    default_lambdas,
     pareto_front,
     train_model,
 )
@@ -231,22 +232,8 @@ def test_sweep_default_range_yields_eleven_rows(tmp_path):
         for r in rows
     ]
     for col, key in ((4, "abpc"), (5, "abcc")):
-        front = pareto_front(points, key).points
+        front = pareto_front(points, key)
         assert [r[col] for r in rows] == ["true" if p in front else "false" for p in points]
-
-
-@pytest.mark.parametrize(
-    "span, expected",
-    [
-        ({"start": 0, "stop": 0.5, "step": 0.3}, [0.0, 0.3]),
-        ({"start": 0.9, "stop": 1.0, "step": 0.15}, [0.9]),
-        ({"start": 0.0, "stop": 0.3, "step": 0.1}, [0.0, 0.1, 0.2, 0.3]),  # 0.3 / 0.1 < 3
-        ({"start": 0.0, "stop": 0.5, "step": 0.05}, [round(0.05 * i, 2) for i in range(11)]),
-    ],
-    ids=lambda v: json.dumps(v) if isinstance(v, dict) else None,
-)
-def test_sweep_range_never_passes_stop(span, expected):
-    assert cli._lambdas({"sweep": span}) == expected
 
 
 def test_sweep_names_each_failed_point_and_its_error(pipeline, tmp_path, capsys, monkeypatch):
@@ -538,6 +525,8 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("sweep", {"sweep": {"start": 0.0, "stp": 0.1}}, "'stp'"),
         ("sweep", {"sweep": ["a"]}, "'a'"),
         ("sweep", {"sweep": []}, "'sweep'"),
+        ("sweep", {"sweep": [0.0, 0.3, 0.3]}, "'sweep' lists lambda 0.3 twice"),
+        ("sweep", {"sweep": {"start": 0.0, "stop": 0.5, "step": 0.05}}, "'sweep' value"),
         ("synth", {"bias_spec": {"n_case": 10}}, "'n_case'"),
         ("synth", {"bias_spec": {"activities": "abc"}}, "'activities' value 'abc' does not cast"),
         ("ingest", {"schema": BAD_SCHEMA_FILE}, "not valid JSON"),
@@ -820,11 +809,26 @@ def test_readme_config_keys_match_the_record_defaults():
         "train": as_json(asdict(TrainConfig())),
         "sinkhorn": as_json(asdict(SinkhornConfig())),
         "grid": as_json(GRID_AXES),
-        "sweep": as_json(asdict(cli._SweepRange())),
+        "sweep": default_lambdas(),
         "bias_spec": as_json(asdict(BiasSpec())),
     }
     for key, cls in (("hyper", Hyper), ("train", TrainConfig), ("sinkhorn", SinkhornConfig)):
         assert cli._record(cls, keys, key) == cls()
+
+
+def test_readme_states_the_fixed_optimizer_constants():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(
+        r"AdamW with betas \((\S+), (\S+)\), eps (\S+) and weight decay (\S+), and the "
+        r"learning rate cut by (\S+) after (\d+) epochs whose validation loss does not beat "
+        r"the best by more than (\S+?)\. ",
+        text,
+    )
+    assert sentence is not None
+    b1, b2, eps, decay, factor, patience, margin = map(float, sentence.groups())
+    assert (b1, b2) == nn.ADAM_BETAS
+    assert (eps, decay) == (nn.ADAM_EPS, nn.WEIGHT_DECAY)
+    assert (factor, patience, margin) == (nn.LR_FACTOR, nn.LR_PATIENCE, nn.LR_MARGIN)
 
 
 def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):

@@ -273,6 +273,6 @@ def test_packed_dataset_shapes_and_subset():
     sub = packed.subset([1])
     assert len(sub) == 1
     assert sub.y.tolist() == [1.0]
-    assert sub.cat_order == packed.cat_order
+    assert list(sub.cat) == list(packed.cat) and list(sub.num) == list(packed.num)
     with pytest.raises(ValueError):
         PackedDataset.from_encoded([])

@@ -125,23 +125,22 @@ def test_ddp_direct_arithmetic():
 
 def test_ecdf_single_point():
     grid = make_grid()
-    f = ecdf(np.array([0.5]), grid)
+    f = ecdf(np.array([0.5]))
     assert f[grid < 0.5].max() == 0.0
     assert f[grid >= 0.5].min() == 1.0
 
 
 def test_ecdf_quartiles():
     grid = make_grid()
-    f = ecdf(np.array([0.2, 0.4, 0.6, 0.8]), grid)
+    f = ecdf(np.array([0.2, 0.4, 0.6, 0.8]))
     i = np.searchsorted(grid, 0.5)
     assert f[i] == pytest.approx(0.5, abs=1e-15)
 
 
 def prop_ecdf_monotone(cases: int, seed: int = 17) -> None:
     rng = np.random.default_rng(seed)
-    grid = make_grid()
     for _ in range(cases):
-        f = ecdf(rng.random(int(rng.integers(1, 300))), grid)
+        f = ecdf(rng.random(int(rng.integers(1, 300))))
         assert (np.diff(f) >= 0).all()
         assert f[0] >= 0.0 and f[-1] == 1.0
 
@@ -176,7 +175,7 @@ def test_trapezoid_rejects_bad_grid():
 
 def test_kde_symmetric_about_sample_mean():
     grid = make_grid()
-    pdf = kde_pdf(np.array([0.4, 0.6]), grid)
+    pdf = kde_pdf(np.array([0.4, 0.6]))
     # the density of a symmetric sample mirrors about 0.5 on a symmetric grid
     assert np.allclose(pdf, pdf[::-1], atol=1e-12)
     # bimodal at this separation: modes sit just inside the sample points
@@ -188,13 +187,12 @@ def test_kde_mass_near_one():
     rng = np.random.default_rng(3)
     x = rng.uniform(0.3, 0.7, size=400)
     grid = make_grid()
-    mass = trapezoid(kde_pdf(x, grid), grid)
+    mass = trapezoid(kde_pdf(x), grid)
     assert abs(mass - 1.0) <= 0.01
 
 
 def test_kde_bandwidth_floor_on_constant_sample():
-    grid = make_grid()
-    pdf = kde_pdf(np.full(50, 0.5), grid)
+    pdf = kde_pdf(np.full(50, 0.5))
     assert np.isfinite(pdf).all()
     # sigma floors at 1e-3, so the peak is that of a narrow gaussian
     assert pdf.max() == pytest.approx(1.0 / (BANDWIDTH_FLOOR * np.sqrt(2 * np.pi)), rel=1e-6)
@@ -202,9 +200,8 @@ def test_kde_bandwidth_floor_on_constant_sample():
 
 def prop_kde_nonnegative(cases: int, seed: int = 29) -> None:
     rng = np.random.default_rng(seed)
-    grid = make_grid()
     for _ in range(cases):
-        pdf = kde_pdf(rng.random(int(rng.integers(1, 200))), grid)
+        pdf = kde_pdf(rng.random(int(rng.integers(1, 200))))
         assert (pdf >= 0).all()
         assert np.isfinite(pdf).all()
 

@@ -67,8 +67,6 @@ def separable_packed(n: int = 80, seed: int = 0) -> PackedDataset:
         mask=np.ones((n, steps), dtype=bool),
         y=y,
         s=s,
-        cat_order=["activity"],
-        num_order=["score"],
     )
 
 
@@ -129,6 +127,15 @@ def test_checkpoint_bookkeeping(small_data):
     assert np.array_equal(ckpt.valid_labels, valid.y)
     assert math.isfinite(ckpt.best_val_loss)
     assert ckpt.seed == 1
+
+
+def test_epoch_cap_ends_a_run_that_patience_cannot_stop(small_data):
+    # with patience >= max_epochs early stopping never fires, so the run
+    # ends at the training loop's bound
+    encoder, train, valid, _ = small_data
+    cfg = TrainConfig(max_epochs=3, patience=3)
+    ckpt = train_model(train, valid, encoder, Hyper(hidden=4), CompositeLossConfig(), 0, cfg)
+    assert ckpt.epochs_run == cfg.max_epochs
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3])
@@ -408,20 +415,20 @@ def test_pareto_spec_example():
         make_point(0.2, 0.75, 1.2),
     ]
     front = pareto_front(pts, "abpc")
-    assert [(p.auc, p.abpc) for p in front.points] == [(0.8, 1.0), (0.7, 0.5)]
+    assert [(p.auc, p.abpc) for p in front] == [(0.8, 1.0), (0.7, 0.5)]
 
 
 def test_pareto_single_point():
     pts = [make_point(0.3, 0.6, 0.4)]
     front = pareto_front(pts, "abpc")
-    assert front.points == (pts[0],)
+    assert front == (pts[0],)
 
 
 def test_pareto_identical_points_keep_lowest_lambda():
     pts = [make_point(lam, 0.6, 0.4) for lam in (0.3, 0.1, 0.5)]
     front = pareto_front(pts, "abpc")
-    assert len(front.points) == 1
-    assert front.points[0].lam == 0.1
+    assert len(front) == 1
+    assert front[0].lam == 0.1
 
 
 def test_pareto_excludes_failed_points():
@@ -430,9 +437,9 @@ def test_pareto_excludes_failed_points():
         make_point(0.1, 0.5, 0.5),
     ]
     front = pareto_front(pts, "abpc")
-    assert [p.lam for p in front.points] == [0.1]
+    assert [p.lam for p in front] == [0.1]
     all_failed = [make_point(0.0, float("nan"), float("nan"), error="x")]
-    assert pareto_front(all_failed, "abpc").points == ()
+    assert pareto_front(all_failed, "abpc") == ()
 
 
 def test_pareto_input_validation():
@@ -459,9 +466,9 @@ def prop_pareto_matches_brute_force(cases: int, seed: int = 97) -> None:
         ]
         ours = pareto_front(pts, key)
         ref = brute_force_pareto(pts, key)
-        assert list(ours.points) == ref
+        assert list(ours) == ref
         # no front point is dominated by any swept point
-        for p in ours.points:
+        for p in ours:
             for q in pts:
                 f_p, f_q = getattr(p, key), getattr(q, key)
                 assert not (q.auc >= p.auc and f_q <= f_p and (q.auc > p.auc or f_q < f_p))
@@ -480,7 +487,7 @@ def test_pareto_brute_force_at_scale(rng):
         )
         for i in range(1000)
     ]
-    assert list(pareto_front(pts, "abpc").points) == brute_force_pareto(pts, "abpc")
+    assert list(pareto_front(pts, "abpc")) == brute_force_pareto(pts, "abpc")
 
 
 # ---------------------------------------------------------------------------

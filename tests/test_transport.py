@@ -22,6 +22,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import grad_close, reference_sinkhorn, sorted_matching_w1
 from fairppm import transport
 from fairppm.autodiff import Tape
@@ -399,7 +400,7 @@ def test_fused_sinkhorn_matches_unrolled_reference(epsilon, tol):
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.01])
 def test_relaxed_sinkhorn_reaches_the_plain_fixed_point(epsilon, monkeypatch):
-    # each call stops with its row marginals within tol (L1) of exact, and a
+    # each call stops with both marginals within tol (L1) of exact, and a
     # unit of misplaced mass moves the cost by at most the span of the
     # samples, so two converged calls sit within about 2 * tol * span
     rng = np.random.default_rng(71)
@@ -427,3 +428,28 @@ def test_stall_safeguard_falls_back_to_plain_updates():
     assert result.stalled_at == 1 + STALL
     assert np.isfinite(result.value)
     assert result.converged == (result.marginal_violation <= cfg.tol)
+
+
+def test_converged_needs_the_column_marginal_within_tol_too(monkeypatch):
+    # a relaxed g leaves column j of the plan off by v_j |exp((1-w)(g_{k-1} -
+    # U_g(f_k))_j) - 1|; here that is still above tol at the iteration where
+    # the row violation first reaches it, so the call must run on
+    rng = np.random.default_rng(0)
+    a, b = rng.random(34), rng.beta(2.0, 3.0, 27)
+    cfg = SinkhornConfig(epsilon=0.05, max_iters=5000)
+    seen = []  # (row, column) violations of the oracle's dense plan, per iteration
+    measure = conftest._marginal_violations
+
+    def recording(*args):
+        seen.append(measure(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(conftest, "_marginal_violations", recording)
+    ref = reference_sinkhorn(a, b, cfg)
+    first = next(k for k, (row, _) in enumerate(seen, 1) if row <= cfg.tol)
+    assert seen[first - 1][1] > cfg.tol
+    capped = sinkhorn_distance(a, b, SinkhornConfig(epsilon=0.05, max_iters=first))
+    assert not capped.converged and capped.marginal_violation > cfg.tol
+    got = sinkhorn_distance(a, b, cfg)
+    assert got.converged and got.iterations == ref.iterations > first
+    assert max(seen[-1]) <= cfg.tol and got.marginal_violation <= cfg.tol
