@@ -42,8 +42,8 @@ from .metrics import (
     UndefinedMetricError,
     density_curve,
 )
-from .nn import CompositeLossConfig, Hyper, init_params, predict
-from .records import from_fields, json_cast
+from .nn import Hyper, init_params, predict
+from .records import from_fields, json_cast, read_json, write_json
 from .train import (
     TrainConfig,
     default_grid,
@@ -54,6 +54,7 @@ from .train import (
     load_checkpoint,
     pareto_front,
     save_checkpoint,
+    sweep_losses,
     train_model,
 )
 from .transport import SinkhornConfig
@@ -81,8 +82,8 @@ SCORES_FILE = "test_scores.csv"
 # every top-level key a config may hold; any other key exits 2
 CONFIG_KEYS = (
     "seed", "out", "n_cases", "bias_preset", "bias_spec", "log", "schema", "target_activity",
-    "sensitive_attr", "drop_sensitive", "max_len", "max_gen_len", "test_fraction",
-    "valid_fraction", "hyper", "grid", "train", "lambda", "sinkhorn", "sweep", "jobs", "runs",
+    "sensitive_attr", "drop_sensitive", "max_len", "test_fraction", "valid_fraction",
+    "hyper", "grid", "train", "lambda", "sinkhorn", "sweep", "jobs", "runs",
 )
 
 
@@ -129,9 +130,6 @@ def _load_config(args) -> dict:
             if not isinstance(sinkhorn, dict):
                 raise ConfigError(f"bad 'sinkhorn' config: expected an object, got {sinkhorn!r}")
             sinkhorn[key] = value
-    jobs = _get(config, "jobs", int, 1)
-    if jobs < 1:
-        raise ConfigError(f"'jobs' (--jobs) must be an integer >= 1, got {jobs!r}")
     return config
 
 
@@ -150,10 +148,7 @@ def _provenance_comment(config: dict) -> str:
 
 
 def _seed(config: dict) -> int:
-    seed = _get(config, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError("'seed' must be a non-negative integer")
-    return seed
+    return _int_at_least(config, "seed", 0, 0)
 
 
 def _out_dir(config: dict, create: bool = True) -> Path:
@@ -188,7 +183,7 @@ def _schema_from_config(config: dict) -> SchemaConfig:
         if not path.is_file():
             raise ConfigError(f"schema file '{path}' does not exist")
         try:
-            raw = _read_json(path)
+            raw = read_json(path)
         except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
@@ -204,10 +199,10 @@ def _fraction(config: dict, key: str, default: float) -> float:
     return value
 
 
-def _max_len(config: dict) -> int:
-    value = _get(config, "max_len", int, 6)
-    if value < 1:
-        raise ConfigError("'max_len' must be an integer >= 1")
+def _int_at_least(config: dict, key: str, default: int, least: int) -> int:
+    value = _get(config, key, int, default)
+    if value < least:
+        raise ConfigError(f"'{key}' must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -219,25 +214,18 @@ def _record(cls, config: dict, key: str):
         raise ConfigError(f"bad '{key}' config: {exc}") from None
 
 
-def _lambda(config: dict, default: float = 0.0) -> float:
-    value = _get(config, "lambda", float, default)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError("'lambda' must be a number in [0,1]")
-    return value
-
-
 def _lambdas(config: dict) -> list:
     if config.get("sweep") is None:
         return default_lambdas()
-    values = _get(config, "sweep", list, item=float)
-    if not values:
-        raise ConfigError("'sweep' must list at least one lambda")
-    for i, v in enumerate(values):
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"sweep lambda {v} outside [0,1]")
-        if v in values[:i]:
-            raise ConfigError(f"'sweep' lists lambda {v} twice")
-    return values
+    return _get(config, "sweep", list, item=float)
+
+
+def _losses(key: str, lambdas: list, sinkhorn: SinkhornConfig) -> list:
+    """``train.sweep_losses``, with an error naming the config ``key``."""
+    try:
+        return sweep_losses(lambdas, sinkhorn)
+    except ValueError as exc:
+        raise ConfigError(f"'{key}' {exc}") from None
 
 
 def _artifact(out: Path, name: str, reader):
@@ -249,22 +237,6 @@ def _artifact(out: Path, name: str, reader):
         return reader(path)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"malformed artifact '{path}': {type(exc).__name__}: {exc}") from None
-
-
-def _read_json(path: Path):
-    """A JSON file's payload, less the ``provenance`` object that every
-    command stamps into the JSON it writes (``schema.json``, ``encoder.json``)."""
-    payload = json.loads(path.read_text("utf-8"))
-    if isinstance(payload, dict) and isinstance(payload.get("provenance"), dict):
-        del payload["provenance"]
-    return payload
-
-
-def _write_json(path: Path, config: dict, payload: dict) -> None:
-    """``payload`` stamped with the config's provenance, as sorted JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**payload, "provenance": _provenance(config)}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 # how a CSV column formats its values, by NumPy dtype kind; any other kind by str
@@ -334,16 +306,14 @@ def cmd_synth(config: dict) -> int:
     else:
         preset = _get(config, "bias_preset", str, "high")
         n_cases = _get(config, "n_cases", int, 2000)
-        if n_cases < 1:
-            raise ConfigError("'n_cases' must be a positive integer")
         spec = BiasSpec.preset(preset, n_cases=n_cases)
     log = generate_synthetic_log(spec, seed)
 
     log_path = out / "log.csv"
     write_event_log(log, log_path, header_comment=_provenance_comment(config))
 
-    _write_json(out / "schema.json", config, asdict(log.schema))
-    _write_json(out / "bias_spec.json", config, asdict(spec))
+    write_json(out / "schema.json", asdict(log.schema), _provenance(config))
+    write_json(out / "bias_spec.json", asdict(spec), _provenance(config))
     print(f"wrote {log_path} ({len(log)} cases)")
     return EXIT_OK
 
@@ -358,20 +328,21 @@ def cmd_ingest(config: dict) -> int:
     target = _get(config, "target_activity", str)
     sensitive_attr = _get(config, "sensitive_attr", str, "case:protected")
     drop_sensitive = _get(config, "drop_sensitive", bool, False)
-    max_len = _max_len(config)
-    max_gen_len = _get(config, "max_gen_len", int, max_len)
-    if max_gen_len < 1:
-        raise ConfigError("'max_gen_len' must be an integer >= 1")
+    max_len = _int_at_least(config, "max_len", 6, 1)
 
     log = parse_event_log(log_path, schema)
     train_log, test_log = split_cases(log, _fraction(config, "test_fraction", 0.2), seed)
-    train_all = extract_prefixes(train_log, target, sensitive_attr, max_gen_len)
-    test_samples = extract_prefixes(test_log, target, sensitive_attr, max_gen_len)
+    train_all = extract_prefixes(train_log, target, sensitive_attr, max_len)
+    test_samples = extract_prefixes(test_log, target, sensitive_attr, max_len)
     train_samples, valid_samples = validation_split(
         train_all, _fraction(config, "valid_fraction", 0.2), seed
     )
     if not train_samples:
         raise ConfigError("ingest produced an empty training set")
+    if not valid_samples:
+        raise ConfigError("ingest produced an empty validation set; raise 'valid_fraction'")
+    if not test_samples:
+        raise ConfigError("ingest produced an empty test set; raise 'test_fraction'")
     encoder = fit_encoder(train_samples, schema, max_len, drop_sensitive, sensitive_attr)
 
     prov = _provenance(config)
@@ -379,10 +350,9 @@ def cmd_ingest(config: dict) -> int:
     write_samples_jsonl(valid_samples, out / VALID_SAMPLES, prov)
     write_samples_jsonl(test_samples, out / TEST_SAMPLES, prov)
 
-    _write_json(out / ENCODER_FILE, config, asdict(encoder))
-    _write_json(
+    write_json(out / ENCODER_FILE, asdict(encoder), prov)
+    write_json(
         out / SUMMARY_FILE,
-        config,
         {
             "cases": {"train": len(train_log), "test": len(test_log)},
             "splits": {
@@ -391,6 +361,7 @@ def cmd_ingest(config: dict) -> int:
                 "test": _split_stats(test_samples),
             },
         },
+        prov,
     )
     print(
         f"ingested {len(log)} cases -> {len(train_samples)} train / "
@@ -400,14 +371,14 @@ def cmd_ingest(config: dict) -> int:
 
 
 def _load_encoder(out: Path) -> EncoderSpec:
-    return _artifact(out, ENCODER_FILE, lambda path: from_fields(EncoderSpec, _read_json(path)))
+    return _artifact(out, ENCODER_FILE, lambda path: from_fields(EncoderSpec, read_json(path)))
 
 
-def cmd_train(config: dict) -> int:
+def cmd_train(config: dict, jobs: int) -> int:
     out = _out_dir(config)
     seed = _seed(config)
     sinkhorn = _record(SinkhornConfig, config, "sinkhorn")
-    loss_cfg = CompositeLossConfig(lam=_lambda(config), sinkhorn=sinkhorn)
+    (loss_cfg,) = _losses("lambda", [_get(config, "lambda", float, 0.0)], sinkhorn)
     train_cfg = _record(TrainConfig, config, "train")
     raw_hyper = config.get("hyper", "grid")
     grid = None
@@ -417,7 +388,6 @@ def cmd_train(config: dict) -> int:
         hyper = _record(Hyper, config, "hyper")
     else:
         raise ConfigError("'hyper' must be an object or the string \"grid\"")
-    jobs = config.get("jobs", 1)
     encoder = _load_encoder(out)
     train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
     valid_data = _load_packed(out, VALID_SAMPLES, encoder)
@@ -427,7 +397,7 @@ def cmd_train(config: dict) -> int:
             train_data, valid_data, encoder, seed, grid=grid, cfg=train_cfg, jobs=jobs
         )
         hyper = result.best
-        _write_json(out / GRID_FILE, config, asdict(result))
+        write_json(out / GRID_FILE, asdict(result), _provenance(config))
 
     ckpt = train_model(train_data, valid_data, encoder, hyper, loss_cfg, seed, train_cfg)
     ckpt.encoder_ref = {
@@ -471,7 +441,7 @@ def _grid(config: dict) -> list:
         raise ConfigError(f"bad 'grid' config: {exc}") from None
 
 
-def cmd_sweep(config: dict) -> int:
+def cmd_sweep(config: dict, jobs: int) -> int:
     out = _out_dir(config)
     seed = _seed(config)
     if not isinstance(config.get("hyper"), dict):
@@ -480,7 +450,7 @@ def cmd_sweep(config: dict) -> int:
     sinkhorn = _record(SinkhornConfig, config, "sinkhorn")
     train_cfg = _record(TrainConfig, config, "train")
     lambdas = _lambdas(config)
-    jobs = config.get("jobs", 1)
+    _losses("sweep", lambdas, sinkhorn)  # a bad list exits 2 before any artifact is read
     encoder = _load_encoder(out)
     train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
     valid_data = _load_packed(out, VALID_SAMPLES, encoder)
@@ -553,7 +523,7 @@ def cmd_evaluate(config: dict) -> int:
 
     scores = predict(ckpt.params, test_data)
     report = evaluate(ckpt, test_data, scores)
-    _write_json(out / REPORT_FILE, config, {"report": report.to_dict()})
+    write_json(out / REPORT_FILE, {"report": report.to_dict()}, _provenance(config))
 
     _write_csv(
         out / SCORES_FILE,
@@ -581,7 +551,7 @@ def cmd_report(config: dict, runs: list) -> int:
         report = _artifact(
             run_dir,
             REPORT_FILE,
-            lambda path: from_fields(EvalReport, json.loads(path.read_text("utf-8"))["report"]),
+            lambda path: from_fields(EvalReport, read_json(path)["report"]),
         )
         rows.append((run_dir.name, report))
 
@@ -666,14 +636,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        jobs = _int_at_least(config, "jobs", 1, 1)
         if args.command == "synth":
             return cmd_synth(config)
         if args.command == "ingest":
             return cmd_ingest(config)
         if args.command == "train":
-            return cmd_train(config)
+            return cmd_train(config, jobs)
         if args.command == "sweep":
-            return cmd_sweep(config)
+            return cmd_sweep(config, jobs)
         if args.command == "evaluate":
             return cmd_evaluate(config)
         if args.command == "report":

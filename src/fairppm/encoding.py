@@ -4,9 +4,10 @@ Categorical attributes (the activity plus any declared categorical column)
 become index sequences against train-fitted vocabularies, with index 0
 reserved for padding and out-of-vocabulary labels. Numeric and boolean
 attributes become min-max-scaled channels in [0,1], fitted on training data
-and clamped elsewhere. Static attributes are replicated at every unmasked
-position. Prefixes shorter than ``max_len`` are right-padded; longer ones
-keep their last ``max_len`` events.
+and clamped elsewhere. Each attribute is read as one value per event (a
+static one repeated at every event), so a sample that lacks an attribute
+does not encode. Prefixes shorter than ``max_len`` are right-padded; longer
+ones keep their last ``max_len`` events.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -120,27 +122,16 @@ def fit_encoder(
         if k in ("numeric", "boolean") and a not in excluded
     )
 
-    labels = {}
-    for attr in cat_attrs:
-        found = set()
-        for sample in train:
-            if attr == ACTIVITY:
-                found.update(e.activity for e in sample.events)
-            elif attr.startswith(STATIC_PREFIX):
-                found.add(sample.static_attrs[attr])
-            else:
-                found.update(e.dynamic_attrs[attr] for e in sample.events)
-        labels[attr] = sorted(found, key=_label_key)
+    events = [sample.events for sample in train]
 
+    def values(attr):  # attr's value at every event of every training sample
+        return chain.from_iterable(map(_column, train, repeat(attr), events))
+
+    labels = {attr: sorted(set(values(attr)), key=_label_key) for attr in cat_attrs}
     numeric_ranges = {}
     for attr in num_attrs:
-        values = []
-        for sample in train:
-            if attr.startswith(STATIC_PREFIX):
-                values.append(float(sample.static_attrs[attr]))
-            else:
-                values.extend(float(e.dynamic_attrs[attr]) for e in sample.events)
-        lo, hi = min(values), max(values)
+        floats = list(map(float, values(attr)))
+        lo, hi = min(floats), max(floats)
         if lo == hi:
             warnings.warn(
                 f"numeric attribute '{attr}' is constant ({lo}) in training data; "
@@ -159,13 +150,24 @@ def fit_encoder(
     )
 
 
+def _column(sample: RawPrefixSample, attr: str, events) -> list:
+    """``attr``'s value at each of ``events`` (of ``sample``): the activity, a
+    static ``case:`` value repeated, or a dynamic attribute. A missing
+    attribute raises KeyError."""
+    if attr == ACTIVITY:
+        return [e.activity for e in events]
+    if attr.startswith(STATIC_PREFIX):
+        return [sample.static_attrs[attr]] * len(events)
+    return [e.dynamic_attrs[attr] for e in events]
+
+
 def _label_key(label) -> tuple:
     # labels may mix types (booleans beside strings): booleans first, then by text
     return (not isinstance(label, bool), str(label))
 
 
 def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
-    """Encode one sample; a non-finite numeric or boolean value raises ValueError."""
+    """Encode one sample; a missing attribute raises KeyError, a non-finite value ValueError."""
     events = sample.events[-spec.max_len :]
     length = len(events)
     pad = spec.max_len - length
@@ -173,21 +175,13 @@ def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
     cat_indices = {}
     for attr in spec.categorical_attrs:
         vocab = spec.vocabularies[attr]
-        if attr == ACTIVITY:
-            row = [vocab.get(e.activity, 0) for e in events]
-        elif attr.startswith(STATIC_PREFIX):
-            row = [vocab.get(sample.static_attrs.get(attr), 0)] * length
-        else:
-            row = [vocab.get(e.dynamic_attrs.get(attr), 0) for e in events]
+        row = [vocab.get(v, 0) for v in _column(sample, attr, events)]
         cat_indices[attr] = tuple(row + [0] * pad)
 
     num_values = {}
     for attr in spec.numeric_attrs:
         lo, hi = spec.numeric_ranges[attr]
-        if attr.startswith(STATIC_PREFIX):
-            raw = [float(sample.static_attrs[attr])] * length
-        else:
-            raw = [float(e.dynamic_attrs[attr]) for e in events]
+        raw = list(map(float, _column(sample, attr, events)))
         if not all(map(math.isfinite, raw)):
             raise ValueError(f"'{attr}' holds a value that is not a finite number: {raw}")
         if hi > lo:

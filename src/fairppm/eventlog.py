@@ -106,14 +106,11 @@ class SchemaConfig:
 
 @dataclass(frozen=True)
 class Event:
-    case_id: str
     activity: str
     timestamp: datetime
     dynamic_attrs: dict
 
     def __post_init__(self):
-        if not self.case_id:
-            raise EventLogError("event case_id must be nonempty")
         if not self.activity:
             raise EventLogError("event activity must be nonempty")
 
@@ -127,9 +124,6 @@ class Trace:
     def __post_init__(self):
         if not self.events:
             raise EventLogError(f"trace '{self.case_id}' has no events")
-        for e in self.events:
-            if e.case_id != self.case_id:
-                raise EventLogError(f"trace '{self.case_id}' holds an event of case '{e.case_id}'")
         stamps = [e.timestamp for e in self.events]
         if any(b < a for a, b in zip(stamps, stamps[1:])):
             raise EventLogError(f"trace '{self.case_id}' events are not time-ordered")
@@ -253,7 +247,7 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
             dynamics = {
                 c: _parse_value(row[c], schema.attributes[c], c, line) for c in dynamic_cols
             }
-            event = Event(case_id, row["activity"], stamp, dynamics)
+            event = Event(row["activity"], stamp, dynamics)
             entry = cases.get(case_id)
             if entry is None:
                 cases[case_id] = {"static": statics, "events": [event]}
@@ -497,7 +491,6 @@ def generate_synthetic_log(spec: BiasSpec, seed: int) -> EventLog:
             stamp = stamp + timedelta(minutes=int(rng.integers(2, 30)))
             events.append(
                 Event(
-                    case_id=case_id,
                     activity=activity,
                     timestamp=stamp,
                     dynamic_attrs={
@@ -519,12 +512,12 @@ def sample_to_dict(sample: RawPrefixSample) -> dict:
         "case_id": sample.case_id,
         "outcome": sample.outcome,
         "sensitive": sample.sensitive,
-        "static_attrs": dict(sorted(sample.static_attrs.items())),
+        "static_attrs": sample.static_attrs,
         "events": [
             {
                 "activity": e.activity,
                 "timestamp": e.timestamp.isoformat(),
-                "dynamic_attrs": dict(sorted(e.dynamic_attrs.items())),
+                "dynamic_attrs": e.dynamic_attrs,
             }
             for e in sample.events
         ],
@@ -532,10 +525,8 @@ def sample_to_dict(sample: RawPrefixSample) -> dict:
 
 
 def sample_from_dict(d: dict) -> RawPrefixSample:
-    case_id = d["case_id"]
     events = tuple(
         Event(
-            case_id=case_id,
             activity=e["activity"],
             timestamp=datetime.fromisoformat(e["timestamp"]),
             dynamic_attrs=dict(e["dynamic_attrs"]),
@@ -543,7 +534,7 @@ def sample_from_dict(d: dict) -> RawPrefixSample:
         for e in d["events"]
     )
     return RawPrefixSample(
-        case_id=case_id,
+        case_id=d["case_id"],
         events=events,
         static_attrs=dict(d["static_attrs"]),
         outcome=int(d["outcome"]),

@@ -102,7 +102,7 @@ class CompositeLossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0,1]")
+            raise ValueError(f"lambda {self.lam} is outside [0,1]")
 
 
 def _directions(hyper: Hyper):

@@ -1,22 +1,43 @@
-"""The type rule that reads configs and JSON artifacts into dataclass
-records, the inverse of ``dataclasses.asdict``. It imports no other
-``fairppm`` module, so every layer may use it."""
+"""The JSON artifact format, and the type rule that reads configs and JSON
+artifacts into dataclass records, the inverse of ``dataclasses.asdict``. It
+imports no other ``fairppm`` module, so every layer may use it."""
 
 from __future__ import annotations
 
+import json
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
-__all__ = ["json_cast", "from_fields", "float_array"]
+__all__ = ["json_cast", "from_fields", "float_array", "write_json", "read_json"]
 
 # the types a value may have for a field type other than that type alone
 _JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
 
 # a float must lie within +-this: NaN fails both bounds, an int past float's range one
 _FLOAT_MAX = sys.float_info.max
+
+
+def write_json(path, payload: dict, provenance: dict | None = None) -> None:
+    """``payload`` as a JSON artifact: sorted keys, indent 2, arrays as lists
+    and a trailing newline, with ``provenance`` (when given) under its own key."""
+    if provenance:
+        payload = {**payload, "provenance": provenance}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
+        fh.write("\n")
+
+
+def read_json(path):
+    """A JSON file's payload, less the ``provenance`` object that
+    ``write_json`` stamps into an artifact."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if isinstance(payload, dict) and isinstance(payload.get("provenance"), dict):
+        del payload["provenance"]
+    return payload
 
 
 def json_cast(key: str, value, kind: type):

@@ -1,5 +1,7 @@
 """Training orchestration: single runs, grid search, lambda sweeps, Pareto
-fronts and test evaluation.
+fronts and test evaluation. Grid cells and sweep points run as isolated
+tasks: one that raises is recorded as its ``Type: message`` error, and the
+others still run.
 
 A training run shuffles mini-batches per epoch (per-epoch seed derived from
 the run seed and epoch index), optimizes with AdamW under a plateau LR
@@ -15,7 +17,6 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -46,7 +47,7 @@ from .nn import (
     init_params,
     predict,
 )
-from .records import from_fields
+from .records import from_fields, read_json, write_json
 from .transport import SinkhornConfig
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "GRID_AXES",
     "default_grid",
     "default_lambdas",
+    "sweep_losses",
     "select_best",
     "train_model",
     "grid_search",
@@ -295,18 +297,26 @@ def grid_search(
 
 
 def _grid_cell_task(train, valid, encoder, seed, cfg, hyper):
+    ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=0.0), seed, cfg)
+    return float(auc(ckpt.valid_scores, ckpt.valid_labels))
+
+
+def _isolated(fn, task):
+    """``fn(task)``, or the ``Type: message`` string of what it raised."""
     try:
-        ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=0.0), seed, cfg)
-        return float(auc(ckpt.valid_scores, ckpt.valid_labels))
-    except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
+        return fn(task)
+    except Exception as exc:  # noqa: BLE001 - one failed task must not end the others
         return f"{type(exc).__name__}: {exc}"
 
 
 def _run_tasks(fn, tasks, jobs):
+    """``fn`` over ``tasks`` in order; ``_isolated`` runs in the worker, so
+    the pool never raises."""
+    isolated = functools.partial(_isolated, fn)
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return list(map(isolated, tasks))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(isolated, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +325,17 @@ def _run_tasks(fn, tasks, jobs):
 
 def default_lambdas() -> list:
     return [round(0.05 * i, 2) for i in range(11)]
+
+
+def sweep_losses(lambdas: list, sinkhorn: SinkhornConfig) -> list:
+    """One ``CompositeLossConfig`` per lambda in ascending order; ValueError
+    for an empty list, a repeated lambda or one outside [0,1]."""
+    if not lambdas:
+        raise ValueError("lists no lambda")
+    for i, lam in enumerate(lambdas):
+        if lam in lambdas[:i]:
+            raise ValueError(f"lists lambda {lam} twice")
+    return [CompositeLossConfig(lam=float(lam), sinkhorn=sinkhorn) for lam in sorted(lambdas)]
 
 
 @dataclass(frozen=True)
@@ -344,77 +365,54 @@ def lambda_sweep(
     cfg: TrainConfig | None = None,
     jobs: int = 1,
 ) -> list:
-    """One train + test evaluation per lambda, same seed per point; failed
-    points are recorded with NaN metrics instead of aborting the sweep."""
+    """One train + test evaluation per lambda (``sweep_losses`` checks the
+    list), same seed per point, in ascending lambda order; failed points
+    are recorded with NaN metrics instead of aborting the sweep."""
     lambdas = default_lambdas() if lambdas is None else list(lambdas)
-    if not lambdas:
-        raise ValueError("lambdas must be nonempty")
-    for lam in lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda {lam} outside [0,1]")
-    sinkhorn = sinkhorn or SinkhornConfig()
+    loss_cfgs = sweep_losses(lambdas, sinkhorn or SinkhornConfig())
     task = functools.partial(_sweep_point_task, train, valid, test, encoder, hyper, seed, cfg)
-    loss_cfgs = [CompositeLossConfig(lam=float(lam), sinkhorn=sinkhorn) for lam in sorted(lambdas)]
-    return _run_tasks(task, loss_cfgs, jobs)
+    points = []
+    for loss_cfg, outcome in zip(loss_cfgs, _run_tasks(task, loss_cfgs, jobs)):
+        if isinstance(outcome, str):
+            nan = float("nan")
+            outcome = SweepPoint(loss_cfg.lam, nan, nan, nan, seed, converged=False, error=outcome)
+        points.append(outcome)
+    return points
 
 
 def _sweep_point_task(train, valid, test, encoder, hyper, seed, cfg, loss_cfg) -> SweepPoint:
-    lam = loss_cfg.lam
-    try:
-        ckpt = train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg)
-        scores = predict(ckpt.params, test)
-        grouped = GroupedScores.from_scores(scores, test.s)
-        return SweepPoint(
-            lam=lam,
-            auc=float(auc(scores, test.y)),
-            abpc=float(abpc(grouped)),
-            abcc=float(abcc(grouped)),
-            seed=seed,
-            converged=ckpt.converged,
-        )
-    except Exception as exc:  # noqa: BLE001 - failed points must not kill the sweep
-        return SweepPoint(
-            lam=lam,
-            auc=float("nan"),
-            abpc=float("nan"),
-            abcc=float("nan"),
-            seed=seed,
-            converged=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    ckpt = train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg)
+    scores = predict(ckpt.params, test)
+    grouped = GroupedScores.from_scores(scores, test.s)
+    return SweepPoint(
+        lam=loss_cfg.lam,
+        auc=float(auc(scores, test.y)),
+        abpc=float(abpc(grouped)),
+        abcc=float(abcc(grouped)),
+        seed=seed,
+        converged=ckpt.converged,
+    )
 
 
 def pareto_front(points: list, fairness_key: str) -> tuple:
     """Non-dominated points under (maximize AUC, minimize ``fairness_key``).
 
     Exact metric duplicates keep the lowest lambda; failed points are
-    excluded. The front is sorted by AUC descending.
+    excluded. A sweep in (-AUC, fairness, lambda) order, the front's own
+    order, keeps each point whose fairness is below every kept one's.
     """
     if fairness_key not in ("abpc", "abcc"):
         raise ValueError("fairness_key must be 'abpc' or 'abcc'")
     if not points:
         raise ValueError("points must be nonempty")
-    usable = [p for p in points if not p.failed]
 
     def fair(p):
         return getattr(p, fairness_key)
 
-    by_metrics = {}
-    for p in sorted(usable, key=lambda p: p.lam):
-        by_metrics.setdefault((p.auc, fair(p)), p)
-    candidates = list(by_metrics.values())
-
     front = []
-    for p in candidates:
-        dominated = any(
-            q.auc >= p.auc
-            and fair(q) <= fair(p)
-            and (q.auc > p.auc or fair(q) < fair(p))
-            for q in candidates
-        )
-        if not dominated:
+    for p in sorted((p for p in points if not p.failed), key=lambda p: (-p.auc, fair(p), p.lam)):
+        if not front or fair(p) < fair(front[-1]):
             front.append(p)
-    front.sort(key=lambda p: (-p.auc, fair(p), p.lam))
     return tuple(front)
 
 
@@ -439,17 +437,11 @@ def evaluate(
 
 
 def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> None:
-    payload = {"format_version": CHECKPOINT_VERSION, **asdict(ckpt)}
-    if provenance:
-        payload["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
-        fh.write("\n")
+    write_json(path, {"format_version": CHECKPOINT_VERSION, **asdict(ckpt)}, provenance)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     found = payload.get("format_version")
     if found != CHECKPOINT_VERSION:
         raise ValueError(
@@ -457,5 +449,4 @@ def load_checkpoint(path) -> Checkpoint:
             "rerun `train` to write a current checkpoint"
         )
     del payload["format_version"]
-    payload.pop("provenance", None)
     return from_fields(Checkpoint, payload)

@@ -526,6 +526,8 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("sweep", {"sweep": ["a"]}, "'a'"),
         ("sweep", {"sweep": []}, "'sweep'"),
         ("sweep", {"sweep": [0.0, 0.3, 0.3]}, "'sweep' lists lambda 0.3 twice"),
+        ("sweep", {"sweep": [0.0, 1.5]}, "'sweep' lambda 1.5 is outside [0,1]"),
+        ("train", {"lambda": 1.5}, "'lambda' lambda 1.5 is outside [0,1]"),
         ("sweep", {"sweep": {"start": 0.0, "stop": 0.5, "step": 0.05}}, "'sweep' value"),
         ("synth", {"bias_spec": {"n_case": 10}}, "'n_case'"),
         ("synth", {"bias_spec": {"activities": "abc"}}, "'activities' value 'abc' does not cast"),
@@ -539,6 +541,10 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("ingest", {"drop_sensitive": "false"}, "'drop_sensitive'"),
         ("train", {"lambda": True}, "'lambda'"),
         ("synth", {"seed": True}, "'seed'"),
+        ("synth", {"seed": -1}, "'seed' must be an integer >= 0"),
+        ("synth", {"n_cases": 0}, "n_cases must be >= 1"),
+        ("ingest", {"max_len": 0}, "'max_len' must be an integer >= 1"),
+        ("train", {"jobs": 0}, "'jobs' must be an integer >= 1"),
         ("ingest", {"max_len": True}, "'max_len'"),
         ("ingest", {"target_activity": 5}, "'target_activity'"),
         ("report", {"runs": "run"}, "'runs'"),
@@ -672,6 +678,11 @@ def edit_sample(number, change):
                 {"score": float("nan")}
             )),
             "case 'edited'", id="samples-score-nan",
+        ),
+        pytest.param(
+            "train", VALID_SAMPLES,
+            edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].pop("resource")),
+            "case 'edited'", id="samples-event-without-resource",
         ),
         pytest.param(
             "evaluate", TEST_SAMPLES,
@@ -882,3 +893,20 @@ def test_report_without_runs_is_config_error(tmp_path, capsys):
 def test_bad_jobs_flag(tmp_path):
     cfg_path = write_config(tmp_path, base_config(tmp_path / "j", n_cases=30))
     assert run("synth", cfg_path, "--jobs", "0") == EXIT_CONFIG
+
+
+def test_out_of_range_lambda_flag_exits_2_before_reading_artifacts(tmp_path, capsys):
+    out = tmp_path / "flag"
+    out.mkdir()
+    assert run("train", write_config(tmp_path, base_config(out)), "--lambda", "1.5") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'lambda' lambda 1.5 is outside [0,1]" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("key", ["valid_fraction", "test_fraction"])
+def test_ingest_exits_2_naming_a_fraction_that_leaves_a_split_empty(tmp_path, capsys, key):
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "tiny", n_cases=60, **{key: 0.001}))
+    assert run("synth", cfg_path) == EXIT_OK
+    assert run("ingest", cfg_path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"raise '{key}'" in err and "internal error" not in err

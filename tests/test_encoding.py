@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime
 
 import numpy as np
@@ -41,7 +41,7 @@ def make_sample(
     costs = costs if costs is not None else [10.0] * n
     resources = resources if resources is not None else ["r1"] * n
     events = tuple(
-        Event(case_id, a, datetime(2024, 1, 5, 8, i), {"cost": c, "resource": r})
+        Event(a, datetime(2024, 1, 5, 8, i), {"cost": c, "resource": r})
         for i, (a, c, r) in enumerate(zip(activities, costs, resources))
     )
     return RawPrefixSample(
@@ -152,6 +152,19 @@ def test_encode_oov_label_maps_to_pad_index():
     assert encoded.mask[:2] == (True, True)
 
 
+@pytest.mark.parametrize("attr", ["resource", "cost", "case:protected"])
+def test_encode_rejects_a_sample_missing_an_attribute(attr):
+    """A categorical attribute too: it is not read as the padding index."""
+    spec = fit_encoder(TRAIN, SCHEMA)
+    sample = make_sample(["A", "B"])
+    last = sample.events[-1]
+    dynamic = {k: v for k, v in last.dynamic_attrs.items() if k != attr}
+    static = {k: v for k, v in sample.static_attrs.items() if k != attr}
+    events = sample.events[:-1] + (replace(last, dynamic_attrs=dynamic),)
+    with pytest.raises(KeyError, match=attr):
+        encode(spec, replace(sample, events=events, static_attrs=static))
+
+
 def test_encode_clamps_out_of_range_numerics():
     spec = fit_encoder(TRAIN, SCHEMA)
     encoded = encode(spec, make_sample(["A", "A"], costs=[-100.0, 100.0]))
@@ -223,7 +236,7 @@ def flag_sample(flags) -> RawPrefixSample:
     return RawPrefixSample(
         case_id="c1",
         events=tuple(
-            Event("c1", "A", datetime(2024, 1, 5, i), {"flag": flag})
+            Event("A", datetime(2024, 1, 5, i), {"flag": flag})
             for i, flag in enumerate(flags)
         ),
         static_attrs={"case:protected": False},

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_pareto, build_datasets, random_packed, toy_encoder
 from fairppm.encoding import PackedDataset
@@ -24,6 +26,7 @@ from fairppm.train import (
     IPM_BATCH,
     Checkpoint,
     GridCell,
+    SweepPoint,
     TrainConfig,
     TrainingError,
     _validation_loss,
@@ -80,8 +83,6 @@ def make_point(lam, auc_value, fair, key="abpc", **kw):
         converged=True,
     )
     fields.update(kw)
-    from fairppm.train import SweepPoint
-
     return SweepPoint(**fields)
 
 
@@ -387,12 +388,20 @@ def test_sweep_records_failures_and_continues(small_data, monkeypatch):
     assert math.isnan(bad.auc) and not bad.converged
 
 
-def test_sweep_validates_lambdas(small_data):
+def test_sweep_validates_lambdas(small_data, monkeypatch):
     encoder, train, valid, test = small_data
-    with pytest.raises(ValueError):
-        lambda_sweep(train, valid, test, encoder, Hyper(), lambdas=[])
-    with pytest.raises(ValueError):
-        lambda_sweep(train, valid, test, encoder, Hyper(), lambdas=[0.2, 1.5])
+
+    def never(*args, **kwargs):
+        raise AssertionError("a bad lambda list must fail before any training")
+
+    monkeypatch.setattr("fairppm.train.train_model", never)
+    for lambdas, message in (
+        ([], "lists no lambda"),
+        ([0.2, 1.5], "lambda 1.5 is outside"),
+        ([0.3, 0.3], "lists lambda 0.3 twice"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            lambda_sweep(train, valid, test, encoder, Hyper(), lambdas=lambdas)
 
 
 def test_sweep_is_deterministic(small_data):
@@ -476,6 +485,30 @@ def prop_pareto_matches_brute_force(cases: int, seed: int = 97) -> None:
 
 def test_pareto_matches_brute_force():
     prop_pareto_matches_brute_force(200)
+
+
+# few distinct values, so that AUCs, fairness values and whole metric pairs tie
+# across lambdas; a point fails through its error or through a NaN AUC
+SWEPT_POINTS = st.lists(
+    st.builds(
+        SweepPoint,
+        lam=st.sampled_from(default_lambdas()),
+        auc=st.sampled_from([0.6, 0.7, 0.8, float("nan")]),
+        abpc=st.sampled_from([0.1, 0.2, 0.3]),
+        abcc=st.sampled_from([0.1, 0.2, 0.3]),
+        seed=st.just(0),
+        converged=st.booleans(),
+        error=st.sampled_from([None, None, None, "RuntimeError: boom"]),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=SWEPT_POINTS, key=st.sampled_from(["abpc", "abcc"]))
+def test_pareto_matches_the_pairwise_definition(points, key):
+    assert list(pareto_front(points, key)) == brute_force_pareto(points, key)
 
 
 def test_pareto_brute_force_at_scale(rng):
