@@ -192,13 +192,6 @@ def _schema_from_config(config: dict) -> SchemaConfig:
     return _record(SchemaConfig, {"schema": raw}, "schema")
 
 
-def _fraction(config: dict, key: str, default: float) -> float:
-    value = _get(config, key, float, default)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"'{key}' must be a number in (0,1)")
-    return value
-
-
 def _int_at_least(config: dict, key: str, default: int, least: int) -> int:
     value = _get(config, key, int, default)
     if value < least:
@@ -331,11 +324,11 @@ def cmd_ingest(config: dict) -> int:
     max_len = _int_at_least(config, "max_len", 6, 1)
 
     log = parse_event_log(log_path, schema)
-    train_log, test_log = split_cases(log, _fraction(config, "test_fraction", 0.2), seed)
+    train_log, test_log = split_cases(log, _get(config, "test_fraction", float, 0.2), seed)
     train_all = extract_prefixes(train_log, target, sensitive_attr, max_len)
     test_samples = extract_prefixes(test_log, target, sensitive_attr, max_len)
     train_samples, valid_samples = validation_split(
-        train_all, _fraction(config, "valid_fraction", 0.2), seed
+        train_all, _get(config, "valid_fraction", float, 0.2), seed
     )
     if not train_samples:
         raise ConfigError("ingest produced an empty training set")

@@ -351,7 +351,7 @@ def _holdout(items, fraction: float, seed: int, fraction_name: str, what: str):
     the round half up of ``fraction * len(items)``, and both parts keep
     the input order."""
     if not 0.0 < fraction < 1.0:
-        raise SplitError(f"{fraction_name} must be in (0,1)")
+        raise SplitError(f"'{fraction_name}' must be a number in (0,1), got {fraction!r}")
     n = len(items)
     if n < 2:
         raise SplitError(f"need at least 2 {what} to split")
@@ -366,10 +366,10 @@ def split_cases(log: EventLog, test_fraction: float, seed: int) -> tuple[EventLo
     return EventLog(tuple(train), log.schema), EventLog(tuple(test), log.schema)
 
 
-def validation_split(samples: list, fraction: float, seed: int) -> tuple[list, list]:
+def validation_split(samples: list, valid_fraction: float, seed: int) -> tuple[list, list]:
     """Sample-level (not case-level) partition, round half up on the
     validation size; both halves keep the original relative order."""
-    return _holdout(samples, fraction, seed, "fraction", "samples")
+    return _holdout(samples, valid_fraction, seed, "valid_fraction", "samples")
 
 
 # ---------------------------------------------------------------------------

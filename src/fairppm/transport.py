@@ -11,11 +11,13 @@ which reaches the same fixed point in fewer iterations (Thibault et al.
 2017, arXiv:1711.01851). A safeguard falls back to plain updates (w = 1)
 for the rest of a call once the row-marginal violation has gone STALL
 iterations without a new minimum. The whole loop is one tape node that,
-like every node, carries its own VJP. It replays the stored potentials in
-reverse, so its gradient is the exact adjoint of the unrolled relaxed
-iterations: each update's output receives w times the adjoint of the
-potential it is relaxed into, and 1 - w of that adjoint carries over to
-the potential's previous value.
+like every node, carries its own VJP. It differentiates the fixed point
+rather than the loop (Luise et al. 2018, arXiv:1805.11897; Eisenberger et
+al. 2022, CVPR): one linear solve in the Jacobian of the plan's marginals,
+by preconditioned conjugate gradients, gives the gradient from the final
+potentials alone, so the node keeps O(n + m) memory whatever the number of
+iterations. A call capped before convergence gets this implicit gradient at
+its last potentials.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ __all__ = ["SinkhornConfig", "SinkhornResult", "exact_w1_1d", "sinkhorn_distance
 
 OMEGA = 1.8  # overrelaxation factor of every Sinkhorn iteration after the first
 STALL = 30  # iterations without a new minimum violation before w falls back to 1
+CG_RTOL = 1e-12  # relative residual at which the backward's linear solve stops
+# its cap is CG_CAP steps per sample: CG in floating point can need more than
+# the n + m steps of exact arithmetic on the near-singular H of a capped call
+CG_CAP = 4
 
 
 def exact_w1_1d(a, b) -> float:
@@ -129,8 +135,51 @@ def sinkhorn_distance(a, b, config: SinkhornConfig | None = None) -> SinkhornRes
 
 
 def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
-    """Run the overrelaxed log-domain iterations on C = |x_i - y_j| and push
-    the sharp cost <P, C> as one tape node.
+    """Solve for the potentials on C = |x_i - y_j| and push the sharp cost
+    <P, C> as one tape node whose backward differentiates the fixed point.
+
+    Samples and potentials are kept in units of eps, the samples shifted so
+    that their minimum is 0; C is never formed. With a = f + log u and
+    b = g + log v, P_ij = exp(a_i + b_j - |t_i - s_j|). The fixed point sets
+    the row and column sums (r, c) of P to (u, v); their Jacobian in (f, g)
+    is H = [[diag r, P], [P^T, diag c]], so with H lam = d cost / d(f, g) =
+    (row_cost, col_cost), the gradient in x_i is the direct term plus
+    sum_j P_ij sign(t_i - s_j) (lam_f_i + lam_g_j), and likewise in y_j.
+    r and c are the plan's actual sums, so H is PSD with null vector (1, -1),
+    to which the right-hand side is orthogonal: a capped call gets this
+    gradient at its last potentials.
+    """
+    xs, ys = x.value, y.value
+    n, m = xs.size, ys.size
+    eps = config.epsilon
+    low = min(xs[0], ys[0])  # C is translation invariant
+    log_u = np.full(n, -np.log(n))
+    log_v = np.full(m, -np.log(m))
+    f_of = _Softmin(xs, ys, low, eps, log_v)  # f from g
+    g_of = _Softmin(ys, xs, low, eps, log_u)  # g from f
+    f, g, *counts = _solve(f_of, g_of, config)
+    a, b = f + log_u, g + log_v
+    row_cost, d_x_cost = f_of.moments(a, b)
+    total = eps * row_cost.sum()
+
+    def vjp(g_out):
+        # an adjoint of x is eps times that of x / eps, so no eps appears
+        col_cost, d_y_cost = g_of.moments(b, a)
+        (r,), (x_sign,) = f_of.sums(a, b, np.ones((1, m)))
+        (c,), (y_sign,) = g_of.sums(b, a, np.ones((1, n)))
+        lam_f, lam_g = _implicit_solve(f_of, g_of, a, b, r, c, row_cost, col_cost)
+        (x_lam,), (y_lam,) = f_of.sums(a, b, lam_g[None])[1], g_of.sums(b, a, lam_f[None])[1]
+        d_x, d_y = d_x_cost + x_lam + lam_f * x_sign, d_y_cost + y_lam + lam_g * y_sign
+        return g_out * d_x, g_out * d_y
+
+    var = custom_op((x, y), total, vjp)
+    return SinkhornResult(var, float(total), *counts)
+
+
+def _solve(f_of, g_of, config: SinkhornConfig):
+    """The overrelaxed log-domain iterations: the final potentials f, g (in
+    units of eps) and the ``converged``, ``iterations``,
+    ``marginal_violation`` and ``stalled_at`` of the call.
 
     With U_f(g) the soft-min over j of C - g and U_g(f) the soft-min over i
     of C - f, iteration k sets f_k = (1 - w_k) f_{k-1} + w_k U_f(g_{k-1})
@@ -142,51 +191,28 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
     U_f(g_k): row i of that plan sums to u_i * exp((f_k - U_f(g_k))_i / eps),
     and U_f(g_k) is what iteration k + 1 relaxes into f_{k+1}. Column j sums
     to v_j * exp((1 - w_k)(g_{k-1} - U_g(f_k))_j / eps), v_j when w_k = 1;
-    both L1 violations must be within tol. Samples and potentials are kept
-    in units of eps, the samples shifted so that their minimum is 0; C is
-    never formed.
-
-    The backward pass replays the iterations in reverse. Each update's
-    output receives w_k times the adjoint of the potential it is relaxed
-    into, and the other (1 - w_k) carries over to that potential's previous
-    value. The soft-min VJPs take the unrelaxed outputs, so ``history``
-    keeps w_k, f_k, g_k and both unrelaxed outputs with their slopes.
+    both L1 violations must be within tol.
     """
-    xs, ys = x.value, y.value
-    n, m = xs.size, ys.size
-    eps = config.epsilon
-    low = min(xs[0], ys[0])  # C is translation invariant
-    log_u = np.full(n, -np.log(n))
-    log_v = np.full(m, -np.log(m))
+    n, m = f_of.t.size, f_of.s.size
     u, v = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
 
     def column_violation(g_prev, g_up, w):  # the L1 violation of the columns; 0 if w = 1
         return float((v * np.abs(np.expm1((1.0 - w) * (g_prev - g_up)))).sum())
 
-    f_of = _Softmin(xs, ys, low, eps, log_v)  # f from g
-    g_of = _Softmin(ys, xs, low, eps, log_u)  # g from f
     # below this a violation is rounding noise: f - U_f(g) subtracts terms of
     # the order of the span over eps, and the LSEs run over n + m samples
-    roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + (max(xs[-1], ys[-1]) - low) / eps)
-    record = x.tape.nodes[x.idx].needs_grad or y.tape.nodes[y.idx].needs_grad
-    # per iteration w_k, f_k, g_k and the unrelaxed U_f(g_{k-1}), U_g(f_k)
-    # with their slopes, replayed by the backward pass
-    history = []
-
+    roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + max(f_of.t[-1], f_of.s[-1]))
     converged = False
     best, best_at, stalled_at = np.inf, 0, 0
     g = np.zeros(m)
-    f_up, f_up_sums = f_of(g)
+    f_up = f_of(g)
     for iterations in range(1, config.max_iters + 1):
         w = OMEGA if iterations > 1 and not stalled_at else 1.0
         f = f_up if w == 1.0 else (1.0 - w) * f + w * f_up
-        g_up, g_up_sums = g_of(f)
+        g_up = g_of(f)
         g_prev, g = g, (g_up if w == 1.0 else (1.0 - w) * g + w * g_up)
-        f_next, f_next_sums = f_of(g)
-        row = float(np.abs(u * np.exp(f - f_next) - u).sum())
-        if record:
-            f_slope, g_slope = f_of.slope(f_up, f_up_sums), g_of.slope(g_up, g_up_sums)
-            history.append((w, f, g, f_up, f_slope, g_up, g_slope))
+        f_up = f_of(g)
+        row = float(np.abs(u * np.exp(f - f_up) - u).sum())
         # the column violation is computed only where it can decide the stop
         if config.tol > 0 and row <= config.tol and column_violation(g_prev, g_up, w) <= config.tol:
             converged = True
@@ -195,41 +221,42 @@ def _sinkhorn_node(x: Var, y: Var, config: SinkhornConfig) -> SinkhornResult:
             best, best_at = row, iterations
         elif not stalled_at and iterations - best_at >= STALL and best > roundoff:
             stalled_at = iterations
-        f_up, f_up_sums = f_next, f_next_sums
     if config.tol == 0:
         converged = True  # fixed-budget mode: ran exactly as requested
     violation = max(row, column_violation(g_prev, g_up, w))
-
-    row_cost, d_x_cost = f_of.moments(f + log_u, g + log_v)
-    total = eps * row_cost.sum()
-
-    def vjp(g_out):
-        # the sharp cost first, then each iteration's two relaxed updates in
-        # reverse. In units of eps, d cost / d f is row_cost / eps, and an
-        # adjoint of x is eps times that of x / eps, so no eps appears.
-        col_cost, d_y_cost = g_of.moments(g + log_v, f + log_u)
-        d_f, d_g = g_out * row_cost, g_out * col_cost  # adjoints of f_K, g_K
-        d_x, d_y = g_out * d_x_cost, g_out * d_y_cost
-        for k in range(len(history) - 1, -1, -1):
-            w, f_k, _, f_up, f_slope, g_up, g_slope = history[k]
-            # g_k = (1 - w) g_{k-1} + w U_g(f_k)
-            d_pot, d_t, d_s = g_of.vjp(w * d_g, f_k, g_up, g_slope)
-            d_y += d_t
-            d_x += d_s
-            d_f = d_f + d_pot
-            # f_k = (1 - w) f_{k-1} + w U_f(g_{k-1})
-            g_prev = history[k - 1][2] if k else np.zeros(m)
-            d_pot, d_t, d_s = f_of.vjp(w * d_f, g_prev, f_up, f_slope)
-            d_x += d_t
-            d_y += d_s
-            d_f, d_g = (1.0 - w) * d_f, (1.0 - w) * d_g + d_pot
-        return d_x, d_y
-
-    var = custom_op((x, y), total, vjp if record else None)
-    return SinkhornResult(var, float(total), converged, iterations, violation, stalled_at)
+    return f, g, converged, iterations, violation, stalled_at
 
 
-_SIGNS = np.array([[1.0], [-1.0]])  # rows of the positive and negative parts
+def _implicit_solve(f_of, g_of, a, b, r, c, rhs_f, rhs_g):
+    """Solve H lam = (rhs_f, rhs_g), H = [[diag r, P], [P^T, diag c]], by
+    conjugate gradients preconditioned with diag(r, c), to a relative
+    residual of CG_RTOL or CG_CAP * (n + m) steps. Each product H z is one
+    ``sums`` on either side."""
+    n = r.size
+    diag, rhs = np.concatenate([r, c]), np.concatenate([rhs_f, rhs_g])
+
+    def product(z):
+        (p_z,), (pt_z,) = f_of.sums(a, b, z[None, n:])[0], g_of.sums(b, a, z[None, :n])[0]
+        return diag * z + np.concatenate([p_z, pt_z])
+
+    lam, res = np.zeros_like(rhs), rhs.copy()
+    z = res / diag
+    step, rz = z, res @ z
+    stop = CG_RTOL * np.linalg.norm(rhs)
+    for _ in range(CG_CAP * rhs.size):
+        if np.linalg.norm(res) <= stop:
+            break
+        h_step = product(step)
+        alpha = rz / (step @ h_step)
+        lam += alpha * step
+        res -= alpha * h_step
+        z = res / diag
+        rz, rz_prev = res @ z, rz
+        step = z + (rz / rz_prev) * step
+    return lam[:n], lam[n:]
+
+
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # the positive and negative parts
 
 
 def _prefix_lse(v):
@@ -252,16 +279,15 @@ class _Softmin:
     at or below t_i enters as A_j - t_i with A_j = p_j + lw_j + s_j, one
     above it as B_j + t_i with B_j = p_j + lw_j - s_j, so the sum over j is
     a prefix LSE of A and a suffix LSE of B at t_i's search index: O(n + m)
-    time and memory. The raw samples decide the sides, so a tie
-    (sign(t_i - s_j) = 0) falls on neither side."""
+    time and memory. The raw samples decide the sides: a tie
+    (sign(t_i - s_j) = 0) enters a sum over sources but neither side of a
+    signed one."""
 
     def __init__(self, t, s, low, eps, log_w):
         self.t, self.s = te, se = (t - low) / eps, (s - low) / eps
         self.up, self.down = log_w + se, log_w - se
         self.below = np.searchsorted(s, t, "left")  # sources < t_i
         self.not_above = np.searchsorted(s, t, "right")  # sources <= t_i
-        self.t_below = np.searchsorted(t, s, "left")  # targets < s_j
-        self.t_not_above = np.searchsorted(t, s, "right")  # targets <= s_j
         # t_i's gaps to its nearest sources, and log(s_l - s_{l-1}) -inf-padded
         self.gap_below = te - se[self.below - 1]
         self.gap_above = np.append(se, 0.0)[self.not_above] - te
@@ -269,32 +295,26 @@ class _Softmin:
             self.log_gaps = np.log(np.diff(se, prepend=se[0])), np.log(np.diff(se, append=se[-1]))
 
     def __call__(self, p):
-        """The update of p, and the prefix and suffix LSEs it was built from."""
+        """The update of p."""
         pre, suf = _prefix_lse(p + self.up), _suffix_lse(p + self.down)
         k = self.not_above
-        return -np.logaddexp(pre[k] - self.t, suf[k] + self.t), (pre, suf)
+        return -np.logaddexp(pre[k] - self.t, suf[k] + self.t)
 
-    def slope(self, out, sums):
-        """d out_i / d t_i for ``out, sums = self(p)``: the weights of the
-        sources below t_i less those of the sources above it."""
-        below = np.exp(sums[0][self.below] + (out - self.t))
-        return below - np.exp(sums[1][self.not_above] + (out + self.t))
-
-    def vjp(self, d_out, p, out, slope):
-        """Adjoints of p, t and s for the adjoint ``d_out`` of ``out``, with
-        ``out`` and ``slope`` from ``self(p)`` and ``self.slope``. The positive
-        and negative parts of d_out are the two rows of one log-domain sum,
-        so no e^A or e^B is formed."""
-        a, b = p + self.up, p + self.down
+    def sums(self, t_w, s_w, z):
+        """For each row of z (one entry per source), per target the sums over
+        sources of P_ij z_j and of P_ij sign(t_i - s_j) z_j, with P_ij =
+        exp(t_w_i + s_w_j - |t_i - s_j|). The positive and negative parts of
+        z are the rows of one log-domain sum, so no e^(s_w_j + s_j) is formed.
+        A tie enters P z but neither side of the signed sum."""
         with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(d_out)) + out
-        log_d = np.where(d_out * _SIGNS > 0, log_abs, -np.inf)
-        lt = np.exp(_prefix_lse(log_d + self.t)[:, self.t_below] + b)  # targets < s_j
-        suf = _suffix_lse(log_d - self.t)
-        ge = np.exp(suf[:, self.t_below] + a)  # targets >= s_j
-        gt = np.exp(suf[:, self.t_not_above] + a)  # targets > s_j
-        lt, ge, gt = lt[0] - lt[1], ge[0] - ge[1], gt[0] - gt[1]
-        return -(ge + lt), d_out * slope, lt - gt
+            log_z = np.where(z * _SIGNS > 0, np.log(np.abs(z)) + s_w, -np.inf)
+        pre, suf = _prefix_lse(log_z + self.s), _suffix_lse(log_z - self.s)
+        lo, hi = t_w - self.t, t_w + self.t
+        # each: the sum over the positive part of z less that over the negative
+        below = np.subtract(*np.exp(pre[..., self.below] + lo))
+        not_above = np.subtract(*np.exp(pre[..., self.not_above] + lo))
+        above = np.subtract(*np.exp(suf[..., self.not_above] + hi))
+        return not_above + above, below - above
 
     def moments(self, t_w, s_w):
         """Per target, the sums over sources of P_ij |t_i - s_j| and of

@@ -1,7 +1,7 @@
 """Shared oracle helpers and fixtures for the test suite.
 
 The helpers here are deliberately independent implementations (plain loops,
-closed forms, an unrolled Sinkhorn on tape primitives of its own) used to
+closed forms, a Sinkhorn loop on the dense cost matrix) used to
 cross-check the package's vectorized code paths.
 """
 
@@ -155,7 +155,7 @@ def brute_force_pareto(points, fairness_key):
 
 # ---------------------------------------------------------------------------
 # tape primitives the package does not need, built on ``custom_op`` for the
-# oracles and gradient checks
+# gradient checks
 
 
 def sub(a, b):
@@ -223,21 +223,17 @@ def reshape(a, shape):
 
 
 # ---------------------------------------------------------------------------
-# unrolled Sinkhorn oracle
+# dense Sinkhorn oracle
 
 
-def _tape_softmin(pot, cost, eps: float, log_w, axis: int):
-    """-eps * logsumexp((pot - cost) / eps + log_w) over ``axis``, from
-    generic tape ops. The max shift is a constant: the softmax it leaves
-    behind is the exact derivative whatever the shift."""
-    tape = cost.tape
+def dense_softmin(pot, cost, eps: float, log_w, axis: int):
+    """-eps * logsumexp((pot - cost) / eps + log_w) over ``axis`` of the dense
+    cost matrix, ``pot`` and ``log_w`` lying along that axis, shifted by the
+    maxima."""
     shape = (1, -1) if axis == 1 else (-1, 1)
-    z = div(sub(reshape(pot, shape), cost), tape.constant(eps)) + tape.constant(
-        log_w.reshape(shape)
-    )
-    shift = z.value.max(axis=axis)
-    summed = reduce_sum(exp(sub(z, tape.constant(np.expand_dims(shift, axis)))), axis=axis)
-    return (log(summed) + tape.constant(shift)) * -eps
+    z = (pot.reshape(shape) - cost) / eps + log_w.reshape(shape)
+    shift = z.max(axis=axis)
+    return -eps * (np.log(np.exp(z - np.expand_dims(shift, axis)).sum(axis=axis)) + shift)
 
 
 def _marginal_violations(f, g, cost, eps, log_u, log_v) -> tuple:
@@ -247,11 +243,29 @@ def _marginal_violations(f, g, cost, eps, log_u, log_v) -> tuple:
     return float(row), float(np.abs(plan.sum(axis=0) - 1.0 / g.size).sum())
 
 
+def _dense_implicit_grads(x, y, f, g, eps, log_u, log_v):
+    """The gradient of <P, C> in (x, y) at the fixed point of the marginals,
+    from the potentials (f, g): with (r, c) the row and column sums of P and
+    H = [[diag r, P], [P^T, diag c]] their Jacobian in (f, g) / eps, solve
+    H lam = d<P, C>/d((f, g) / eps) by least squares (H is singular along
+    (1, -1)); then d/dx_i = sum_j P_ij s_ij (1 - C_ij / eps + (lam_f_i +
+    lam_g_j) / eps) with s_ij = sign(x_i - y_j), and likewise for y."""
+    diff = x[:, None] - y[None, :]
+    cost, sign = np.abs(diff), np.sign(diff)
+    plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :])
+    n = x.size
+    hess = np.block([[np.diag(plan.sum(axis=1)), plan], [plan.T, np.diag(plan.sum(axis=0))]])
+    moved = plan * cost
+    lam = np.linalg.lstsq(hess, np.concatenate([moved.sum(axis=1), moved.sum(axis=0)]))[0]
+    weight = plan * sign * (1.0 - cost / eps + (lam[:n, None] + lam[None, n:]) / eps)
+    return weight.sum(axis=1), -weight.sum(axis=0)
+
+
 def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornResult:
-    """The overrelaxed log-domain Sinkhorn unrolled on the tape, two soft-min
-    nodes and two relaxation steps per iteration, with both marginal
-    violations recomputed from the plan on every iteration: the oracle for
-    the package's fused node. Same sorting, canonical order, relaxation
+    """The overrelaxed log-domain Sinkhorn on the dense cost matrix, with both
+    marginal violations recomputed from the plan on every iteration, and its
+    gradient by a dense solve at the final potentials: the oracle for the
+    package's fused node. Same sorting, canonical order, relaxation
     schedule (w = 1 on the first iteration, ``transport.OMEGA`` after it,
     1 again once the row violation has gone ``transport.STALL`` iterations
     without a new minimum above roundoff), stopping rule (both violations
@@ -260,31 +274,30 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
     tape = a.tape if isinstance(a, ad.Var) else b.tape if isinstance(b, ad.Var) else ad.Tape()
     av = a if isinstance(a, ad.Var) else tape.constant(np.asarray(a, dtype=np.float64))
     bv = b if isinstance(b, ad.Var) else tape.constant(np.asarray(b, dtype=np.float64))
-    a_sorted = ad.take(av, np.argsort(av.value, kind="stable"))
-    b_sorted = ad.take(bv, np.argsort(bv.value, kind="stable"))
-    key_a = (a_sorted.value.size, tuple(a_sorted.value.tolist()))
-    key_b = (b_sorted.value.size, tuple(b_sorted.value.tolist()))
-    if key_b < key_a:
-        a_sorted, b_sorted = b_sorted, a_sorted
+    order_a = np.argsort(av.value, kind="stable")
+    order_b = np.argsort(bv.value, kind="stable")
+    x, y = av.value[order_a], bv.value[order_b]
+    swapped = (y.size, tuple(y.tolist())) < (x.size, tuple(x.tolist()))
+    if swapped:
+        x, y = y, x
 
-    n, m = a_sorted.value.size, b_sorted.value.size
+    n, m = x.size, y.size
     eps = config.epsilon
     log_u = np.full(n, -np.log(n))
     log_v = np.full(m, -np.log(m))
-    cost = absolute(sub(reshape(a_sorted, (n, 1)), reshape(b_sorted, (1, m))))
-    both = np.concatenate([a_sorted.value, b_sorted.value])
+    cost = np.abs(x[:, None] - y[None, :])
+    both = np.concatenate([x, y])
     roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + (both.max() - both.min()) / eps)
-    f = tape.constant(np.zeros(n))
-    g = tape.constant(np.zeros(m))
+    f, g = np.zeros(n), np.zeros(m)
 
     converged = False
     best, best_at, stalled_at = np.inf, 0, 0
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
         w = transport.OMEGA if iterations > 1 and not stalled_at else 1.0
-        f = f * (1.0 - w) + _tape_softmin(g, cost, eps, log_v, axis=1) * w
-        g = g * (1.0 - w) + _tape_softmin(f, cost, eps, log_u, axis=0) * w
-        violation, col = _marginal_violations(f.value, g.value, cost.value, eps, log_u, log_v)
+        f = f * (1.0 - w) + dense_softmin(g, cost, eps, log_v, axis=1) * w
+        g = g * (1.0 - w) + dense_softmin(f, cost, eps, log_u, axis=0) * w
+        violation, col = _marginal_violations(f, g, cost, eps, log_u, log_v)
         if config.tol > 0 and max(violation, col) <= config.tol:
             converged = True
             break
@@ -295,15 +308,17 @@ def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornRe
     if config.tol == 0:
         converged = True
 
-    log_plan = (
-        sub(reshape(f, (n, 1)) + reshape(g, (1, m)), cost) * (1.0 / eps)
-        + tape.constant(log_u.reshape(n, 1))
-        + tape.constant(log_v.reshape(1, m))
-    )
-    total = reduce_sum(exp(log_plan) * cost)
+    plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :])
+    total = float((plan * cost).sum())
+    d_x, d_y = _dense_implicit_grads(x, y, f, g, eps, log_u, log_v)
+    if swapped:
+        d_x, d_y = d_y, d_x
+    d_a, d_b = np.empty_like(d_x), np.empty_like(d_y)
+    d_a[order_a], d_b[order_b] = d_x, d_y
+    var = ad.custom_op((av, bv), total, lambda g_out: (g_out * d_a, g_out * d_b))
     return SinkhornResult(
-        var=total,
-        value=float(total.value),
+        var=var,
+        value=total,
         converged=converged,
         iterations=iterations,
         marginal_violation=max(violation, col),

@@ -3,7 +3,7 @@
 Every primitive is exercised inside a scalar loss so the finite-difference
 oracle in conftest applies uniformly: perturb one input entry, re-run the
 whole forward function, difference the scalar outputs. The primitives are
-the package's and the ones conftest builds for its oracles.
+the package's and the ones conftest builds on ``custom_op``.
 """
 
 from __future__ import annotations
@@ -190,41 +190,6 @@ def test_gather_steps_grads(rng):
     idx2 = np.array([[0, 1, 1, 3], [3, 2, 1, 0], [2, 2, 2, 2]])
     w2 = rng.normal(size=(3, 4, 2))
     check_op(lambda lv: weighted_sum(w2)(ad.gather_steps(lv["a"], idx2)), {"a": a.copy()})
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_softmin_grads(axis, rng):
-    # the linear-time Sinkhorn soft-min update, entered as one custom_op with
-    # the update's own VJP, on random samples and on cross-set ties
-    # x_i == y_j; axis 1 updates the potential on x from the one on y, axis 0
-    # the reverse. The update works in units of eps; the op does not. At a
-    # tie the central difference is off by about (tie weight) * step / eps,
-    # so the tie case runs at a larger eps; putting a tie on either side
-    # instead of neither would be off by the tie weight itself.
-    cases = [
-        (rng.random(5), rng.random(4), 0.05),
-        ([0.2, 0.3, 0.5, 0.8], [0.2, 0.5, 0.9], 0.5),
-    ]
-    for x, y, eps in cases:
-        arrays = {"x": np.sort(x), "y": np.sort(y)}
-        t_name, s_name = ("x", "y") if axis == 1 else ("y", "x")
-        arrays["pot"] = rng.normal(scale=0.05, size=len(arrays[s_name]))
-        w = rng.normal(size=len(arrays[t_name]))
-
-        def softmin(lv):
-            t, s = lv[t_name].value, lv[s_name].value
-            log_w = np.full(s.size, -np.log(s.size))
-            update = transport._Softmin(t, s, min(t[0], s[0]), eps, log_w)
-            p = lv["pot"].value / eps
-            out, sums = update(p)
-            op = ad.custom_op(
-                (lv["pot"], lv[t_name], lv[s_name]),
-                eps * out,
-                lambda g: update.vjp(g, p, out, update.slope(out, sums)),
-            )
-            return weighted_sum(w)(op)
-
-        check_op(softmin, arrays)
 
 
 def test_custom_op_vjp_grads(rng):

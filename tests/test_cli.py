@@ -910,3 +910,14 @@ def test_ingest_exits_2_naming_a_fraction_that_leaves_a_split_empty(tmp_path, ca
     assert run("ingest", cfg_path) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"raise '{key}'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("key", ["valid_fraction", "test_fraction"])
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5])
+def test_ingest_exits_2_naming_an_out_of_range_fraction(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "frac", n_cases=30, **{key: value}))
+    assert run("synth", cfg_path) == EXIT_OK
+    assert run("ingest", cfg_path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}' must be a number in (0,1), got {value!r}" in err
+    assert "internal error" not in err

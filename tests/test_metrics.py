@@ -198,6 +198,13 @@ def test_kde_bandwidth_floor_on_constant_sample():
     assert pdf.max() == pytest.approx(1.0 / (BANDWIDTH_FLOOR * np.sqrt(2 * np.pi)), rel=1e-6)
 
 
+def test_kde_rejects_scores_off_its_grid():
+    # the samples are binned onto the [0,1] grid, so a score off it has no bin
+    for bad in ([0.5, 1.5], [-0.1], [0.2, np.nan], []):
+        with pytest.raises(ValueError):
+            kde_pdf(np.array(bad))
+
+
 def prop_kde_nonnegative(cases: int, seed: int = 29) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):

@@ -39,8 +39,9 @@ from fairppm.nn import (
 )
 from fairppm.transport import SinkhornConfig
 
-# fixed-budget transport settings: the unrolled program is identical under
-# FD perturbation, so central differences are well posed
+# fixed-budget transport settings: every central difference runs the same 60
+# iterations, which bring these small calls close enough to the fixed point
+# that its implicit gradient matches the differences
 FD_SINKHORN = SinkhornConfig(epsilon=0.05, max_iters=60, tol=0.0)
 
 

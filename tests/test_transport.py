@@ -2,14 +2,14 @@
 
 Oracles: scipy.stats.wasserstein_distance (independent exact W1), the
 sorted-matching closed form for equal sample counts, central finite
-differences for gradients, a soft-min over the dense cost matrix for the
-linear-time update, and the overrelaxed Sinkhorn loop unrolled on the tape
+differences for gradients, soft-min updates and plan sums over the dense
+cost matrix for the linear-time ones, and the overrelaxed Sinkhorn loop on
+the dense cost matrix with a dense implicit gradient
 (conftest.reference_sinkhorn) for the fused Sinkhorn node; the same oracle
-with ``transport.OMEGA`` set to 1 is plain Sinkhorn. Gradient checks run in
-fixed-budget mode (tol=0) so the compared program has an input-independent
-iteration count; the relaxed gradient check also asserts that no
-finite-difference step moves the iteration at which the stall safeguard
-turns relaxation off.
+with ``transport.OMEGA`` set to 1 is plain Sinkhorn. The node's gradient is
+that of the fixed point, so gradient checks run on calls converged to a
+tight tol, and a converged gradient must not depend on the relaxation
+schedule that reached the fixed point.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import grad_close, reference_sinkhorn, sorted_matching_w1
+from conftest import dense_softmin, grad_close, reference_sinkhorn, sorted_matching_w1
 from fairppm import transport
 from fairppm.autodiff import Tape
 from fairppm.transport import STALL, SinkhornConfig, _Softmin, exact_w1_1d, sinkhorn_distance
@@ -224,14 +225,6 @@ def test_sinkhorn_shift_sensitivity():
 # sinkhorn: the linear-time soft-min update against a dense one
 
 
-def dense_softmin(pot, x, y, eps, log_w):
-    """-eps * logsumexp((pot_j - |x_i - y_j|) / eps + log_w_j) over j, from
-    the (n, m) cost matrix, shifted by its row maxima."""
-    z = (pot[None, :] - np.abs(x[:, None] - y[None, :])) / eps + log_w[None, :]
-    top = z.max(axis=1)
-    return -eps * (top + np.log(np.exp(z - top[:, None]).sum(axis=1)))
-
-
 # a coarse grid makes duplicates within a set and ties across sets likely
 sample = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0))
 samples = st.lists(sample, min_size=1, max_size=40).map(lambda v: np.sort(np.array(v)))
@@ -250,31 +243,76 @@ def test_linear_softmin_matches_dense_property(x, y, eps, pot_seed):
     rng = np.random.default_rng(pot_seed)
     pot = rng.normal(scale=0.3, size=y.size)
     log_w = np.log(rng.dirichlet(np.ones(y.size)))
-    out, _ = _Softmin(x, y, min(x[0], y[0]), eps, log_w)(pot / eps)
-    ref = dense_softmin(pot, x, y, eps, log_w)
+    out = _Softmin(x, y, min(x[0], y[0]), eps, log_w)(pot / eps)
+    ref = dense_softmin(pot, np.abs(x[:, None] - y[None, :]), eps, log_w, axis=1)
     np.testing.assert_allclose(eps * out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    x=samples,
+    y=samples,
+    eps=st.sampled_from([0.1, 0.01, 1e-3]),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(x=SPREAD, y=SPREAD[::2] + 0.01, eps=1e-3, rows=2, seed=0)  # e^(s_w_j + s_j) overflows
+def test_softmin_sums_match_dense_property(x, y, eps, rows, seed):
+    # P z and the signed sum P_ij sign(x_i - y_j) z_j from the dense plan; a
+    # coarse grid puts ties x_i == y_j in most examples, and a tie counts in
+    # P z but in neither side of the signed sum
+    rng = np.random.default_rng(seed)
+    diff = x[:, None] - y[None, :]
+    s_w = rng.normal(scale=0.3, size=y.size) / eps + np.log(rng.dirichlet(np.ones(y.size)))
+    t_w = -scipy.special.logsumexp(s_w[None, :] - np.abs(diff) / eps, axis=1)  # rows sum to 1
+    plan = np.exp(t_w[:, None] + s_w[None, :] - np.abs(diff) / eps)
+    z = rng.normal(size=(rows, y.size))
+    z[:, rng.random(y.size) < 0.2] = 0.0
+    p_z, signed = _Softmin(x, y, min(x[0], y[0]), eps, np.zeros(y.size)).sums(t_w, s_w, z)
+    bound = 1e-12 * (np.abs(z) @ plan.T)
+    assert (np.abs(p_z - z @ plan.T) <= bound).all()
+    assert (np.abs(signed - z @ (plan * np.sign(diff)).T) <= bound).all()
+
+
 def test_sinkhorn_memory_is_linear_in_the_sample_count():
-    # 10 iterations with a backward at n = m = 5000; three (n, m) float64
-    # arrays would take 600 MB
+    # 200 iterations with a backward at n = m = 5000; three (n, m) float64
+    # arrays would take 600 MB, and keeping the potentials of every
+    # iteration about 56 MB
     rng = np.random.default_rng(5)
     tape = Tape()
     a, b = tape.leaf(rng.random(5000)), tape.leaf(rng.random(5000))
     tracemalloc.start()
     try:
-        result = sinkhorn_distance(a, b, SinkhornConfig(epsilon=0.01, max_iters=10, tol=0.0))
+        result = sinkhorn_distance(a, b, SinkhornConfig(epsilon=0.01, max_iters=200, tol=0.0))
         tape.backward(result.var)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.iterations == 10
+    assert result.iterations == 200
     assert np.isfinite(tape.grad(a)).all() and np.isfinite(tape.grad(b)).all()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
 # sinkhorn: gradients
+
+
+def sinkhorn_with_grads(fn, a, b, cfg: SinkhornConfig):
+    tape = Tape()
+    va, vb = tape.leaf(a), tape.leaf(b)
+    result = fn(va, vb, cfg)
+    tape.backward(result.var)
+    return result, np.concatenate([tape.grad(va), tape.grad(vb)])
+
+
+def oracle_cases() -> dict:
+    rng = np.random.default_rng(67)
+    return {
+        "n<m": (rng.random(17), rng.random(29)),
+        "n>m, swapped": (rng.random(64), rng.uniform(0.2, 1.2, 48)),
+        "n=1": (rng.random(1), rng.random(12)),
+        "ties": (np.array([0.2, 0.5, 0.5, 0.8, 0.3]), np.array([0.5, 0.2, 0.9, 0.5])),
+    }
 
 
 def sinkhorn_fd_case(rng: np.random.Generator, max_side: int = 8):
@@ -285,40 +323,31 @@ def sinkhorn_fd_case(rng: np.random.Generator, max_side: int = 8):
     return a, b
 
 
-def sinkhorn_grad_vs_fd(a, b, cfg: SinkhornConfig, step: float = 1e-5) -> set:
-    """Check the gradients against central differences; returns the set of
-    iterations at which the stall safeguard fell back to plain updates, over
-    the checked call and every moved one (0 where it never did)."""
+def sinkhorn_grad_vs_fd(a, b, cfg: SinkhornConfig, step: float = 1e-5) -> None:
+    """Check the gradients of a converged call against central differences."""
     tape = Tape()
     va, vb = tape.leaf(a), tape.leaf(b)
     result = sinkhorn_distance(va, vb, cfg)
+    assert result.converged
     tape.backward(result.var)
     ga, gb = tape.grad(va).copy(), tape.grad(vb).copy()
-    stalls = {result.stalled_at}
-
-    def value(x, y):
-        moved = sinkhorn_distance(x, y, cfg)
-        stalls.add(moved.stalled_at)
-        return moved.value
-
     for arr, grad, other, swap in ((a, ga, b, False), (b, gb, a, True)):
         for i in range(arr.size):
             orig = arr[i]
             arr[i] = orig + step
-            hi = value(other, arr) if swap else value(arr, other)
+            hi = sinkhorn_distance(*((other, arr) if swap else (arr, other)), cfg).value
             arr[i] = orig - step
-            lo = value(other, arr) if swap else value(arr, other)
+            lo = sinkhorn_distance(*((other, arr) if swap else (arr, other)), cfg).value
             arr[i] = orig
             fd = (hi - lo) / (2 * step)
             assert grad_close(float(grad[i]), fd), (
                 f"sinkhorn grad mismatch (swap={swap}) at {i}: ad={grad[i]!r} fd={fd!r}"
             )
-    return stalls
 
 
 def prop_sinkhorn_gradcheck(cases: int, seed: int = 53) -> None:
     rng = np.random.default_rng(seed)
-    cfg = SinkhornConfig(epsilon=0.05, max_iters=60, tol=0.0)
+    cfg = SinkhornConfig(epsilon=0.05, max_iters=50_000, tol=1e-12)
     for _ in range(cases):
         a, b = sinkhorn_fd_case(rng)
         sinkhorn_grad_vs_fd(a, b, cfg)
@@ -328,20 +357,31 @@ def test_sinkhorn_gradcheck():
     prop_sinkhorn_gradcheck(30)
 
 
-def test_relaxed_sinkhorn_gradcheck():
-    # the fallback is a discrete branch, so no finite-difference step may
-    # straddle it. Within STALL iterations the safeguard cannot fire, so every
-    # iteration after the first is relaxed; the spread against every other
-    # point moved by 3 eps falls back to plain updates at the same iteration
-    # at every step, so the gradient runs through both phases
-    rng = np.random.default_rng(59)
-    relaxed = SinkhornConfig(epsilon=0.05, max_iters=STALL, tol=0.0)
-    for _ in range(10):
-        assert sinkhorn_grad_vs_fd(*sinkhorn_fd_case(rng), relaxed) == {0}
-    spread = np.linspace(0.0, 1.0, 8)
-    for epsilon in (0.02, 0.01):
-        cfg = SinkhornConfig(epsilon=epsilon, max_iters=80, tol=0.0)
-        assert sinkhorn_grad_vs_fd(spread, spread[::2] + 3 * epsilon, cfg) == {1 + STALL}
+def test_stopped_call_has_the_gradient_of_its_fixed_point():
+    # the 64-vs-48 case of the oracle test at eps = 1e-3 converges at tol
+    # 1e-6 in 543 iterations; its gradient must be that of the tightly
+    # converged call, not the adjoint of the 543 iterations it happened to run
+    a, b = oracle_cases()["n>m, swapped"]
+    _, stopped = sinkhorn_with_grads(sinkhorn_distance, a, b, SinkhornConfig(1e-3, 5000))
+    tight, converged = sinkhorn_with_grads(
+        sinkhorn_distance, a, b, SinkhornConfig(1e-3, 5000, tol=1e-12)
+    )
+    assert tight.converged
+    assert np.abs(stopped - converged).max() <= 1e-4 * np.abs(converged).max()
+
+
+def test_converged_gradient_does_not_depend_on_the_relaxation(monkeypatch):
+    # the stall safeguard turns relaxation off in the relaxed call; the plain
+    # call (OMEGA = 1) takes another path to the same fixed point
+    spread = np.linspace(0.0, 1.0, 40)
+    a, b, cfg = spread, spread[::2] + 0.03, SinkhornConfig(epsilon=0.01, max_iters=5000)
+    relaxed, relaxed_grad = sinkhorn_with_grads(sinkhorn_distance, a, b, cfg)
+    monkeypatch.setattr(transport, "OMEGA", 1.0)
+    plain, plain_grad = sinkhorn_with_grads(sinkhorn_distance, a, b, cfg)
+    assert relaxed.converged and plain.converged
+    assert (relaxed.stalled_at, plain.stalled_at) == (1 + STALL, 0)
+    assert relaxed.iterations != plain.iterations
+    assert np.abs(relaxed_grad - plain_grad).max() <= 1e-6 * np.abs(plain_grad).max()
 
 
 def test_sinkhorn_gradients_flow_in_losses(rng):
@@ -357,31 +397,17 @@ def test_sinkhorn_gradients_flow_in_losses(rng):
 
 
 # ---------------------------------------------------------------------------
-# sinkhorn: the fused node against the unrolled tape oracle
-
-
-def sinkhorn_with_grads(fn, a, b, cfg: SinkhornConfig):
-    tape = Tape()
-    va, vb = tape.leaf(a), tape.leaf(b)
-    result = fn(va, vb, cfg)
-    tape.backward(result.var)
-    return result, np.concatenate([tape.grad(va), tape.grad(vb)])
+# sinkhorn: the fused node against the dense oracle
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 @pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001])
 def test_fused_sinkhorn_matches_unrolled_reference(epsilon, tol):
-    rng = np.random.default_rng(67)
-    cases = {
-        "n<m": (rng.random(17), rng.random(29)),
-        "n>m, swapped": (rng.random(64), rng.uniform(0.2, 1.2, 48)),
-        "n=1": (rng.random(1), rng.random(12)),
-        "ties": (np.array([0.2, 0.5, 0.5, 0.8, 0.3]), np.array([0.5, 0.2, 0.9, 0.5])),
-    }
-    # with tol > 0, a budget of 3 caps every case but n=1
+    # with tol > 0, a budget of 3 caps every case but n=1; a capped call's
+    # gradient is the implicit one at its last potentials
     for max_iters in (3, 300):
         cfg = SinkhornConfig(epsilon=epsilon, max_iters=max_iters, tol=tol)
-        for name, (a, b) in cases.items():
+        for name, (a, b) in oracle_cases().items():
             got, got_grad = sinkhorn_with_grads(sinkhorn_distance, a, b, cfg)
             ref, ref_grad = sinkhorn_with_grads(reference_sinkhorn, a, b, cfg)
             label = f"{name}, max_iters={max_iters}"
