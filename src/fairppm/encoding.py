@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -122,10 +121,16 @@ def fit_encoder(
         if k in ("numeric", "boolean") and a not in excluded
     )
 
-    events = [sample.events for sample in train]
+    # a case's nested prefixes share their Event objects and static mapping,
+    # and labels and ranges are sets, minima and maxima: read each distinct
+    # object once
+    events = list({id(e): e for sample in train for e in sample.events}.values())
+    statics = list({id(sample.static_attrs): sample.static_attrs for sample in train}.values())
 
-    def values(attr):  # attr's value at every event of every training sample
-        return chain.from_iterable(map(_column, train, repeat(attr), events))
+    def values(attr):  # attr's value at every distinct training event
+        if attr.startswith(STATIC_PREFIX):
+            return [static[attr] for static in statics]
+        return _column(None, attr, events)
 
     labels = {attr: sorted(set(values(attr)), key=_label_key) for attr in cat_attrs}
     numeric_ranges = {}
@@ -150,14 +155,14 @@ def fit_encoder(
     )
 
 
-def _column(sample: RawPrefixSample, attr: str, events) -> list:
-    """``attr``'s value at each of ``events`` (of ``sample``): the activity, a
-    static ``case:`` value repeated, or a dynamic attribute. A missing
+def _column(static_attrs: dict, attr: str, events) -> list:
+    """``attr``'s value at each of ``events``: the activity, a static ``case:``
+    value (from ``static_attrs``) repeated, or a dynamic attribute. A missing
     attribute raises KeyError."""
     if attr == ACTIVITY:
         return [e.activity for e in events]
     if attr.startswith(STATIC_PREFIX):
-        return [sample.static_attrs[attr]] * len(events)
+        return [static_attrs[attr]] * len(events)
     return [e.dynamic_attrs[attr] for e in events]
 
 
@@ -175,13 +180,13 @@ def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
     cat_indices = {}
     for attr in spec.categorical_attrs:
         vocab = spec.vocabularies[attr]
-        row = [vocab.get(v, 0) for v in _column(sample, attr, events)]
+        row = [vocab.get(v, 0) for v in _column(sample.static_attrs, attr, events)]
         cat_indices[attr] = tuple(row + [0] * pad)
 
     num_values = {}
     for attr in spec.numeric_attrs:
         lo, hi = spec.numeric_ranges[attr]
-        raw = list(map(float, _column(sample, attr, events)))
+        raw = list(map(float, _column(sample.static_attrs, attr, events)))
         if not all(map(math.isfinite, raw)):
             raise ValueError(f"'{attr}' holds a value that is not a finite number: {raw}")
         if hi > lo:

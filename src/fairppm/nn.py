@@ -7,12 +7,15 @@ real (unmasked) event, and maps it through a dense layer + sigmoid to a
 propensity in (0,1). Everything runs on the autodiff tape from
 ``fairppm.autodiff``; one call builds one graph, with one fused node per
 LSTM layer and direction (the backward one reverses each row's span inside
-its node). Only a training forward records a backward (the nodes' VJPs).
+its node). Each LSTM step updates only the rows whose span is still
+running, so padded positions are never computed and come out as zeros.
+Only a training forward records a backward (the nodes' VJPs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,54 +154,77 @@ class ForwardResult:
     leaves: dict  # param name -> leaf Var, for gradient extraction
 
 
-def _lstm_layer(x: Var, w: Var, u: Var, b: Var, order=np.s_[:]) -> Var:
-    """One LSTM direction over ``x[order]`` (B, T, F) as one tape node: the
-    hidden states (B, T, H) as ``states[order]``, where ``order`` is its own
-    inverse (a per-row reversal). The forward keeps each step's gate
-    activations and cell state; the VJP is backprop through time over them."""
-    xs, wv, uv = x.value[order], w.value, u.value
-    n, steps, feat = xs.shape
+def _lstm_layer(x: Var, w: Var, u: Var, b: Var, lengths: np.ndarray, reverse: bool) -> Var:
+    """One LSTM direction over each row's first ``lengths`` steps of ``x``
+    (B, T, F), as one tape node: the hidden states (B, T, H), with exact
+    zeros at padded positions. With ``reverse`` each row's span is read
+    backwards and each state lands at the position it last consumed.
+
+    Rows run longest first, so the rows still live at step k are a prefix
+    of that order and each step updates only them: padding is never read.
+    The forward keeps each step's gate activations and cell state; the VJP
+    is backprop through time over the same live prefixes."""
+    xv, wv, uv = x.value, w.value, u.value
+    n, steps, feat = xv.shape
     hidden = uv.shape[0]
-    x_tm = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(steps * n, feat)
-    # gate-major (T, 4, B, H) and (4, H, H), so each gate's block is contiguous
-    pre = (x_tm @ wv + b.value).reshape(steps, n, 4, hidden)
-    pre = np.ascontiguousarray(pre.transpose(0, 2, 1, 3))
+    order = np.argsort(-lengths, kind="stable")
+    k, r = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
+    # each real event's flat (row, time) position, step-major: the live rows
+    # of step k, each at its k-th time index (counted from its end if reversed)
+    rows = order[r]
+    src = rows * steps + (lengths[rows] - 1 - k if reverse else k)
+    live = np.bincount(k).tolist()  # rows live at each step
+    spans = list(zip(accumulate([0] + live[:-1]), live))  # each step's (start, count) in src
+    x_p = xv.reshape(-1, feat)[src]
+    # gate-major (4, F, H), (4, 1, H) and (4, H, H), so each step's gate
+    # pre-activations come out as contiguous (m, H) blocks
+    w_gates = np.ascontiguousarray(wv.reshape(feat, 4, hidden).transpose(1, 0, 2))
+    b_gates = b.value.reshape(4, 1, hidden)
     u_gates = np.ascontiguousarray(uv.reshape(hidden, 4, hidden).transpose(1, 0, 2))
-    h = c = np.zeros((n, hidden))
-    gates, cells, tanh_c, hs = [], [c], [], [h]
-    for t in range(steps):
-        z = pre[t] + h @ u_gates
+    states = np.zeros((n * steps, hidden))
+    h = c = np.zeros((live[0], hidden))
+    gates, cells, tanh_c = [], [], []
+    for s, m in spans:
+        z = x_p[s : s + m] @ w_gates
+        z += b_gates
+        z += h[:m] @ u_gates
         i, f = ad.logistic(z[:2])
         g = np.tanh(z[2])
         o = ad.logistic(z[3])
-        c = f * c + i * g
+        cells.append(c[:m])
+        c = f * cells[-1] + i * g
         tanh_c.append(np.tanh(c))
-        h = o * tanh_c[t]
+        h = o * tanh_c[-1]
+        states[src[s : s + m]] = h
         gates.append((i, f, g, o))
-        cells.append(c)
-        hs.append(h)
 
     def vjp(g_out):
-        g_out = g_out[order]
-        d_pre = np.empty((steps, n, 4, hidden))  # rows (t, b), columns as in W
-        dh = dc = np.zeros((n, hidden))
-        for t in range(steps - 1, -1, -1):
-            i, f, g, o = gates[t]
-            dh = dh + g_out[:, t]
-            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
-            d = d_pre[t]
+        g_p = g_out.reshape(-1, hidden)[src]
+        d_pre = np.empty((src.size, 4, hidden))  # rows as x_p, columns as in W
+        dh_next = np.zeros((live[0], hidden))  # carried in from step k+1
+        dc_next = np.zeros((live[0], hidden))
+        for step in reversed(range(len(spans))):
+            s, m = spans[step]
+            i, f, g, o = gates[step]
+            dh = dh_next[:m] + g_p[s : s + m]
+            dc = dc_next[:m] + dh * o * (1.0 - tanh_c[step] ** 2)
+            d = d_pre[s : s + m]
             d[:, 0] = dc * g * i * (1.0 - i)
-            d[:, 1] = dc * cells[t] * f * (1.0 - f)
+            d[:, 1] = dc * cells[step] * f * (1.0 - f)
             d[:, 2] = dc * i * (1.0 - g * g)
-            d[:, 3] = dh * tanh_c[t] * o * (1.0 - o)
-            dc = dc * f
-            dh = d.reshape(n, 4 * hidden) @ uv.T
-        flat = d_pre.reshape(steps * n, 4 * hidden)
-        dx = (flat @ wv.T).reshape(steps, n, feat).transpose(1, 0, 2)
-        du = np.concatenate(hs[:-1]).T @ flat
-        return dx[order], x_tm.T @ flat, du, flat.sum(axis=0)
+            d[:, 3] = dh * tanh_c[step] * o * (1.0 - o)
+            np.multiply(dc, f, out=dc_next[:m])
+            np.matmul(d.reshape(m, 4 * hidden), uv.T, out=dh_next[:m])
+        flat = d_pre.reshape(-1, 4 * hidden)
+        dx = np.zeros((n * steps, feat))
+        dx[src] = flat @ wv.T
+        # an event after a row's first follows the state at the position next
+        # to it; the first events, whose previous state is 0, add nothing to dU
+        h_prev = states[src[live[0] :] + (1 if reverse else -1)]
+        du = h_prev.T @ flat[live[0] :]
+        return dx.reshape(xv.shape), x_p.T @ flat, du, flat.sum(axis=0)
 
-    return ad.custom_op((x, w, u, b), np.stack(hs[1:], axis=1)[order], vjp)
+    return ad.custom_op((x, w, u, b), states.reshape(n, steps, hidden), vjp)
 
 
 def _dropout(var, rate, rng):
@@ -214,10 +240,11 @@ def forward(
     """Propensities for a packed batch on a fresh tape.
 
     Only a training forward records a backward: an eval forward's leaves
-    need no gradients, so none of its nodes keeps a VJP. Padded positions
-    are computed but never selected: the forward direction reads the state
-    at the last unmasked step, the backward direction (run over each row's
-    unmasked span reversed) the state at position 0. ``rng`` is required in
+    need no gradients, so none of its nodes keeps a VJP. Each LSTM step
+    updates only the rows whose unmasked span is still running, and padded
+    positions come out as zeros that nothing reads: the forward direction's
+    state is read at the last unmasked step, the backward direction's (run
+    over each row's span reversed) at position 0. ``rng`` is required in
     training mode when dropout is active.
     """
     hyper = params.hyper
@@ -229,7 +256,7 @@ def forward(
     lengths = batch.mask.sum(axis=1).astype(np.int64)
     if (lengths < 1).any():
         raise ValueError("every sample must have at least one unmasked event")
-    n, steps = batch.mask.shape
+    n = lengths.size
 
     # categorical columns by sorted name, then numeric ones: the order of layer 0's W rows
     channels = [ad.take(leaves[f"emb:{attr}"], batch.cat[attr]) for attr in sorted(batch.cat)]
@@ -237,17 +264,14 @@ def forward(
         channels.append(tape.constant(np.stack([batch.num[a] for a in sorted(batch.num)], -1)))
     x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
 
-    # per-row reversal of the unmasked span; padding maps to itself
-    pos, span = np.arange(steps), lengths[:, None]
-    reverse = (np.arange(n)[:, None], np.where(pos < span, span - 1 - pos, pos))
-
-    def lstm(inp, layer, direction, order=np.s_[:]):
-        return _lstm_layer(inp, *(leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb"), order)
+    def lstm(inp, layer, direction):
+        weights = (leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb")
+        return _lstm_layer(inp, *weights, lengths, direction == "b")
 
     for layer in range(hyper.layers):
         seq_f = lstm(x, layer, "f")
         if hyper.bidirectional:
-            seq_b = lstm(x, layer, "b", reverse)
+            seq_b = lstm(x, layer, "b")
         if layer < hyper.layers - 1:
             x = ad.concat([seq_f, seq_b], axis=-1) if hyper.bidirectional else seq_f
             if training and hyper.dropout > 0:

@@ -256,26 +256,34 @@ def test_custom_op_vjp_grads(rng):
     assert len(calls) == 1  # one backward sweep, one VJP call
 
 
-def per_row_reversal(lengths, steps):
-    """Reverse each row's first ``lengths[b]`` steps; padding maps to itself."""
-    pos = np.broadcast_to(np.arange(steps), (len(lengths), steps))
-    span = pos < lengths[:, None]
-    return np.arange(len(lengths))[:, None], np.where(span, lengths[:, None] - 1 - pos, pos)
+# row lengths of a 3-row, 4-step batch; "random" draws each in 1..steps
+LENGTH_PATTERNS = {
+    "ties": [2, 4, 2],
+    "full": [4, 4, 4],
+    "ones": [1, 1, 1],
+    "last-step-empty": [3, 1, 3],
+}
 
 
 @pytest.mark.parametrize(
-    "hidden, steps, reverse",
+    "hidden, steps, reverse, pattern",
     [
-        pytest.param(h, t, r, id=f"{h}-{t}" + ("-reversed" if r else ""))
+        pytest.param(h, t, r, "random", id=f"{h}-{t}" + ("-reversed" if r else ""))
         for r in (False, True)
         for h in (1, 3)
         for t in (1, 4)
+    ]
+    + [
+        pytest.param(3, 4, r, p, id=f"3-4-{p}" + ("-reversed" if r else ""))
+        for r in (False, True)
+        for p in LENGTH_PATTERNS
     ],
 )
-def test_lstm_layer_node_grads(hidden, steps, reverse, rng):
+def test_lstm_layer_node_grads(hidden, steps, reverse, pattern, rng):
     # one fused LSTM direction entered through custom_op: its BPTT VJP gives
     # dx, dW, dU and db for every hidden state, each weighted into the loss;
-    # the reversed cases run over each row's span backwards, with random lengths
+    # each row runs over its first ``lengths`` steps (backwards if reversed),
+    # and its padded states are zeros
     n, feat = 3, 2
     arrays = {
         "x": rng.normal(size=(n, steps, feat)),
@@ -283,12 +291,20 @@ def test_lstm_layer_node_grads(hidden, steps, reverse, rng):
         "U": rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden)),
         "b": rng.uniform(-0.5, 0.5, size=(4 * hidden,)),
     }
-    order = per_row_reversal(rng.integers(1, steps + 1, size=n), steps) if reverse else np.s_[:]
+    if pattern == "random":
+        lengths = rng.integers(1, steps + 1, size=n)
+    else:
+        lengths = np.array(LENGTH_PATTERNS[pattern])
     w = rng.normal(size=(n, steps, hidden))
-    check_op(
-        lambda lv: weighted_sum(w)(_lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"], order)),
-        arrays,
-    )
+
+    def node(lv):
+        return _lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"], lengths, reverse)
+
+    check_op(lambda lv: weighted_sum(w)(node(lv)), arrays)
+    tape = Tape()
+    states = node({name: tape.leaf(a) for name, a in arrays.items()}).value
+    padded = np.arange(steps) >= lengths[:, None]
+    assert (states[padded] == 0.0).all() and (states[~padded] != 0.0).all()
 
 
 ON_CONSTANTS = {

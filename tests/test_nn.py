@@ -171,6 +171,39 @@ def test_mask_invariance():
     prop_mask_invariance(40)
 
 
+def test_padding_is_never_read(rng):
+    # NaN in every padded numeric position and a random index in every padded
+    # categorical one: if any step, BPTT or weight-gradient product read a
+    # padded position, a NaN (0 * NaN is NaN) or another bit would show
+    hyper = Hyper(layers=2, hidden=3, bidirectional=True, dropout=0.0)
+    params = tiny_model(hyper, seed=4)
+    batch = random_packed(rng, 12)
+    noisy = scramble_padding(batch, rng)
+    noisy.num["score"][~noisy.mask] = np.nan
+
+    def run(data):
+        res = forward(params, data, training=True)
+        loss = bce_loss(res.propensities, data.y)
+        return res.propensities.value, backward(res.propensities.tape, loss, res.leaves)
+
+    clean, clean_grads = run(batch)
+    dirty, dirty_grads = run(noisy)
+    assert np.array_equal(clean, dirty)
+    for name, g in clean_grads.items():
+        assert np.array_equal(g, dirty_grads[name]), name
+
+
+def test_forward_commutes_with_row_permutation(rng):
+    # rows run sorted by length inside each LSTM node and are scattered back
+    hyper = Hyper(layers=2, hidden=3, bidirectional=True, dropout=0.0)
+    params = tiny_model(hyper, seed=6)
+    batch = random_packed(rng, 16)
+    perm = rng.permutation(len(batch))
+    whole = forward(params, batch, training=False).propensities.value
+    permuted = forward(params, batch.subset(perm), training=False).propensities.value
+    assert np.array_equal(permuted, whole[perm])
+
+
 def test_eval_passes_are_identical(rng):
     params = tiny_model(Hyper(hidden=6, dropout=0.4), seed=5)
     batch = random_packed(rng, 20)
