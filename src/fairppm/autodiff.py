@@ -9,9 +9,10 @@ pass over the node list, calling each node's VJP exactly once.
 Values are numpy arrays (scalars are 0-d arrays). Ops follow numpy
 broadcasting; adjoints are summed back over broadcast axes. Every node enters
 the tape through ``custom_op``: the primitives below, and fused ops computed
-off the tape, such as the Sinkhorn loop, each LSTM direction and the BCE.
+off the tape, such as the Sinkhorn solve, each LSTM direction and the BCE.
 The primitives are the ones the pipeline uses (``Var`` adds ``+`` and
-``*``); the test oracles build any other op on ``custom_op`` themselves.
+``*``), with ``take`` the one gather, along the leading axis; the test
+oracles build any other op on ``custom_op`` themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "logistic",
     "concat",
     "take",
-    "gather_steps",
     "custom_op",
 ]
 
@@ -219,29 +219,14 @@ def concat(vars_, axis=-1) -> Var:
     return custom_op(vars_, out, lambda g: np.split(g, ends, axis=axis))
 
 
-def _gather(a: Var, key) -> Var:
-    """``a.value[key]``, whose adjoint scatters back with repeats summed."""
-    x = a.value
+def take(a: Var, indices) -> Var:
+    """Index the leading axis with an integer array (gather with repeats);
+    the adjoint scatters back with repeats summed."""
+    x, idx = a.value, np.asarray(indices)
 
     def vjp(g):
         gx = np.zeros_like(x)
-        np.add.at(gx, key, g)
+        np.add.at(gx, idx, g)
         return (gx,)
 
-    return custom_op((a,), x[key], vjp)
-
-
-def take(a: Var, indices) -> Var:
-    """Index the leading axis with an integer array (gather with repeats)."""
-    return _gather(a, np.asarray(indices))
-
-
-def gather_steps(a: Var, indices) -> Var:
-    """Per-row timestep gather: out[b, k] = a[b, indices[b, k]].
-
-    ``a`` is (B, T, F), ``indices`` is (B,) or (B, K); the result is
-    (B, F) or (B, K, F).
-    """
-    idx = np.asarray(indices)
-    rows = np.arange(a.shape[0])
-    return _gather(a, (rows if idx.ndim == 1 else rows[:, None], idx))
+    return custom_op((a,), x[idx], vjp)

@@ -25,6 +25,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .records import json_cast
+
 __all__ = [
     "EventLogError",
     "SchemaError",
@@ -310,13 +312,13 @@ def extract_prefixes(
     log: EventLog,
     target_activity: str,
     sensitive_attr: str,
-    max_gen_len: int = 6,
+    max_len: int = 6,
 ) -> list[RawPrefixSample]:
-    """All prefixes of lengths 1..min(cut, max_gen_len) per trace, labeled
+    """All prefixes of lengths 1..min(cut, max_len) per trace, labeled
     with the trace outcome and its binary sensitive value. Traces whose cut
     is 0 (target first) yield nothing and are skipped."""
-    if max_gen_len < 1:
-        raise ValueError("max_gen_len must be >= 1")
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     if log.schema.static_attrs.get(sensitive_attr) != "boolean":
         raise SchemaError(
             f"sensitive attribute '{sensitive_attr}' must be a static boolean in the schema"
@@ -329,7 +331,7 @@ def extract_prefixes(
             )
         sensitive = int(bool(trace.static_attrs[sensitive_attr]))
         outcome, cut = label_and_cut(trace, target_activity)
-        for length in range(1, min(cut, max_gen_len) + 1):
+        for length in range(1, min(cut, max_len) + 1):
             samples.append(
                 RawPrefixSample(
                     case_id=trace.case_id,
@@ -525,20 +527,22 @@ def sample_to_dict(sample: RawPrefixSample) -> dict:
 
 
 def sample_from_dict(d: dict) -> RawPrefixSample:
+    """The sample ``sample_to_dict`` wrote; an id or label of another JSON type
+    (an outcome of 0.9 or "1") raises ValueError naming its key (``json_cast``)."""
     events = tuple(
         Event(
-            activity=e["activity"],
-            timestamp=datetime.fromisoformat(e["timestamp"]),
+            activity=json_cast("activity", e["activity"], str),
+            timestamp=datetime.fromisoformat(json_cast("timestamp", e["timestamp"], str)),
             dynamic_attrs=dict(e["dynamic_attrs"]),
         )
         for e in d["events"]
     )
     return RawPrefixSample(
-        case_id=d["case_id"],
+        case_id=json_cast("case_id", d["case_id"], str),
         events=events,
         static_attrs=dict(d["static_attrs"]),
-        outcome=int(d["outcome"]),
-        sensitive=int(d["sensitive"]),
+        outcome=json_cast("outcome", d["outcome"], int),
+        sensitive=json_cast("sensitive", d["sensitive"], int),
     )
 
 

@@ -1,15 +1,16 @@
 """Recurrent outcome classifier: embeddings, (bi)LSTM, losses, optimizer.
 
-The model embeds each categorical attribute separately, concatenates the
-embeddings with the numeric channels per timestep, runs one or two
-(optionally bidirectional) LSTM layers, reads the hidden state at the last
-real (unmasked) event, and maps it through a dense layer + sigmoid to a
-propensity in (0,1). Everything runs on the autodiff tape from
+The model reads only the real (unmasked) events of each sample, packed row
+by row into one (E, ·) array, so padding is never read. It embeds each
+categorical attribute separately, concatenates the embeddings with the
+numeric channels per event, runs one or two (optionally bidirectional)
+LSTM layers, reads the hidden state at each row's last event (the backward
+direction's at its first), and maps it through a dense layer + sigmoid to
+a propensity in (0,1). Everything runs on the autodiff tape from
 ``fairppm.autodiff``; one call builds one graph, with one fused node per
-LSTM layer and direction (the backward one reverses each row's span inside
-its node). Each LSTM step updates only the rows whose span is still
-running, so padded positions are never computed and come out as zeros.
-Only a training forward records a backward (the nodes' VJPs).
+LSTM layer and direction. The nodes share one event plan per forward: one
+longest-first sort of the rows, so each LSTM step updates only the rows
+still live. Only a training forward records a backward (the nodes' VJPs).
 """
 
 from __future__ import annotations
@@ -154,37 +155,47 @@ class ForwardResult:
     leaves: dict  # param name -> leaf Var, for gradient extraction
 
 
-def _lstm_layer(x: Var, w: Var, u: Var, b: Var, lengths: np.ndarray, reverse: bool) -> Var:
-    """One LSTM direction over each row's first ``lengths`` steps of ``x``
-    (B, T, F), as one tape node: the hidden states (B, T, H), with exact
-    zeros at padded positions. With ``reverse`` each row's span is read
-    backwards and each state lands at the position it last consumed.
+class _EventPlan:
+    """A batch's real events, packed row by row into (E, ·), E = Σ lengths:
+    each row's ``first`` and ``last`` position, and the step-major order an
+    LSTM direction reads them in. Rows run longest first, so the rows live
+    at step k are a prefix: step k reads ``spans[k]`` (start, count) of
+    ``forward``, their k-th events, or of ``reverse``, k-th from the end."""
 
-    Rows run longest first, so the rows still live at step k are a prefix
-    of that order and each step updates only them: padding is never read.
-    The forward keeps each step's gate activations and cell state; the VJP
-    is backprop through time over the same live prefixes."""
+    def __init__(self, lengths: np.ndarray):
+        order = np.argsort(-lengths, kind="stable")
+        k, r = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
+        rows = order[r]
+        live = np.bincount(k).tolist()
+        self.spans = list(zip(accumulate([0] + live[:-1]), live))
+        self.last = np.cumsum(lengths) - 1
+        self.first = self.last - lengths + 1
+        self.forward = self.first[rows] + k
+        self.reverse = self.last[rows] - k
+
+
+def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool) -> Var:
+    """One LSTM direction over packed events ``x`` (E, F), as one tape node:
+    the hidden state after each event (E, H). With ``reverse`` each row's
+    events are read backwards, so a state has consumed its row's suffix.
+
+    Each step updates only the rows still live. The forward keeps each
+    step's gate activations and cell state; the VJP is backprop through
+    time over the same live prefixes."""
     xv, wv, uv = x.value, w.value, u.value
-    n, steps, feat = xv.shape
-    hidden = uv.shape[0]
-    order = np.argsort(-lengths, kind="stable")
-    k, r = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
-    # each real event's flat (row, time) position, step-major: the live rows
-    # of step k, each at its k-th time index (counted from its end if reversed)
-    rows = order[r]
-    src = rows * steps + (lengths[rows] - 1 - k if reverse else k)
-    live = np.bincount(k).tolist()  # rows live at each step
-    spans = list(zip(accumulate([0] + live[:-1]), live))  # each step's (start, count) in src
-    x_p = xv.reshape(-1, feat)[src]
+    feat, hidden = wv.shape[0], uv.shape[0]
+    src = plan.reverse if reverse else plan.forward
+    live0 = plan.spans[0][1]
+    x_p = xv[src]
     # gate-major (4, F, H), (4, 1, H) and (4, H, H), so each step's gate
     # pre-activations come out as contiguous (m, H) blocks
     w_gates = np.ascontiguousarray(wv.reshape(feat, 4, hidden).transpose(1, 0, 2))
     b_gates = b.value.reshape(4, 1, hidden)
     u_gates = np.ascontiguousarray(uv.reshape(hidden, 4, hidden).transpose(1, 0, 2))
-    states = np.zeros((n * steps, hidden))
-    h = c = np.zeros((live[0], hidden))
+    states = np.empty((src.size, hidden))
+    h = c = np.zeros((live0, hidden))
     gates, cells, tanh_c = [], [], []
-    for s, m in spans:
+    for s, m in plan.spans:
         z = x_p[s : s + m] @ w_gates
         z += b_gates
         z += h[:m] @ u_gates
@@ -199,12 +210,12 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, lengths: np.ndarray, reverse: bo
         gates.append((i, f, g, o))
 
     def vjp(g_out):
-        g_p = g_out.reshape(-1, hidden)[src]
+        g_p = g_out[src]
         d_pre = np.empty((src.size, 4, hidden))  # rows as x_p, columns as in W
-        dh_next = np.zeros((live[0], hidden))  # carried in from step k+1
-        dc_next = np.zeros((live[0], hidden))
-        for step in reversed(range(len(spans))):
-            s, m = spans[step]
+        dh_next = np.zeros((live0, hidden))  # carried in from step k+1
+        dc_next = np.zeros((live0, hidden))
+        for step in reversed(range(len(plan.spans))):
+            s, m = plan.spans[step]
             i, f, g, o = gates[step]
             dh = dh_next[:m] + g_p[s : s + m]
             dc = dc_next[:m] + dh * o * (1.0 - tanh_c[step] ** 2)
@@ -216,15 +227,15 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, lengths: np.ndarray, reverse: bo
             np.multiply(dc, f, out=dc_next[:m])
             np.matmul(d.reshape(m, 4 * hidden), uv.T, out=dh_next[:m])
         flat = d_pre.reshape(-1, 4 * hidden)
-        dx = np.zeros((n * steps, feat))
+        dx = np.empty((src.size, feat))
         dx[src] = flat @ wv.T
-        # an event after a row's first follows the state at the position next
-        # to it; the first events, whose previous state is 0, add nothing to dU
-        h_prev = states[src[live[0] :] + (1 if reverse else -1)]
-        du = h_prev.T @ flat[live[0] :]
-        return dx.reshape(xv.shape), x_p.T @ flat, du, flat.sum(axis=0)
+        # a row's events stay together, so an event after its row's first
+        # follows the state next to it; first events (state 0) add nothing to dU
+        h_prev = states[src[live0:] + (1 if reverse else -1)]
+        du = h_prev.T @ flat[live0:]
+        return dx, x_p.T @ flat, du, flat.sum(axis=0)
 
-    return ad.custom_op((x, w, u, b), states.reshape(n, steps, hidden), vjp)
+    return ad.custom_op((x, w, u, b), states, vjp)
 
 
 def _dropout(var, rate, rng):
@@ -240,12 +251,11 @@ def forward(
     """Propensities for a packed batch on a fresh tape.
 
     Only a training forward records a backward: an eval forward's leaves
-    need no gradients, so none of its nodes keeps a VJP. Each LSTM step
-    updates only the rows whose unmasked span is still running, and padded
-    positions come out as zeros that nothing reads: the forward direction's
-    state is read at the last unmasked step, the backward direction's (run
-    over each row's span reversed) at position 0. ``rng`` is required in
-    training mode when dropout is active.
+    need no gradients, so none of its nodes keeps a VJP. The model reads
+    only the unmasked events, packed row by row (padding is never read):
+    the forward direction's state is read at each row's last event, the
+    backward direction's (run over each row's events reversed) at its
+    first. ``rng`` is required in training mode when dropout is active.
     """
     hyper = params.hyper
     if training and hyper.dropout > 0 and rng is None:
@@ -256,17 +266,18 @@ def forward(
     lengths = batch.mask.sum(axis=1).astype(np.int64)
     if (lengths < 1).any():
         raise ValueError("every sample must have at least one unmasked event")
-    n = lengths.size
+    plan = _EventPlan(lengths)
 
     # categorical columns by sorted name, then numeric ones: the order of layer 0's W rows
-    channels = [ad.take(leaves[f"emb:{attr}"], batch.cat[attr]) for attr in sorted(batch.cat)]
+    channels = [ad.take(leaves[f"emb:{a}"], batch.cat[a][batch.mask]) for a in sorted(batch.cat)]
     if batch.num:
-        channels.append(tape.constant(np.stack([batch.num[a] for a in sorted(batch.num)], -1)))
+        numeric = [batch.num[a][batch.mask] for a in sorted(batch.num)]
+        channels.append(tape.constant(np.stack(numeric, axis=-1)))
     x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
 
     def lstm(inp, layer, direction):
         weights = (leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb")
-        return _lstm_layer(inp, *weights, lengths, direction == "b")
+        return _lstm_layer(inp, *weights, plan, direction == "b")
 
     for layer in range(hyper.layers):
         seq_f = lstm(x, layer, "f")
@@ -277,10 +288,9 @@ def forward(
             if training and hyper.dropout > 0:
                 x = _dropout(x, hyper.dropout, rng)
 
-    last = ad.gather_steps(seq_f, lengths - 1)
+    last = ad.take(seq_f, plan.last)
     if hyper.bidirectional:
-        # the backward direction has consumed the whole span at position 0
-        last = ad.concat([last, ad.gather_steps(seq_b, np.zeros(n, np.int64))], axis=-1)
+        last = ad.concat([last, ad.take(seq_b, plan.first)], axis=-1)
     if training and hyper.dropout > 0:
         last = _dropout(last, hyper.dropout, rng)
 
@@ -317,7 +327,6 @@ def bce_loss(propensities: Var, labels) -> Var:
 class CompositeLossResult:
     loss: Var
     bce: float
-    ipm: float | None
     group_empty: bool
     sinkhorn: SinkhornResult | None
 
@@ -335,18 +344,18 @@ def composite_loss(
     bce = bce_loss(propensities, labels)
     lam = cfg.lam
     if lam == 0.0:
-        return CompositeLossResult(bce, float(bce.value), None, False, None)
+        return CompositeLossResult(bce, float(bce.value), False, None)
 
     idx0 = np.flatnonzero(sensitive == 0)
     idx1 = np.flatnonzero(sensitive == 1)
     if idx0.size == 0 or idx1.size == 0:
-        return CompositeLossResult(bce * (1.0 - lam), float(bce.value), None, True, None)
+        return CompositeLossResult(bce * (1.0 - lam), float(bce.value), True, None)
 
     result = sinkhorn_distance(
         ad.take(propensities, idx0), ad.take(propensities, idx1), cfg.sinkhorn
     )
     loss = bce * (1.0 - lam) + result.var * lam
-    return CompositeLossResult(loss, float(bce.value), result.value, False, result)
+    return CompositeLossResult(loss, float(bce.value), False, result)
 
 
 def backward(tape: Tape, loss: Var, leaves: dict) -> dict:

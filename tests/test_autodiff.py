@@ -33,7 +33,7 @@ from conftest import (
 from fairppm import autodiff as ad
 from fairppm import transport
 from fairppm.autodiff import Tape
-from fairppm.nn import CompositeLossConfig, Hyper, _lstm_layer
+from fairppm.nn import CompositeLossConfig, Hyper, _EventPlan, _lstm_layer
 from fairppm.train import TrainConfig, evaluate, train_model
 
 
@@ -182,16 +182,6 @@ def test_take_grad_with_repeats(rng):
     assert np.array_equal(tape.grad(e), np.array([[0, 0], [3, 3], [0, 0]], dtype=float))
 
 
-def test_gather_steps_grads(rng):
-    a = rng.normal(size=(3, 4, 2))
-    w1 = rng.normal(size=(3, 2))
-    idx1 = np.array([0, 3, 2])
-    check_op(lambda lv: weighted_sum(w1)(ad.gather_steps(lv["a"], idx1)), {"a": a})
-    idx2 = np.array([[0, 1, 1, 3], [3, 2, 1, 0], [2, 2, 2, 2]])
-    w2 = rng.normal(size=(3, 4, 2))
-    check_op(lambda lv: weighted_sum(w2)(ad.gather_steps(lv["a"], idx2)), {"a": a.copy()})
-
-
 @pytest.mark.parametrize("axis", [0, 1])
 def test_softmin_grads(axis, rng):
     # the linear-time Sinkhorn soft-min update, entered as one custom_op whose
@@ -282,29 +272,33 @@ LENGTH_PATTERNS = {
 def test_lstm_layer_node_grads(hidden, steps, reverse, pattern, rng):
     # one fused LSTM direction entered through custom_op: its BPTT VJP gives
     # dx, dW, dU and db for every hidden state, each weighted into the loss;
-    # each row runs over its first ``lengths`` steps (backwards if reversed),
-    # and its padded states are zeros
+    # the rows' events are packed row by row, each row read over its own
+    # events (backwards if reversed) in the plan's step-major order
     n, feat = 3, 2
-    arrays = {
-        "x": rng.normal(size=(n, steps, feat)),
-        "W": rng.uniform(-1.0, 1.0, size=(feat, 4 * hidden)),
-        "U": rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden)),
-        "b": rng.uniform(-0.5, 0.5, size=(4 * hidden,)),
-    }
     if pattern == "random":
         lengths = rng.integers(1, steps + 1, size=n)
     else:
         lengths = np.array(LENGTH_PATTERNS[pattern])
-    w = rng.normal(size=(n, steps, hidden))
+    events = int(lengths.sum())
+    arrays = {
+        "x": rng.normal(size=(events, feat)),
+        "W": rng.uniform(-1.0, 1.0, size=(feat, 4 * hidden)),
+        "U": rng.uniform(-1.0, 1.0, size=(hidden, 4 * hidden)),
+        "b": rng.uniform(-0.5, 0.5, size=(4 * hidden,)),
+    }
+    w = rng.normal(size=(events, hidden))
+    plan = _EventPlan(lengths)
 
     def node(lv):
-        return _lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"], lengths, reverse)
+        return _lstm_layer(lv["x"], lv["W"], lv["U"], lv["b"], plan, reverse)
 
     check_op(lambda lv: weighted_sum(w)(node(lv)), arrays)
-    tape = Tape()
-    states = node({name: tape.leaf(a) for name, a in arrays.items()}).value
-    padded = np.arange(steps) >= lengths[:, None]
-    assert (states[padded] == 0.0).all() and (states[~padded] != 0.0).all()
+    # every event is read exactly once in each direction, and a row's events
+    # run from its first packed position to its last
+    assert sorted(plan.forward) == sorted(plan.reverse) == list(range(events))
+    ends = np.cumsum(lengths)
+    assert np.array_equal(plan.first, ends - lengths)
+    assert np.array_equal(plan.last, ends - 1)
 
 
 ON_CONSTANTS = {
@@ -313,7 +307,6 @@ ON_CONSTANTS = {
     "mul": lambda c: ad.mul(c, c),
     "matmul": lambda c: ad.matmul(c, c),
     "take": lambda c: ad.take(c, [1, 0, 1]),
-    "gather_steps": lambda c: ad.gather_steps(reshape(c, (2, 2, 1)), [1, 0]),
     "concat": lambda c: ad.concat([c, c], axis=0),
     "reduce_sum": lambda c: reduce_sum(c, axis=0),
 }

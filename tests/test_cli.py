@@ -692,6 +692,10 @@ def edit_sample(number, change):
             "case 'edited'", id="samples-proxy-infinity",
         ),
         pytest.param(
+            "evaluate", TEST_SAMPLES, edit_sample(2, lambda record: record.update(outcome=0.9)),
+            "line 2: ValueError: 'outcome'", id="samples-outcome-a-float",
+        ),
+        pytest.param(
             "train", VALID_SAMPLES, lambda text: text.split("\n", 1)[0] + "\n", "empty",
             id="samples-none",
         ),

@@ -362,7 +362,7 @@ def test_extract_prefixes_positive_trace():
 
 def test_extract_prefixes_negative_trace_capped():
     log = make_log(make_trace("c1", list("ABCDEFGH")))
-    samples = extract_prefixes(log, "Offer", "case:protected", max_gen_len=6)
+    samples = extract_prefixes(log, "Offer", "case:protected", max_len=6)
     assert [len(s.events) for s in samples] == [1, 2, 3, 4, 5, 6]
     assert all(s.outcome == 0 for s in samples)
 
@@ -399,16 +399,16 @@ def prop_prefix_invariants(cases: int, seed: int = 61) -> None:
                 make_trace(f"c{i}", acts, static={"case:protected": bool(rng.integers(0, 2))})
             )
         log = make_log(*traces)
-        max_gen = int(rng.integers(1, 8))
-        samples = extract_prefixes(log, "Offer", "case:protected", max_gen_len=max_gen)
-        assert samples == extract_prefixes(log, "Offer", "case:protected", max_gen_len=max_gen)
+        max_len = int(rng.integers(1, 8))
+        samples = extract_prefixes(log, "Offer", "case:protected", max_len=max_len)
+        assert samples == extract_prefixes(log, "Offer", "case:protected", max_len=max_len)
         by_id = {t.case_id: t for t in traces}
         seen = []
         for s in samples:
             trace = by_id[s.case_id]
             outcome, cut = label_and_cut(trace, "Offer")
             assert s.events == trace.events[: len(s.events)]
-            assert len(s.events) <= min(cut, max_gen)
+            assert len(s.events) <= min(cut, max_len)
             assert s.outcome == outcome
             assert s.sensitive == int(trace.static_attrs["case:protected"])
             if outcome == 1:
@@ -624,6 +624,33 @@ def test_samples_jsonl_skips_provenance_record(tmp_path):
     write_samples_jsonl(samples, path, provenance={"config_hash": "abc"})
     assert path.read_text().startswith('{"_provenance": {"config_hash": "abc"}}\n')
     assert read_samples_jsonl(path) == samples
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("outcome", 0.9),
+        ("outcome", "1"),
+        ("outcome", True),
+        ("sensitive", 1.5),
+        ("sensitive", "1"),
+        ("sensitive", True),
+        ("case_id", 7),
+        ("activity", 5),
+        ("timestamp", 20240105),
+    ],
+)
+def test_samples_jsonl_rejects_mistyped_values(tmp_path, key, value):
+    # a label or id of the wrong JSON type is not cast: 0.9 is no outcome 0
+    path = tmp_path / "samples.jsonl"
+    write_samples_jsonl(sample_fixture()[:3], path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    (record["events"][0] if key in ("activity", "timestamp") else record)[key] = value
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError, match=f"line 2: ValueError: '{key}' value"):
+        read_samples_jsonl(path)
 
 
 def test_domain_type_invariants():

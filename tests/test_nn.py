@@ -194,7 +194,7 @@ def test_padding_is_never_read(rng):
 
 
 def test_forward_commutes_with_row_permutation(rng):
-    # rows run sorted by length inside each LSTM node and are scattered back
+    # rows run sorted by length in the event plan and are read back per row
     hyper = Hyper(layers=2, hidden=3, bidirectional=True, dropout=0.0)
     params = tiny_model(hyper, seed=6)
     batch = random_packed(rng, 16)
@@ -245,7 +245,7 @@ def test_only_a_training_forward_records_vjps(training, rng):
 )
 def test_training_step_tape_node_counts(hyper, lam, nodes):
     # leaves, one gather per embedding, one numeric constant, the concat, the
-    # LSTM nodes, dropout, the last-step gathers, the head and the loss: the
+    # LSTM nodes, dropout, the last-event gathers, the head and the loss: the
     # synthetic-log encoder has two categorical and three numeric channels
     encoder, train, _, _ = build_datasets(n_cases=60, seed=3)
     assert (len(encoder.categorical_attrs), len(encoder.numeric_attrs)) == (2, 3)
@@ -398,20 +398,19 @@ def composite_fixture(lam: float, rng=None):
 def test_composite_lambda_zero_is_bce():
     result, p, labels, _ = composite_fixture(0.0)
     assert result.loss.value == bce_loss(p, labels).value
-    assert result.ipm is None and result.sinkhorn is None
+    assert result.sinkhorn is None
     assert not result.group_empty
 
 
 def test_composite_lambda_one_is_transport_term():
     result, *_ = composite_fixture(1.0)
     assert result.loss.value == result.sinkhorn.value
-    assert result.ipm == result.sinkhorn.value
 
 
 def test_composite_component_sum():
     result, *_ = composite_fixture(0.5)
     assert result.loss.value == pytest.approx(
-        0.5 * result.bce + 0.5 * result.ipm, abs=1e-15
+        0.5 * result.bce + 0.5 * result.sinkhorn.value, abs=1e-15
     )
 
 
@@ -419,7 +418,7 @@ def test_composite_affine_in_lambda():
     base, *_ = composite_fixture(0.5)
     for lam in (0.1, 0.25, 0.75, 0.9):
         result, *_ = composite_fixture(lam)
-        expected = (1.0 - lam) * base.bce + lam * base.ipm
+        expected = (1.0 - lam) * base.bce + lam * base.sinkhorn.value
         assert result.loss.value == pytest.approx(expected, abs=1e-12)
 
 
@@ -429,7 +428,7 @@ def test_composite_single_group_batch_flagged(rng):
     cfg = CompositeLossConfig(lam=0.3, sinkhorn=FD_SINKHORN)
     result = composite_loss(p, labels, np.ones(8), cfg)
     assert result.group_empty
-    assert result.ipm is None
+    assert result.sinkhorn is None
     assert result.loss.value == pytest.approx(0.7 * result.bce, abs=1e-15)
 
 
