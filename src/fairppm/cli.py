@@ -254,19 +254,22 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _encode(encoder: EncoderSpec, sample):
-    """``encode``, with an error that names the sample's case."""
-    try:
-        return encode(encoder, sample)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(
-            f"case '{sample.case_id}' does not fit {ENCODER_FILE}: {type(exc).__name__}: {exc}"
-        ) from None
-
-
 def _load_packed(out: Path, name: str, encoder: EncoderSpec) -> PackedDataset:
     def read(path):
-        return PackedDataset.from_encoded([_encode(encoder, s) for s in read_samples_jsonl(path)])
+        samples = read_samples_jsonl(path)
+        try:
+            return PackedDataset.from_samples(encoder, samples)
+        except (ValueError, KeyError, TypeError):
+            # the bulk error names no sample: encode one by one to find the first
+            for sample in samples:
+                try:
+                    encode(encoder, sample)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"case '{sample.case_id}' does not fit {ENCODER_FILE}: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from None
+            raise
 
     return _artifact(out, name, read)
 

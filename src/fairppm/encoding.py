@@ -8,6 +8,11 @@ and clamped elsewhere. Each attribute is read as one value per event (a
 static one repeated at every event), so a sample that lacks an attribute
 does not encode. Prefixes shorter than ``max_len`` are right-padded; longer
 ones keep their last ``max_len`` events.
+
+There is one value rule (``_values``) and two shapes it fills: ``encode``
+turns one sample into rows of Python values, and
+``PackedDataset.from_samples`` reads each attribute once over the kept
+events of a whole sample list and packs the arrays column by column.
 """
 
 from __future__ import annotations
@@ -62,19 +67,14 @@ class EncoderSpec:
         ranges = {a: (float(lo), float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
         object.__setattr__(self, "vocabularies", vocabularies)  # categorical attr -> {label: index}
         object.__setattr__(self, "numeric_ranges", ranges)
+        # the encoding order of the attributes
+        object.__setattr__(self, "categorical_attrs", tuple(sorted(self.labels)))
+        object.__setattr__(self, "numeric_attrs", tuple(sorted(ranges)))
 
     @property
     def embedding_dims(self) -> dict:
         """Categorical attr -> ceil(sqrt(number of labels))."""
         return {attr: math.ceil(math.sqrt(len(ls))) for attr, ls in self.labels.items()}
-
-    @property
-    def categorical_attrs(self) -> list:
-        return sorted(self.labels)
-
-    @property
-    def numeric_attrs(self) -> list:
-        return sorted(self.numeric_ranges)
 
 
 def _holds_only(items, kinds: tuple) -> bool:
@@ -127,15 +127,12 @@ def fit_encoder(
     events = list({id(e): e for sample in train for e in sample.events}.values())
     statics = list({id(sample.static_attrs): sample.static_attrs for sample in train}.values())
 
-    def values(attr):  # attr's value at every distinct training event
-        if attr.startswith(STATIC_PREFIX):
-            return [static[attr] for static in statics]
-        return _column(None, attr, events)
-
-    labels = {attr: sorted(set(values(attr)), key=_label_key) for attr in cat_attrs}
+    labels = {
+        attr: sorted(set(_column(attr, events, statics)), key=_label_key) for attr in cat_attrs
+    }
     numeric_ranges = {}
     for attr in num_attrs:
-        floats = list(map(float, values(attr)))
+        floats = list(map(float, _column(attr, events, statics)))
         lo, hi = min(floats), max(floats)
         if lo == hi:
             warnings.warn(
@@ -155,15 +152,32 @@ def fit_encoder(
     )
 
 
-def _column(static_attrs: dict, attr: str, events) -> list:
-    """``attr``'s value at each of ``events``: the activity, a static ``case:``
-    value (from ``static_attrs``) repeated, or a dynamic attribute. A missing
-    attribute raises KeyError."""
+def _column(attr: str, events, statics) -> list:
+    """``attr``'s values: the activity or a dynamic attribute at each of
+    ``events``, or a static ``case:`` value from each of ``statics``. A
+    missing attribute raises KeyError."""
     if attr == ACTIVITY:
         return [e.activity for e in events]
     if attr.startswith(STATIC_PREFIX):
-        return [static_attrs[attr]] * len(events)
+        return [static[attr] for static in statics]
     return [e.dynamic_attrs[attr] for e in events]
+
+
+def _values(spec: EncoderSpec, attr: str, column: list) -> list:
+    """The value rule: ``attr``'s raw values as vocabulary indices (0 out of
+    vocabulary), or as floats min-max scaled and clamped into [0,1] (all 0 on
+    a constant channel). A value that is not a finite number raises ValueError."""
+    vocab = spec.vocabularies.get(attr)
+    if vocab is not None:
+        return [vocab.get(v, 0) for v in column]
+    lo, hi = spec.numeric_ranges[attr]
+    raw = list(map(float, column))
+    if not all(map(math.isfinite, raw)):
+        raise ValueError(f"'{attr}' holds a value that is not a finite number: {raw}")
+    if hi > lo:
+        span = hi - lo  # comparisons clamp bit-equal to min(max(x, 0.0), 1.0), and faster
+        return [0.0 if (x := (v - lo) / span) < 0.0 else 1.0 if x > 1.0 else x for v in raw]
+    return [0.0] * len(raw)
 
 
 def _label_key(label) -> tuple:
@@ -174,32 +188,22 @@ def _label_key(label) -> tuple:
 def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
     """Encode one sample; a missing attribute raises KeyError, a non-finite value ValueError."""
     events = sample.events[-spec.max_len :]
-    length = len(events)
-    pad = spec.max_len - length
-
-    cat_indices = {}
-    for attr in spec.categorical_attrs:
-        vocab = spec.vocabularies[attr]
-        row = [vocab.get(v, 0) for v in _column(sample.static_attrs, attr, events)]
-        cat_indices[attr] = tuple(row + [0] * pad)
-
-    num_values = {}
-    for attr in spec.numeric_attrs:
-        lo, hi = spec.numeric_ranges[attr]
-        raw = list(map(float, _column(sample.static_attrs, attr, events)))
-        if not all(map(math.isfinite, raw)):
-            raise ValueError(f"'{attr}' holds a value that is not a finite number: {raw}")
-        if hi > lo:
-            scaled = [min(max((v - lo) / (hi - lo), 0.0), 1.0) for v in raw]
-        else:
-            scaled = [0.0] * length
-        num_values[attr] = tuple(scaled + [0.0] * pad)
-
-    mask = tuple([True] * length + [False] * pad)
+    statics = (sample.static_attrs,)
+    pad = spec.max_len - len(events)
+    cat_indices, num_values = {}, {}
+    for attrs, rows, padding in (
+        (spec.categorical_attrs, cat_indices, [0] * pad),
+        (spec.numeric_attrs, num_values, [0.0] * pad),
+    ):
+        for attr in attrs:
+            # a static value is encoded once and repeated at every event
+            times = len(events) if attr.startswith(STATIC_PREFIX) else 1
+            values = _values(spec, attr, _column(attr, events, statics))
+            rows[attr] = tuple(values * times + padding)
     return EncodedPrefix(
         cat_indices=cat_indices,
         num_values=num_values,
-        mask=mask,
+        mask=tuple([True] * len(events) + [False] * pad),
         y=sample.outcome,
         s=sample.sensitive,
     )
@@ -231,6 +235,38 @@ class PackedDataset:
             mask=np.array([e.mask for e in encoded], dtype=bool),
             y=np.array([e.y for e in encoded], dtype=np.float64),
             s=np.array([e.s for e in encoded], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_samples(cls, spec: EncoderSpec, samples: list) -> "PackedDataset":
+        """``from_encoded([encode(spec, s) for s in samples])``, array for
+        array, built a column at a time: each attribute is read once over the
+        kept events of every sample and scattered into place through the mask.
+        A sample that does not encode raises the error type ``encode`` raises,
+        without saying which sample it was."""
+        if not samples:
+            raise ValueError("cannot pack an empty sample list")
+        kept = [s.events[-spec.max_len :] for s in samples]
+        lengths = np.array(list(map(len, kept)))
+        mask = np.arange(spec.max_len) < lengths[:, None]
+        # row-major, as a boolean mask indexes: sample by sample, event by event
+        events = [e for k in kept for e in k]
+        statics = [s.static_attrs for s in samples]
+
+        def scatter(attr, dtype):
+            values = _values(spec, attr, _column(attr, events, statics))
+            if attr.startswith(STATIC_PREFIX):  # one per sample, repeated at its events
+                values = np.repeat(values, lengths)
+            out = np.zeros(mask.shape, dtype)
+            out[mask] = values
+            return out
+
+        return cls(
+            cat={a: scatter(a, np.int64) for a in spec.categorical_attrs},
+            num={a: scatter(a, np.float64) for a in spec.numeric_attrs},
+            mask=mask,
+            y=np.array([s.outcome for s in samples], dtype=np.float64),
+            s=np.array([s.sensitive for s in samples], dtype=np.int64),
         )
 
     def subset(self, indices) -> "PackedDataset":

@@ -526,21 +526,43 @@ def sample_to_dict(sample: RawPrefixSample) -> dict:
     }
 
 
-def sample_from_dict(d: dict) -> RawPrefixSample:
-    """The sample ``sample_to_dict`` wrote; an id or label of another JSON type
-    (an outcome of 0.9 or "1") raises ValueError naming its key (``json_cast``)."""
-    events = tuple(
-        Event(
-            activity=json_cast("activity", e["activity"], str),
-            timestamp=datetime.fromisoformat(json_cast("timestamp", e["timestamp"], str)),
-            dynamic_attrs=dict(e["dynamic_attrs"]),
-        )
-        for e in d["events"]
+def _event_from_dict(e: dict) -> Event:
+    return Event(
+        activity=json_cast("activity", e["activity"], str),
+        timestamp=datetime.fromisoformat(json_cast("timestamp", e["timestamp"], str)),
+        dynamic_attrs=json_cast("dynamic_attrs", e["dynamic_attrs"], dict),
     )
+
+
+def sample_from_dict(d: dict, previous: tuple | None = None) -> RawPrefixSample:
+    """The sample ``sample_to_dict`` wrote; an id, label or attribute map of
+    another JSON type (an outcome of 0.9 or "1", a list of pairs for a map)
+    raises ValueError naming its key (``json_cast``).
+
+    ``previous`` is an earlier ``(record, sample)`` pair. An event record
+    equal to the one at its position there, and a static map equal to that
+    record's, reuse the object parsed from it, so a case's nested prefixes
+    share them as they do after ``extract_prefixes``. Equal is as Python
+    compares the parsed JSON, where 1, 1.0 and true are one value; the
+    encoder reads them as one value too.
+    """
+    known, sample = previous if previous is not None else ({"events": ()}, None)
+    known_events = known["events"]
+    events = tuple(
+        sample.events[i]
+        if i < len(known_events) and e == known_events[i]
+        else _event_from_dict(e)
+        for i, e in enumerate(d["events"])
+    )
+    statics = d["static_attrs"]
+    if sample is not None and statics == known["static_attrs"]:
+        statics = sample.static_attrs
+    else:
+        statics = json_cast("static_attrs", statics, dict)
     return RawPrefixSample(
         case_id=json_cast("case_id", d["case_id"], str),
         events=events,
-        static_attrs=dict(d["static_attrs"]),
+        static_attrs=statics,
         outcome=json_cast("outcome", d["outcome"], int),
         sensitive=json_cast("sensitive", d["sensitive"], int),
     )
@@ -558,8 +580,12 @@ def write_samples_jsonl(samples, path, provenance: dict | None = None) -> None:
 
 
 def read_samples_jsonl(path) -> list:
-    """The samples of a JSONL file; a malformed record raises RowError with its line."""
+    """The samples of a JSONL file; a malformed record raises RowError with its line.
+
+    Each record is read against the one before it (``sample_from_dict``), so
+    the events a case's prefixes have in common are parsed once."""
     samples = []
+    previous = None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -567,10 +593,13 @@ def read_samples_jsonl(path) -> list:
                 continue
             try:
                 record = json.loads(line)
+                if type(record) is not dict:
+                    raise ValueError(f"a record must be a JSON object, not {record!r}")
                 # tooling may stamp a metadata record first; it carries no sample
                 if "_provenance" in record:
                     continue
-                samples.append(sample_from_dict(record))
+                samples.append(sample_from_dict(record, previous))
+                previous = record, samples[-1]
             except (KeyError, ValueError, TypeError, AttributeError) as exc:
                 raise RowError(f"line {number}: {type(exc).__name__}: {exc}") from None
     return samples

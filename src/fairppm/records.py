@@ -45,9 +45,9 @@ def json_cast(key: str, value, kind: type):
 
     The value must already have that type: a bool for bool, an int but not
     a bool for int, a finite int or float but not a bool for float (cast to
-    float), a list for tuple (cast to tuple), a str for str. A tuple, which
-    a record's own ``asdict`` gives, passes for tuple too. Raises
-    ValueError naming the key otherwise.
+    float), a list for tuple (cast to tuple), an object for dict (copied),
+    a str for str. A tuple, which a record's own ``asdict`` gives, passes for
+    tuple too. Raises ValueError naming the key otherwise.
     """
     if isinstance(value, bool):
         fits = kind is bool

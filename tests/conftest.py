@@ -13,7 +13,7 @@ import pytest
 from fairppm import autodiff as ad
 from fairppm import transport
 from fairppm.autodiff import _unbroadcast
-from fairppm.encoding import EncoderSpec, PackedDataset, encode, fit_encoder
+from fairppm.encoding import EncoderSpec, PackedDataset, fit_encoder
 from fairppm.eventlog import (
     SYNTH_SCHEMA,
     BiasSpec,
@@ -347,7 +347,7 @@ def build_datasets(
     encoder = fit_encoder(train_samples, SYNTH_SCHEMA, max_len, drop_sensitive, "case:protected")
 
     def pack(samples):
-        return PackedDataset.from_encoded([encode(encoder, s) for s in samples])
+        return PackedDataset.from_samples(encoder, samples)
 
     return encoder, pack(train_samples), pack(valid_samples), pack(test_samples)
 

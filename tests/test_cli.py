@@ -33,7 +33,8 @@ from fairppm.cli import (
     VALID_SAMPLES,
     main,
 )
-from fairppm.eventlog import BiasSpec
+from fairppm.encoding import PackedDataset
+from fairppm.eventlog import BiasSpec, read_samples_jsonl, sample_from_dict
 from fairppm.metrics import EvalReport
 from fairppm.nn import Hyper
 from fairppm.train import (
@@ -704,6 +705,15 @@ def edit_sample(number, change):
             id="samples-bad-line",
         ),
         pytest.param(
+            "evaluate", TEST_SAMPLES, replace_line(2, '"_provenance is not here"'),
+            "line 2: ValueError: a record must be a JSON object", id="samples-a-string-record",
+        ),
+        pytest.param(
+            "train", TRAIN_SAMPLES,
+            edit_sample(2, lambda record: record.update(static_attrs=[["case:proxy", True]])),
+            "line 2: ValueError: 'static_attrs'", id="samples-static-attrs-a-list",
+        ),
+        pytest.param(
             "evaluate", CHECKPOINT_FILE, lambda text: "[]", "list", id="checkpoint-a-list"
         ),
         pytest.param(
@@ -773,6 +783,62 @@ def test_malformed_artifact_exits_2_naming_the_file(
     assert run(command, write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"'{copy / name}'" in err and named in err and "internal error" not in err
+
+
+def test_samples_that_do_not_encode_name_the_first_one(pipeline, tmp_path, capsys):
+    """Packing reads attribute by attribute, so it meets the second bad sample
+    (no 'resource', a categorical) before the first (a NaN 'score'); the
+    message still names the first, as encoding sample by sample does."""
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    path = copy / TRAIN_SAMPLES
+    first = edit_sample(3, lambda r: r["events"][-1]["dynamic_attrs"].update(score=float("nan")))
+    second = edit_sample(6, lambda r: r["events"][0]["dynamic_attrs"].pop("resource"))
+    text = second(first(path.read_text())).replace('"edited"', '"first"', 1)
+    path.write_text(text.replace('"edited"', '"second"'))
+    with pytest.raises(KeyError, match="resource"):
+        PackedDataset.from_samples(cli._load_encoder(copy), read_samples_jsonl(path))
+    capsys.readouterr()
+    assert run("train", write_config(tmp_path, base_config(copy))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "case 'first' does not fit encoder.json: ValueError: 'score'" in err
+    assert "second" not in err
+
+
+def test_samples_reader_parses_the_events_of_a_case_once(pipeline, tmp_path):
+    """A case's nested prefixes share the Event objects they have in common;
+    an edited event record gets its own, and reading equals parsing each
+    line on its own."""
+    _, out, _ = pipeline
+    lines = (out / TRAIN_SAMPLES).read_text().splitlines()
+
+    def read(lines):
+        path = tmp_path / "samples.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        samples = read_samples_jsonl(path)
+        records = [r for r in map(json.loads, lines) if "_provenance" not in r]
+        assert samples == [sample_from_dict(r) for r in records]
+        return samples
+
+    samples = read(lines)
+    nested = [k for k in range(1, len(samples)) if samples[k].case_id == samples[k - 1].case_id]
+    assert len(nested) > len(samples) // 2
+    for k in nested:
+        before, after = samples[k - 1], samples[k]
+        assert all(a is b for a, b in zip(before.events, after.events))
+        assert before.static_attrs is after.static_attrs
+
+    # sample k is on line k + 2, below the provenance record
+    k = nested[0]
+    edited = list(lines)
+    record = json.loads(edited[k + 1])
+    record["events"][0]["dynamic_attrs"]["score"] = 0.125
+    edited[k + 1] = json.dumps(record)
+    again = read(edited)
+    assert again[k].events[0] is not again[k - 1].events[0]
+    assert again[k].events[0].dynamic_attrs["score"] == 0.125
+    assert again[k - 1].events[0] == samples[k - 1].events[0]
 
 
 def test_non_object_sinkhorn_with_a_flag_exits_2(tmp_path, capsys):

@@ -177,26 +177,60 @@ def test_encode_replicates_statics_at_every_real_position():
     assert encoded.num_values["case:protected"] == (1.0, 1.0, 0.0, 0.0)
 
 
+def random_sample(rng, acts, resources, n_max, cost_span, case_id, cost=None):
+    """A prefix of 1..n_max events with labels drawn from ``acts`` and
+    ``resources`` and costs uniform in +-``cost_span`` (or all ``cost``)."""
+    n = int(rng.integers(1, n_max + 1))
+    return make_sample(
+        [acts[int(k)] for k in rng.integers(0, len(acts), size=n)],
+        costs=[cost] * n if cost is not None else rng.uniform(-cost_span, cost_span, n).tolist(),
+        resources=[resources[int(k)] for k in rng.integers(0, len(resources), size=n)],
+        protected=bool(rng.integers(0, 2)),
+        outcome=int(rng.integers(0, 2)),
+        case_id=case_id,
+    )
+
+
+def packed_arrays(packed: PackedDataset) -> dict:
+    """Every array of ``packed`` by name, in packing order."""
+    return {
+        **{f"cat:{a}": m for a, m in packed.cat.items()},
+        **{f"num:{a}": m for a, m in packed.num.items()},
+        "mask": packed.mask,
+        "y": packed.y,
+        "s": packed.s,
+    }
+
+
+def assert_packed_identical(got: PackedDataset, want: PackedDataset) -> None:
+    got, want = packed_arrays(got), packed_arrays(want)
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype and got[name].shape == array.shape, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
 def prop_encoding_invariants(cases: int, seed: int = 71) -> None:
     """Masks are contiguous, padded slots are zero, train encodes into
-    [0,1], and in-vocabulary indices decode back to their labels."""
+    [0,1], in-vocabulary indices decode back to their labels, and packing a
+    sample list column by column gives the arrays of encoding it sample by
+    sample, held-out samples included: out-of-vocabulary and boolean labels,
+    numerics out of the training range or on a constant channel, and
+    prefixes longer than ``max_len``."""
     rng = np.random.default_rng(seed)
     acts = ["A", "B", "C", "D", "E"]
+    resources = ["r0", "r1", "r2", True, False]
     for _ in range(cases):
         max_len = int(rng.integers(1, 9))
-        train = []
-        for j in range(int(rng.integers(1, 12))):
-            n = int(rng.integers(1, 10))
-            train.append(
-                make_sample(
-                    [acts[int(k)] for k in rng.integers(0, len(acts), size=n)],
-                    costs=rng.uniform(-5, 5, size=n).tolist(),
-                    resources=[f"r{int(k)}" for k in rng.integers(0, 3, size=n)],
-                    protected=bool(rng.integers(0, 2)),
-                    outcome=int(rng.integers(0, 2)),
-                    case_id=f"c{j}",
-                )
-            )
+        constant = 2.5 if rng.random() < 0.25 else None
+        train = [
+            random_sample(rng, acts, resources[:4], 9, 5, f"c{j}", constant)
+            for j in range(int(rng.integers(1, 12)))
+        ]
+        held_out = [
+            random_sample(rng, acts + ["Z"], resources + ["r9"], 14, 9, f"h{j}")
+            for j in range(int(rng.integers(1, 6)))
+        ]
         with warnings.catch_warnings():
             # tiny random training sets can legitimately have constant channels
             warnings.simplefilter("ignore", UserWarning)
@@ -216,6 +250,12 @@ def prop_encoding_invariants(cases: int, seed: int = 71) -> None:
             kept = sample.events[-max_len:]
             for e, idx in zip(kept, encoded.cat_indices["activity"]):
                 assert inverse[idx] == e.activity
+        samples = train + held_out
+        samples = [samples[i] for i in rng.permutation(len(samples))]
+        assert_packed_identical(
+            PackedDataset.from_samples(spec, samples),
+            PackedDataset.from_encoded([encode(spec, x) for x in samples]),
+        )
 
 
 def test_encoding_invariants():
@@ -289,3 +329,21 @@ def test_packed_dataset_shapes_and_subset():
     assert list(sub.cat) == list(packed.cat) and list(sub.num) == list(packed.num)
     with pytest.raises(ValueError):
         PackedDataset.from_encoded([])
+    with pytest.raises(ValueError):
+        PackedDataset.from_samples(spec, [])
+
+
+@pytest.mark.parametrize("attr", ["resource", "cost", "case:protected"])
+def test_from_samples_raises_what_encode_raises(attr):
+    spec = fit_encoder(TRAIN, SCHEMA)
+    bad = make_sample(["A"])  # a list is neither a label nor a number
+    if attr == "case:protected":
+        bad = replace(bad, static_attrs={attr: [1]})
+    else:
+        dynamic = {**bad.events[0].dynamic_attrs, attr: [1]}
+        bad = replace(bad, events=(replace(bad.events[0], dynamic_attrs=dynamic),))
+    with pytest.raises(TypeError) as per_sample:
+        encode(spec, bad)
+    with pytest.raises(TypeError) as bulk:
+        PackedDataset.from_samples(spec, TRAIN + [bad])
+    assert str(bulk.value) == str(per_sample.value)

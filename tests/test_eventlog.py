@@ -638,18 +638,34 @@ def test_samples_jsonl_skips_provenance_record(tmp_path):
         ("case_id", 7),
         ("activity", 5),
         ("timestamp", 20240105),
+        ("static_attrs", [["case:proxy", True]]),
+        ("dynamic_attrs", [["score", 0.5]]),
     ],
 )
 def test_samples_jsonl_rejects_mistyped_values(tmp_path, key, value):
-    # a label or id of the wrong JSON type is not cast: 0.9 is no outcome 0
+    # a label or id of the wrong JSON type is not cast: 0.9 is no outcome 0,
+    # and a list of pairs is no attribute map
     path = tmp_path / "samples.jsonl"
     write_samples_jsonl(sample_fixture()[:3], path)
     lines = path.read_text().splitlines()
     record = json.loads(lines[1])
-    (record["events"][0] if key in ("activity", "timestamp") else record)[key] = value
+    in_event = key in ("activity", "timestamp", "dynamic_attrs")
+    (record["events"][0] if in_event else record)[key] = value
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RowError, match=f"line 2: ValueError: '{key}' value"):
+        read_samples_jsonl(path)
+
+
+@pytest.mark.parametrize("line", ['"_provenance is not here"', "[1, 2]", "5", "null"])
+def test_samples_jsonl_rejects_a_record_that_is_not_an_object(tmp_path, line):
+    # a JSON string holding "_provenance" is no provenance record to skip
+    path = tmp_path / "samples.jsonl"
+    write_samples_jsonl(sample_fixture()[:3], path)
+    lines = path.read_text().splitlines()
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError, match="line 2: ValueError: a record must be a JSON object"):
         read_samples_jsonl(path)
 
 
