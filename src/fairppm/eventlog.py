@@ -106,7 +106,7 @@ class SchemaConfig:
         return {n: k for n, k in self.attributes.items() if not n.startswith(STATIC_PREFIX)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     activity: str
     timestamp: datetime
@@ -117,7 +117,7 @@ class Event:
             raise EventLogError("event activity must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     case_id: str
     events: tuple
@@ -145,7 +145,7 @@ class EventLog:
         return len(self.traces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawPrefixSample:
     case_id: str
     events: tuple
@@ -534,58 +534,81 @@ def _event_from_dict(e: dict) -> Event:
     )
 
 
-def sample_from_dict(d: dict, previous: tuple | None = None) -> RawPrefixSample:
+def sample_from_dict(d: dict) -> RawPrefixSample:
     """The sample ``sample_to_dict`` wrote; an id, label or attribute map of
     another JSON type (an outcome of 0.9 or "1", a list of pairs for a map)
-    raises ValueError naming its key (``json_cast``).
-
-    ``previous`` is an earlier ``(record, sample)`` pair. An event record
-    equal to the one at its position there, and a static map equal to that
-    record's, reuse the object parsed from it, so a case's nested prefixes
-    share them as they do after ``extract_prefixes``. Equal is as Python
-    compares the parsed JSON, where 1, 1.0 and true are one value; the
-    encoder reads them as one value too.
-    """
-    known, sample = previous if previous is not None else ({"events": ()}, None)
-    known_events = known["events"]
-    events = tuple(
-        sample.events[i]
-        if i < len(known_events) and e == known_events[i]
-        else _event_from_dict(e)
-        for i, e in enumerate(d["events"])
-    )
-    statics = d["static_attrs"]
-    if sample is not None and statics == known["static_attrs"]:
-        statics = sample.static_attrs
-    else:
-        statics = json_cast("static_attrs", statics, dict)
+    raises ValueError naming its key (``json_cast``)."""
     return RawPrefixSample(
         case_id=json_cast("case_id", d["case_id"], str),
-        events=events,
-        static_attrs=statics,
+        events=tuple(map(_event_from_dict, d["events"])),
+        static_attrs=json_cast("static_attrs", d["static_attrs"], dict),
         outcome=json_cast("outcome", d["outcome"], int),
         sensitive=json_cast("sensitive", d["sensitive"], int),
     )
 
 
+def _extends(shorter: RawPrefixSample, longer: RawPrefixSample) -> bool:
+    """Whether ``longer`` is a longer prefix of the same labeled case."""
+    n = len(shorter.events)
+    return (
+        len(longer.events) > n
+        and longer.case_id == shorter.case_id
+        and longer.outcome == shorter.outcome
+        and longer.sensitive == shorter.sensitive
+        and longer.events[:n] == shorter.events
+        and longer.static_attrs == shorter.static_attrs
+    )
+
+
+def _nested_runs(samples):
+    """``samples`` in order, cut into maximal runs where each sample extends
+    the one before it."""
+    run = []
+    for sample in samples:
+        if run and not _extends(run[-1], sample):
+            yield run
+            run = []
+        run.append(sample)
+    if run:
+        yield run
+
+
+def _prefix_lengths(value, n_events: int) -> list:
+    """A record's ``lengths``: a non-empty JSON list of ints that rises
+    strictly from at least 1 to ``n_events``, so no event goes unread."""
+    lengths = [json_cast("lengths", n, int) for n in json_cast("lengths", value, list)]
+    steps = zip([0] + lengths, lengths)
+    if not lengths or lengths[-1] != n_events or any(a >= b for a, b in steps):
+        raise ValueError(
+            f"'lengths' value {value!r} does not rise strictly from at least 1 "
+            f"to the record's {n_events} events"
+        )
+    return lengths
+
+
 def write_samples_jsonl(samples, path, provenance: dict | None = None) -> None:
-    """One JSON sample per line, after a ``_provenance`` record when given."""
+    """One JSON record per run of nested prefixes, after a ``_provenance``
+    record when given. A record is ``sample_to_dict`` of the run's longest
+    sample plus ``lengths``, the run's prefix lengths in ascending order; a
+    sample that does not extend the one before it (``_extends``) starts a
+    new record, so ``read_samples_jsonl`` gives back the list in order."""
     with open(path, "w", encoding="utf-8") as fh:
         if provenance:
             fh.write(json.dumps({"_provenance": provenance}, sort_keys=True))
             fh.write("\n")
-        for sample in samples:
-            fh.write(json.dumps(sample_to_dict(sample), sort_keys=True))
+        for run in _nested_runs(samples):
+            record = sample_to_dict(run[-1])
+            record["lengths"] = [len(s.events) for s in run]
+            fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
 
 
 def read_samples_jsonl(path) -> list:
     """The samples of a JSONL file; a malformed record raises RowError with its line.
 
-    Each record is read against the one before it (``sample_from_dict``), so
-    the events a case's prefixes have in common are parsed once."""
+    Each record is parsed once; its prefixes are slices of its events, so
+    they share the ``Event`` objects and the static map."""
     samples = []
-    previous = None
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -598,8 +621,17 @@ def read_samples_jsonl(path) -> list:
                 # tooling may stamp a metadata record first; it carries no sample
                 if "_provenance" in record:
                     continue
-                samples.append(sample_from_dict(record, previous))
-                previous = record, samples[-1]
+                if "lengths" not in record:
+                    raise ValueError(
+                        "the record has no 'lengths' (a samples file from an earlier "
+                        "version, one prefix per record); rerun ingest"
+                    )
+                s = sample_from_dict(record)
+                samples.extend(
+                    RawPrefixSample(s.case_id, s.events[:n], s.static_attrs, s.outcome, s.sensitive)
+                    for n in _prefix_lengths(record["lengths"], len(s.events))[:-1]
+                )
+                samples.append(s)
             except (KeyError, ValueError, TypeError, AttributeError) as exc:
                 raise RowError(f"line {number}: {type(exc).__name__}: {exc}") from None
     return samples

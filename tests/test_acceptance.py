@@ -16,7 +16,17 @@ import numpy as np
 import pytest
 
 from conftest import build_datasets, pairwise_auc, record_criterion
-from fairppm.cli import CHECKPOINT_FILE, REPORT_FILE, SCORES_FILE, SUMMARY_FILE, main
+from fairppm.cli import (
+    CHECKPOINT_FILE,
+    ENCODER_FILE,
+    REPORT_FILE,
+    SCORES_FILE,
+    SUMMARY_FILE,
+    TEST_SAMPLES,
+    TRAIN_SAMPLES,
+    VALID_SAMPLES,
+    main,
+)
 from fairppm.metrics import GroupedScores, abcc, abpc, auc, delta_dp_b, delta_dp_c
 from fairppm.nn import CompositeLossConfig, Hyper
 from fairppm.train import TrainConfig, default_lambdas, evaluate, lambda_sweep, pareto_front, train_model
@@ -229,6 +239,7 @@ def test_c8_property_suite_at_scale():
         (test_metrics.prop_optimal_threshold_scan, 100),
         (test_eventlog.prop_prefix_invariants, 100),
         (test_eventlog.prop_split_partition, 100),
+        (test_eventlog.prop_samples_jsonl_round_trip, 100),
         (test_encoding.prop_encoding_invariants, 100),
         (test_nn.prop_mask_invariance, 100),
         (test_train.prop_select_best_monotone_invariant, 100),
@@ -280,7 +291,16 @@ def test_c9_pipeline_reruns_byte_identical(tmp_path):
     cfg_path.write_text(json.dumps(config))
 
     assert main(["synth", "--config", str(cfg_path)]) == 0
-    tracked = (SUMMARY_FILE, CHECKPOINT_FILE, REPORT_FILE, SCORES_FILE)
+    tracked = (
+        TRAIN_SAMPLES,
+        VALID_SAMPLES,
+        TEST_SAMPLES,
+        ENCODER_FILE,
+        SUMMARY_FILE,
+        CHECKPOINT_FILE,
+        REPORT_FILE,
+        SCORES_FILE,
+    )
     snapshots = []
     for _ in range(2):
         for command in ("ingest", "train", "evaluate"):

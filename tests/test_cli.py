@@ -619,6 +619,18 @@ def edit_sample(number, change):
     return edit
 
 
+def one_prefix_per_record(text):
+    """A samples artifact in the layout of earlier versions: one record per
+    prefix, without 'lengths'."""
+    lines = text.split("\n")
+    header, records = lines[0], [json.loads(line) for line in lines[1:] if line]
+    rows = [header]
+    for record in records:
+        for n in record.pop("lengths"):
+            rows.append(json.dumps({**record, "events": record["events"][:n]}))
+    return "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize(
     "command, name, edit, named",
     [
@@ -714,6 +726,24 @@ def edit_sample(number, change):
             "line 2: ValueError: 'static_attrs'", id="samples-static-attrs-a-list",
         ),
         pytest.param(
+            "train", VALID_SAMPLES, one_prefix_per_record,
+            "line 2: ValueError: the record has no 'lengths'", id="samples-earlier-layout",
+        ),
+        pytest.param(
+            "evaluate", TEST_SAMPLES, one_prefix_per_record,
+            "line 2: ValueError: the record has no 'lengths'", id="samples-earlier-layout-test",
+        ),
+        pytest.param(
+            "train", TRAIN_SAMPLES,
+            edit_sample(2, lambda record: record["lengths"].pop()),
+            "line 2: ValueError: 'lengths'", id="samples-lengths-leave-an-event-unread",
+        ),
+        pytest.param(
+            "evaluate", TEST_SAMPLES,
+            edit_sample(2, lambda record: record.update(lengths=[0.5])),
+            "line 2: ValueError: 'lengths' value 0.5", id="samples-lengths-a-float",
+        ),
+        pytest.param(
             "evaluate", CHECKPOINT_FILE, lambda text: "[]", "list", id="checkpoint-a-list"
         ),
         pytest.param(
@@ -806,39 +836,31 @@ def test_samples_that_do_not_encode_name_the_first_one(pipeline, tmp_path, capsy
     assert "second" not in err
 
 
-def test_samples_reader_parses_the_events_of_a_case_once(pipeline, tmp_path):
-    """A case's nested prefixes share the Event objects they have in common;
-    an edited event record gets its own, and reading equals parsing each
-    line on its own."""
+def test_samples_reader_parses_the_events_of_a_case_once(pipeline):
+    """A record holds a case's nested prefixes: the samples read from it share
+    its Event objects and static map, and train.jsonl holds one event record
+    per distinct event of the split, one per (case, position)."""
     _, out, _ = pipeline
-    lines = (out / TRAIN_SAMPLES).read_text().splitlines()
+    path = out / TRAIN_SAMPLES
+    records = [r for r in map(json.loads, path.read_text().splitlines()) if "_provenance" not in r]
+    samples = read_samples_jsonl(path)
+    assert len(samples) == sum(len(r["lengths"]) for r in records) > 2 * len(records)
 
-    def read(lines):
-        path = tmp_path / "samples.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        samples = read_samples_jsonl(path)
-        records = [r for r in map(json.loads, lines) if "_provenance" not in r]
-        assert samples == [sample_from_dict(r) for r in records]
-        return samples
+    first = 0
+    for record in records:
+        run = samples[first : first + len(record["lengths"])]
+        first += len(run)
+        longest = run[-1]
+        assert longest == sample_from_dict(record)
+        assert [len(s.events) for s in run] == record["lengths"]
+        for sample in run:
+            assert sample.case_id == longest.case_id
+            assert sample.static_attrs is longest.static_attrs
+            assert all(a is b for a, b in zip(sample.events, longest.events))
 
-    samples = read(lines)
-    nested = [k for k in range(1, len(samples)) if samples[k].case_id == samples[k - 1].case_id]
-    assert len(nested) > len(samples) // 2
-    for k in nested:
-        before, after = samples[k - 1], samples[k]
-        assert all(a is b for a, b in zip(before.events, after.events))
-        assert before.static_attrs is after.static_attrs
-
-    # sample k is on line k + 2, below the provenance record
-    k = nested[0]
-    edited = list(lines)
-    record = json.loads(edited[k + 1])
-    record["events"][0]["dynamic_attrs"]["score"] = 0.125
-    edited[k + 1] = json.dumps(record)
-    again = read(edited)
-    assert again[k].events[0] is not again[k - 1].events[0]
-    assert again[k].events[0].dynamic_attrs["score"] == 0.125
-    assert again[k - 1].events[0] == samples[k - 1].events[0]
+    distinct = {(s.case_id, i) for s in samples for i in range(len(s.events))}
+    assert sum(len(r["events"]) for r in records) == len(distinct)
+    assert len({id(e) for s in samples for e in s.events}) == len(distinct)
 
 
 def test_non_object_sinkhorn_with_a_flag_exits_2(tmp_path, capsys):
