@@ -202,10 +202,16 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """The sigmoid of a plain array; the piecewise form avoids overflow in
-    exp for large |x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """The sigmoid of a plain array, as a fresh array: 1/(1+e) where x >= 0
+    and e/(1+e) elsewhere, with e = exp(-|x|), so exp never overflows. The
+    branches share one temporary and one divide, element by element the
+    same operations as two full-size quotients, so the same bits."""
+    e = np.abs(x, out=np.empty(np.shape(x)))  # an array even for a 0-d x
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 def sigmoid(a: Var) -> Var:

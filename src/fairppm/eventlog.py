@@ -165,12 +165,36 @@ class RawPrefixSample:
 def _skip_comment_lines(fh, skipped: list):
     """Pass lines through, dropping leading '#' comments (provenance headers)."""
     in_preamble = True
-    for line in fh:
+    for line in _utf8_lines(fh):
         if in_preamble and line.startswith("#"):
             skipped.append(line)
             continue
         in_preamble = False
         yield line
+
+
+def _utf8_lines(fh):
+    """The lines of text file ``fh``; a byte that is not UTF-8 raises RowError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise _not_utf8(fh.name) from None
+
+
+def _not_utf8(path) -> RowError:
+    """The error naming the physical line of the first byte of ``path`` that
+    is not UTF-8. A text read decodes in chunks, so its error gives only an
+    offset into one chunk: the file is read again as bytes, on this path only."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r or \r\n, as text mode reads them
+        line = len((data[: exc.start] + b"?").splitlines())
+        byte = data[exc.start]
+        return RowError(f"line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})")
+    return RowError("the file is not UTF-8")
 
 
 def _parse_value(raw: str, kind: str, column: str, line: int):
@@ -610,7 +634,7 @@ def read_samples_jsonl(path) -> list:
     they share the ``Event`` objects and the static map."""
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
+        for number, line in enumerate(_utf8_lines(fh), 1):
             line = line.strip()
             if not line:
                 continue

@@ -179,9 +179,10 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
     the hidden state after each event (E, H). With ``reverse`` each row's
     events are read backwards, so a state has consumed its row's suffix.
 
-    Each step updates only the rows still live. The forward keeps each
-    step's gate activations and cell state; the VJP is backprop through
-    time over the same live prefixes."""
+    Each step updates only the rows still live. When an input needs
+    gradients, the forward keeps each step's gate activations and cell
+    state for the VJP, backprop through time over the same live prefixes;
+    an eval forward keeps none of them."""
     xv, wv, uv = x.value, w.value, u.value
     feat, hidden = wv.shape[0], uv.shape[0]
     src = plan.reverse if reverse else plan.forward
@@ -194,6 +195,7 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
     u_gates = np.ascontiguousarray(uv.reshape(hidden, 4, hidden).transpose(1, 0, 2))
     states = np.empty((src.size, hidden))
     h = c = np.zeros((live0, hidden))
+    record = any(v.tape.nodes[v.idx].needs_grad for v in (x, w, u, b))
     gates, cells, tanh_c = [], [], []
     for s, m in plan.spans:
         z = x_p[s : s + m] @ w_gates
@@ -202,12 +204,15 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
         i, f = ad.logistic(z[:2])
         g = np.tanh(z[2])
         o = ad.logistic(z[3])
-        cells.append(c[:m])
-        c = f * cells[-1] + i * g
-        tanh_c.append(np.tanh(c))
-        h = o * tanh_c[-1]
+        c_prev = c[:m]
+        c = f * c_prev + i * g
+        t = np.tanh(c)
+        h = o * t
         states[src[s : s + m]] = h
-        gates.append((i, f, g, o))
+        if record:
+            gates.append((i, f, g, o))
+            cells.append(c_prev)
+            tanh_c.append(t)
 
     def vjp(g_out):
         g_p = g_out[src]
@@ -298,8 +303,10 @@ def forward(
     return ForwardResult(propensities=ad.sigmoid(logits), leaves=leaves)
 
 
-def predict(params: ModelParams, data: PackedDataset, chunk: int = 2048) -> np.ndarray:
-    """Eval-mode propensities for a whole dataset, batched for memory."""
+def predict(params: ModelParams, data: PackedDataset, chunk: int = 512) -> np.ndarray:
+    """Eval-mode propensities for a whole dataset, ``chunk`` rows at a time.
+    The default keeps each LSTM step's (rows, H) arrays small enough for the
+    allocator to reuse heap memory rather than map and unmap pages per step."""
     pieces = []
     for start in range(0, len(data), chunk):
         part = data.subset(np.arange(start, min(start + chunk, len(data))))

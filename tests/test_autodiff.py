@@ -9,9 +9,13 @@ the package's and the ones conftest builds on ``custom_op``.
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import conftest as oracle
 from conftest import (
@@ -109,6 +113,50 @@ def test_unary_grads(name, rng):
     a = rng.uniform(-2.0, 2.0, size=(2, 5))
     w = rng.normal(size=(2, 5))
     check_op(lambda lv: weighted_sum(w)(op(lv["a"])), {"a": a})
+
+
+def two_quotient_logistic(x):
+    """The sigmoid as two full-size quotients, the form ``logistic`` must
+    match bit for bit."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def assert_logistic_bits(x):
+    before = x.copy()
+    out = ad.logistic(x)
+    assert out.dtype == np.float64 and out.shape == x.shape
+    assert out.tobytes() == two_quotient_logistic(before).tobytes()
+    assert x.tobytes() == before.tobytes()  # the input is not written to
+    assert out.flags.owndata and not np.shares_memory(out, x)
+
+
+EDGES = [0.0, 1e-300, 36.7, 709.0, 746.0, 1e308, np.inf]
+
+
+def test_logistic_matches_two_quotients_at_the_edges():
+    edges = np.array([sign * v for v in EDGES for sign in (1.0, -1.0)] + [np.nan])
+    assert np.signbit(edges[1])  # -0.0 is among them
+    assert_logistic_bits(edges)
+    assert_logistic_bits(edges.reshape(1, -1, 1))
+    for value in edges:  # 0-d arrays too
+        assert_logistic_bits(np.array(value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        st.tuples(st.just(2), st.integers(1, 16), st.integers(1, 8)),
+        elements=st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+def test_logistic_matches_two_quotients_property(x):
+    assert_logistic_bits(x)
+    # the LSTM node passes a view of its gate pre-activations
+    stacked = np.concatenate([x, x[::-1]])
+    assert_logistic_bits(stacked[:2])
+    assert ad.logistic(stacked[:2]).tobytes() == ad.logistic(x).tobytes()
 
 
 def test_log_grad(rng):
@@ -300,6 +348,30 @@ def test_lstm_layer_node_grads(hidden, steps, reverse, pattern, rng):
     assert np.array_equal(plan.first, ends - lengths)
     assert np.array_equal(plan.last, ends - 1)
 
+
+
+@pytest.mark.parametrize("needs_grad", [False, True])
+def test_lstm_layer_keeps_step_activations_only_for_a_backward(needs_grad, rng):
+    # 256 full rows of 12 events: the gates, cell states and tanh(c) a VJP
+    # reads take 6 (E, H) arrays, several times the states and the packed input
+    lengths = np.full(256, 12)
+    events, feat, hidden = int(lengths.sum()), 8, 32
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(events, feat)), needs_grad)
+    w, u, b = (
+        tape.leaf(rng.uniform(-0.5, 0.5, size=shape), needs_grad)
+        for shape in ((feat, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+    )
+    plan = _EventPlan(lengths)
+    tracemalloc.start()
+    try:
+        out = _lstm_layer(x, w, u, b, plan, reverse=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states_and_input = 8 * events * (hidden + feat)
+    assert (peak > 3 * states_and_input) == needs_grad, peak / states_and_input
+    assert (tape.nodes[out.idx].vjp is not None) == needs_grad
 
 ON_CONSTANTS = {
     "custom_op": lambda c: ad.custom_op((c,), np.sum(c.value), None),

@@ -9,8 +9,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -502,6 +505,54 @@ def test_mixed_timezones_in_a_case_is_config_error(tmp_path, capsys):
     assert run("ingest", write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 3" in err and "internal error" not in err
+
+
+def test_log_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
+    # the bad byte sits on physical line 5: after a comment line, the
+    # header and a record whose quoted field spans two lines
+    log = tmp_path / "latin1.csv"
+    log.write_bytes(
+        b"# provenance\n"
+        b"case_id,activity,timestamp,case:protected\n"
+        b'c1,"sub\nmit",2024-01-05T08:00:00,TRUE\n'
+        b"c1,off\xffer,2024-01-05T09:00:00,TRUE\n"
+    )
+    config = {
+        "out": str(tmp_path / "latin1"),
+        "log": str(log),
+        "schema": {"case:protected": "boolean"},
+        "target_activity": "offer",
+    }
+    assert run("ingest", write_config(tmp_path, config)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 5: byte 0xff is not UTF-8" in err and "internal error" not in err
+
+
+def test_samples_that_are_not_utf8_exit_2_naming_the_file_and_line(pipeline, tmp_path, capsys):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    path = copy / TRAIN_SAMPLES
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"case_id": "', b'"case_id": "\xe9', 1)
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run("train", write_config(tmp_path, base_config(copy))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "line 3: byte 0xe9 is not UTF-8" in err
+    assert "position" not in err and "internal error" not in err
+
+
+def test_python_m_fairppm_runs_the_cli():
+    # a source checkout has no installed script; the package runs as a module
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "fairppm", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: fairppm" in done.stdout
 
 
 BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"

@@ -10,9 +10,10 @@ import pytest
 
 import fairppm
 
-# bottom layer first
+# bottom layer first; ``python -m fairppm`` runs the top one
 LAYERS = (
     "records", "autodiff", "transport", "metrics", "eventlog", "encoding", "nn", "train", "cli",
+    "__main__",
 )
 PACKAGE = Path(fairppm.__file__).parent
 

@@ -8,6 +8,8 @@ full composite-loss gradient.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
@@ -256,11 +258,44 @@ def test_training_step_tape_node_counts(hyper, lam, nodes):
     assert len(result.propensities.tape.nodes) == nodes
 
 
+# a grid cell: two bidirectional layers, with dropout that eval ignores
+GRID_CELL = Hyper(layers=2, hidden=32, bidirectional=True, batch=128, dropout=0.2)
+
+
 def test_predict_chunking_matches_single_pass(rng):
     params = tiny_model(Hyper(hidden=5, dropout=0.0), seed=9)
     batch = random_packed(rng, 23)
     whole = forward(params, batch, training=False).propensities.value
     assert np.array_equal(predict(params, batch, chunk=4), whole)
+    # a grid cell on rows the default chunk splits 512/512/76
+    params = tiny_model(GRID_CELL, seed=9, max_len=6)
+    batch = random_packed(rng, 1100, steps=6)
+    whole = forward(params, batch, training=False).propensities.value
+    assert np.array_equal(predict(params, batch), whole)
+    for chunk in (512, len(batch)):
+        assert np.array_equal(predict(params, batch, chunk=chunk), whole), chunk
+    # BLAS rounds a one-row gate product, and the dense head's matrix-vector
+    # product over a few rows, differently from the same rows in a larger
+    # product, so tiny chunks agree to within an ulp or two
+    for chunk in (1, 7):
+        np.testing.assert_allclose(predict(params, batch, chunk=chunk), whole, rtol=1e-14, atol=0)
+
+
+def test_predict_default_chunk_halves_peak_memory(rng):
+    # each chunk's arrays are freed before the next chunk starts, so the
+    # default peaks at a fraction of one pass over all 1441 rows
+    params = tiny_model(GRID_CELL, seed=2, max_len=6)
+    batch = random_packed(rng, 1441, steps=6)
+
+    def peak(**kwargs):
+        tracemalloc.start()
+        try:
+            predict(params, batch, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= peak(chunk=len(batch)) / 2
 
 
 # ---------------------------------------------------------------------------
