@@ -1,8 +1,8 @@
 """Fairness-aware outcome prediction on business-process event logs.
 
 Train LSTM outcome classifiers on event-log prefixes under a composite
-accuracy/fairness loss ((1-lambda)*BCE + lambda*Sinkhorn-W1 between group
-score distributions), and evaluate group independence with both
+accuracy/fairness loss ((1-lambda)*BCE + lambda*W1 between group score
+distributions), and evaluate group independence with both
 threshold-bound (mean/rate gaps) and distribution-level (area between PDF
 or CDF curves) metrics.
 """
@@ -62,6 +62,6 @@ from .train import (
     pareto_front,
     train_model,
 )
-from .transport import SinkhornConfig, SinkhornResult, exact_w1_1d, sinkhorn_distance
+from .transport import exact_w1_1d, w1_distance
 
 __version__ = "0.1.0"

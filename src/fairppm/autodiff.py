@@ -9,7 +9,7 @@ pass over the node list, calling each node's VJP exactly once.
 Values are numpy arrays (scalars are 0-d arrays). Ops follow numpy
 broadcasting; adjoints are summed back over broadcast axes. Every node enters
 the tape through ``custom_op``: the primitives below, and fused ops computed
-off the tape, such as the Sinkhorn solve, each LSTM direction and the BCE.
+off the tape, such as the exact W1, each LSTM direction and the BCE.
 The primitives are the ones the pipeline uses (``Var`` adds ``+`` and
 ``*``), with ``take`` the one gather, along the leading axis; the test
 oracles build any other op on ``custom_op`` themselves.

@@ -57,7 +57,6 @@ from .train import (
     sweep_losses,
     train_model,
 )
-from .transport import SinkhornConfig
 
 __all__ = ["main", "ConfigError", "MissingArtifactError"]
 
@@ -83,12 +82,11 @@ SCORES_FILE = "test_scores.csv"
 CONFIG_KEYS = (
     "seed", "out", "n_cases", "bias_preset", "bias_spec", "log", "schema", "target_activity",
     "sensitive_attr", "drop_sensitive", "max_len", "test_fraction", "valid_fraction",
-    "hyper", "grid", "train", "lambda", "sinkhorn", "sweep", "jobs", "runs",
+    "hyper", "grid", "train", "lambda", "sweep", "jobs", "runs",
 )
 
 
-# the top-level keys that flags override, each the argparse dest of its flag; the
-# --sinkhorn-* flags write into the nested "sinkhorn" record instead
+# the top-level keys that flags override, each the argparse dest of its flag
 _FLAG_KEYS = ("seed", "lambda", "drop_sensitive", "max_len", "jobs", "out")
 
 
@@ -124,12 +122,6 @@ def _load_config(args) -> dict:
     for key in _FLAG_KEYS:
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
-    for key, value in (("epsilon", args.sinkhorn_eps), ("max_iters", args.sinkhorn_iters)):
-        if value is not None:
-            sinkhorn = config.setdefault("sinkhorn", {})
-            if not isinstance(sinkhorn, dict):
-                raise ConfigError(f"bad 'sinkhorn' config: expected an object, got {sinkhorn!r}")
-            sinkhorn[key] = value
     return config
 
 
@@ -213,10 +205,10 @@ def _lambdas(config: dict) -> list:
     return _get(config, "sweep", list, item=float)
 
 
-def _losses(key: str, lambdas: list, sinkhorn: SinkhornConfig) -> list:
+def _losses(key: str, lambdas: list) -> list:
     """``train.sweep_losses``, with an error naming the config ``key``."""
     try:
-        return sweep_losses(lambdas, sinkhorn)
+        return sweep_losses(lambdas)
     except ValueError as exc:
         raise ConfigError(f"'{key}' {exc}") from None
 
@@ -373,8 +365,7 @@ def _load_encoder(out: Path) -> EncoderSpec:
 def cmd_train(config: dict, jobs: int) -> int:
     out = _out_dir(config)
     seed = _seed(config)
-    sinkhorn = _record(SinkhornConfig, config, "sinkhorn")
-    (loss_cfg,) = _losses("lambda", [_get(config, "lambda", float, 0.0)], sinkhorn)
+    (loss_cfg,) = _losses("lambda", [_get(config, "lambda", float, 0.0)])
     train_cfg = _record(TrainConfig, config, "train")
     raw_hyper = config.get("hyper", "grid")
     grid = None
@@ -405,22 +396,7 @@ def cmd_train(config: dict, jobs: int) -> int:
         f"trained lambda={loss_cfg.lam} in {ckpt.epochs_run} epochs "
         f"(best epoch {ckpt.best_epoch}, val loss {ckpt.best_val_loss:.5f})"
     )
-    if not ckpt.converged:
-        _warn_not_converged(
-            loss_cfg.lam,
-            loss_cfg.sinkhorn,
-            f"{ckpt.sinkhorn_nonconverged} of {ckpt.sinkhorn_evals} Sinkhorn calls",
-        )
     return EXIT_OK
-
-
-def _warn_not_converged(lam: float, sinkhorn: SinkhornConfig, calls: str) -> None:
-    print(
-        f"warning: lambda={lam}: {calls} stopped at the {sinkhorn.max_iters}-iteration cap "
-        f"above tol {sinkhorn.tol}; the transport term did not converge "
-        "(raise --sinkhorn-iters or --sinkhorn-eps)",
-        file=sys.stderr,
-    )
 
 
 def _grid(config: dict) -> list:
@@ -443,10 +419,9 @@ def cmd_sweep(config: dict, jobs: int) -> int:
     if not isinstance(config.get("hyper"), dict):
         raise ConfigError("sweep requires an explicit 'hyper' object")
     hyper = _record(Hyper, config, "hyper")
-    sinkhorn = _record(SinkhornConfig, config, "sinkhorn")
     train_cfg = _record(TrainConfig, config, "train")
     lambdas = _lambdas(config)
-    _losses("sweep", lambdas, sinkhorn)  # a bad list exits 2 before any artifact is read
+    _losses("sweep", lambdas)  # a bad list exits 2 before any artifact is read
     encoder = _load_encoder(out)
     train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
     valid_data = _load_packed(out, VALID_SAMPLES, encoder)
@@ -460,7 +435,6 @@ def cmd_sweep(config: dict, jobs: int) -> int:
         hyper,
         lambdas=lambdas,
         seed=seed,
-        sinkhorn=sinkhorn,
         cfg=train_cfg,
         jobs=jobs,
     )
@@ -483,12 +457,8 @@ def cmd_sweep(config: dict, jobs: int) -> int:
             "on_pareto_abpc": on_front("abpc"),
             "on_pareto_abcc": on_front("abcc"),
             "seed": column("seed"),
-            "converged": column("converged"),
         },
     )
-    for p in points:
-        if not (p.failed or p.converged):
-            _warn_not_converged(p.lam, sinkhorn, "half or more of the Sinkhorn calls")
     failed = [p for p in points if p.failed]
     for p in failed:
         print(f"warning: lambda={p.lam} failed: {p.error or 'NaN test AUC'}", file=sys.stderr)
@@ -620,8 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-len", type=int, default=None, help="override max prefix length")
         p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweep/grid")
-        p.add_argument("--sinkhorn-eps", type=float, default=None, help="entropic regularization")
-        p.add_argument("--sinkhorn-iters", type=int, default=None, help="Sinkhorn iteration cap")
         p.add_argument("--out", default=None, help="output/artifact directory")
         if name == "report":
             p.add_argument("--runs", nargs="+", default=None, help="run directories to merge")

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Var
 from .encoding import EncoderSpec, PackedDataset
 from .records import float_array
-from .transport import SinkhornConfig, SinkhornResult, sinkhorn_distance
+from .transport import w1_distance
 
 __all__ = [
     "Hyper",
@@ -99,10 +99,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CompositeLossConfig:
-    """Accuracy/fairness mixing weight and the Sinkhorn settings behind it."""
+    """The accuracy/fairness mixing weight lambda."""
 
     lam: float = 0.0
-    sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -335,34 +334,33 @@ class CompositeLossResult:
     loss: Var
     bce: float
     group_empty: bool
-    sinkhorn: SinkhornResult | None
 
 
 def composite_loss(
     propensities: Var, labels, sensitive, cfg: CompositeLossConfig
 ) -> CompositeLossResult:
-    """(1-lambda)*BCE + lambda*Sinkhorn between the batch's group scores.
+    """(1-lambda)*BCE + lambda*W1 between the batch's group scores, W1 the
+    exact 1-D distance (``transport.w1_distance``) that ``metrics.abcc``
+    reports.
 
     With a single-group batch the transport term is 0 (flagged via
     ``group_empty``). At lambda = 0 the loss is the BCE node itself and no
-    Sinkhorn runs; every lambda > 0 takes the one mixed path.
+    transport term is computed; every lambda > 0 takes the one mixed path.
     """
     sensitive = np.asarray(sensitive)
     bce = bce_loss(propensities, labels)
     lam = cfg.lam
     if lam == 0.0:
-        return CompositeLossResult(bce, float(bce.value), False, None)
+        return CompositeLossResult(bce, float(bce.value), False)
 
     idx0 = np.flatnonzero(sensitive == 0)
     idx1 = np.flatnonzero(sensitive == 1)
     if idx0.size == 0 or idx1.size == 0:
-        return CompositeLossResult(bce * (1.0 - lam), float(bce.value), True, None)
+        return CompositeLossResult(bce * (1.0 - lam), float(bce.value), True)
 
-    result = sinkhorn_distance(
-        ad.take(propensities, idx0), ad.take(propensities, idx1), cfg.sinkhorn
-    )
-    loss = bce * (1.0 - lam) + result.var * lam
-    return CompositeLossResult(loss, float(bce.value), False, result)
+    w1 = w1_distance(ad.take(propensities, idx0), ad.take(propensities, idx1))
+    loss = bce * (1.0 - lam) + w1 * lam
+    return CompositeLossResult(loss, float(bce.value), False)
 
 
 def backward(tape: Tape, loss: Var, leaves: dict) -> dict:

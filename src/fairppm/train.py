@@ -48,7 +48,6 @@ from .nn import (
     predict,
 )
 from .records import from_fields, read_json, write_json
-from .transport import SinkhornConfig
 
 __all__ = [
     "IPM_BATCH",
@@ -74,7 +73,7 @@ __all__ = [
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
 
-CHECKPOINT_VERSION = 4  # 4: train_cfg holds only max_epochs and patience
+CHECKPOINT_VERSION = 5  # 5: no transport counters, loss_cfg holds only lam
 
 
 class TrainingError(RuntimeError):
@@ -113,17 +112,21 @@ class Checkpoint:
     valid_scores: np.ndarray
     valid_labels: np.ndarray
     group_empty_batches: int
-    sinkhorn_evals: int
-    sinkhorn_nonconverged: int
     encoder_ref: dict | None = None
 
-    @property
-    def converged(self) -> bool:
-        """False when half or more of the Sinkhorn evaluations hit the
-        iteration cap without reaching tolerance."""
-        if self.sinkhorn_evals == 0:
-            return True
-        return self.sinkhorn_nonconverged < 0.5 * self.sinkhorn_evals
+    def __post_init__(self):
+        # evaluate tunes its threshold on these, so a checkpoint read from
+        # JSON must hold one [0,1] score and one 0/1 label per sample
+        scores, labels = self.valid_scores, self.valid_labels
+        if scores.ndim != 1 or scores.size == 0 or scores.shape != labels.shape:
+            raise ValueError(
+                f"valid_scores {scores.shape} and valid_labels {labels.shape} must be "
+                "nonempty 1-D arrays of equal length"
+            )
+        if not np.isin(labels, (0.0, 1.0)).all():
+            raise ValueError("valid_labels must be 0 or 1")
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():
+            raise ValueError("valid_scores must lie in [0,1]")
 
 
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
@@ -165,8 +168,6 @@ def train_model(
     stopper = EarlyStopper(cfg.patience)
 
     group_empty = 0
-    sink_evals = 0
-    sink_nonconverged = 0
     n = len(train)
     for epoch in range(1, cfg.max_epochs + 1):
         perm = _epoch_rng(seed, epoch, 0).permutation(n)
@@ -177,10 +178,6 @@ def train_model(
             closs = composite_loss(result.propensities, batch.y, batch.s, loss_cfg)
             if closs.group_empty:
                 group_empty += 1
-            if closs.sinkhorn is not None:
-                sink_evals += 1
-                if not closs.sinkhorn.converged:
-                    sink_nonconverged += 1
             grads = backward(result.propensities.tape, closs.loss, result.leaves)
             adamw_step(params, grads, adam, scheduler.lr)
         val_loss = _validation_loss(params, valid, loss_cfg, effective_batch)
@@ -204,8 +201,6 @@ def train_model(
         valid_scores=valid_scores,
         valid_labels=valid.y.copy(),
         group_empty_batches=group_empty,
-        sinkhorn_evals=sink_evals,
-        sinkhorn_nonconverged=sink_nonconverged,
     )
 
 
@@ -327,7 +322,7 @@ def default_lambdas() -> list:
     return [round(0.05 * i, 2) for i in range(11)]
 
 
-def sweep_losses(lambdas: list, sinkhorn: SinkhornConfig) -> list:
+def sweep_losses(lambdas: list) -> list:
     """One ``CompositeLossConfig`` per lambda in ascending order; ValueError
     for an empty list, a repeated lambda or one outside [0,1]."""
     if not lambdas:
@@ -335,7 +330,7 @@ def sweep_losses(lambdas: list, sinkhorn: SinkhornConfig) -> list:
     for i, lam in enumerate(lambdas):
         if lam in lambdas[:i]:
             raise ValueError(f"lists lambda {lam} twice")
-    return [CompositeLossConfig(lam=float(lam), sinkhorn=sinkhorn) for lam in sorted(lambdas)]
+    return [CompositeLossConfig(lam=float(lam)) for lam in sorted(lambdas)]
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,6 @@ class SweepPoint:
     abpc: float
     abcc: float
     seed: int
-    converged: bool
     error: str | None = None
 
     @property
@@ -361,7 +355,6 @@ def lambda_sweep(
     hyper: Hyper,
     lambdas: list | None = None,
     seed: int = 0,
-    sinkhorn: SinkhornConfig | None = None,
     cfg: TrainConfig | None = None,
     jobs: int = 1,
 ) -> list:
@@ -369,13 +362,13 @@ def lambda_sweep(
     list), same seed per point, in ascending lambda order; failed points
     are recorded with NaN metrics instead of aborting the sweep."""
     lambdas = default_lambdas() if lambdas is None else list(lambdas)
-    loss_cfgs = sweep_losses(lambdas, sinkhorn or SinkhornConfig())
+    loss_cfgs = sweep_losses(lambdas)
     task = functools.partial(_sweep_point_task, train, valid, test, encoder, hyper, seed, cfg)
     points = []
     for loss_cfg, outcome in zip(loss_cfgs, _run_tasks(task, loss_cfgs, jobs)):
         if isinstance(outcome, str):
             nan = float("nan")
-            outcome = SweepPoint(loss_cfg.lam, nan, nan, nan, seed, converged=False, error=outcome)
+            outcome = SweepPoint(loss_cfg.lam, nan, nan, nan, seed, error=outcome)
         points.append(outcome)
     return points
 
@@ -390,7 +383,6 @@ def _sweep_point_task(train, valid, test, encoder, hyper, seed, cfg, loss_cfg) -
         abpc=float(abpc(grouped)),
         abcc=float(abcc(grouped)),
         seed=seed,
-        converged=ckpt.converged,
     )
 
 

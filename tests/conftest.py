@@ -1,8 +1,7 @@
 """Shared oracle helpers and fixtures for the test suite.
 
-The helpers here are deliberately independent implementations (plain loops,
-closed forms, a Sinkhorn loop on the dense cost matrix) used to
-cross-check the package's vectorized code paths.
+The helpers here are deliberately independent implementations (plain loops
+and closed forms) used to cross-check the package's vectorized code paths.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 from fairppm import autodiff as ad
-from fairppm import transport
 from fairppm.autodiff import _unbroadcast
 from fairppm.encoding import EncoderSpec, PackedDataset, fit_encoder
 from fairppm.eventlog import (
@@ -23,7 +21,6 @@ from fairppm.eventlog import (
     split_cases,
     validation_split,
 )
-from fairppm.transport import SinkhornConfig, SinkhornResult
 
 # Lines recorded by the acceptance tests; printed in the terminal summary so
 # the per-criterion verdicts are visible even when stdout capture is on.
@@ -220,110 +217,6 @@ def reduce_sum(a, axis=None):
 def reshape(a, shape):
     old = a.shape
     return ad.custom_op((a,), a.value.reshape(shape), lambda g: (g.reshape(old),))
-
-
-# ---------------------------------------------------------------------------
-# dense Sinkhorn oracle
-
-
-def dense_softmin(pot, cost, eps: float, log_w, axis: int):
-    """-eps * logsumexp((pot - cost) / eps + log_w) over ``axis`` of the dense
-    cost matrix, ``pot`` and ``log_w`` lying along that axis, shifted by the
-    maxima."""
-    shape = (1, -1) if axis == 1 else (-1, 1)
-    z = (pot.reshape(shape) - cost) / eps + log_w.reshape(shape)
-    shift = z.max(axis=axis)
-    return -eps * (np.log(np.exp(z - np.expand_dims(shift, axis)).sum(axis=axis)) + shift)
-
-
-def _marginal_violations(f, g, cost, eps, log_u, log_v) -> tuple:
-    """The L1 violations of the row and of the column marginals of the plan."""
-    plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :])
-    row = np.abs(plan.sum(axis=1) - 1.0 / f.size).sum()
-    return float(row), float(np.abs(plan.sum(axis=0) - 1.0 / g.size).sum())
-
-
-def _dense_implicit_grads(x, y, f, g, eps, log_u, log_v):
-    """The gradient of <P, C> in (x, y) at the fixed point of the marginals,
-    from the potentials (f, g): with (r, c) the row and column sums of P and
-    H = [[diag r, P], [P^T, diag c]] their Jacobian in (f, g) / eps, solve
-    H lam = d<P, C>/d((f, g) / eps) by least squares (H is singular along
-    (1, -1)); then d/dx_i = sum_j P_ij s_ij (1 - C_ij / eps + (lam_f_i +
-    lam_g_j) / eps) with s_ij = sign(x_i - y_j), and likewise for y."""
-    diff = x[:, None] - y[None, :]
-    cost, sign = np.abs(diff), np.sign(diff)
-    plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :])
-    n = x.size
-    hess = np.block([[np.diag(plan.sum(axis=1)), plan], [plan.T, np.diag(plan.sum(axis=0))]])
-    moved = plan * cost
-    lam = np.linalg.lstsq(hess, np.concatenate([moved.sum(axis=1), moved.sum(axis=0)]))[0]
-    weight = plan * sign * (1.0 - cost / eps + (lam[:n, None] + lam[None, n:]) / eps)
-    return weight.sum(axis=1), -weight.sum(axis=0)
-
-
-def reference_sinkhorn(a, b, config: SinkhornConfig | None = None) -> SinkhornResult:
-    """The overrelaxed log-domain Sinkhorn on the dense cost matrix, with both
-    marginal violations recomputed from the plan on every iteration, and its
-    gradient by a dense solve at the final potentials: the oracle for the
-    package's fused node. Same sorting, canonical order, relaxation
-    schedule (w = 1 on the first iteration, ``transport.OMEGA`` after it,
-    1 again once the row violation has gone ``transport.STALL`` iterations
-    without a new minimum above roundoff), stopping rule (both violations
-    within tol) and outputs as ``fairppm.transport.sinkhorn_distance``."""
-    config = config or SinkhornConfig()
-    tape = a.tape if isinstance(a, ad.Var) else b.tape if isinstance(b, ad.Var) else ad.Tape()
-    av = a if isinstance(a, ad.Var) else tape.constant(np.asarray(a, dtype=np.float64))
-    bv = b if isinstance(b, ad.Var) else tape.constant(np.asarray(b, dtype=np.float64))
-    order_a = np.argsort(av.value, kind="stable")
-    order_b = np.argsort(bv.value, kind="stable")
-    x, y = av.value[order_a], bv.value[order_b]
-    swapped = (y.size, tuple(y.tolist())) < (x.size, tuple(x.tolist()))
-    if swapped:
-        x, y = y, x
-
-    n, m = x.size, y.size
-    eps = config.epsilon
-    log_u = np.full(n, -np.log(n))
-    log_v = np.full(m, -np.log(m))
-    cost = np.abs(x[:, None] - y[None, :])
-    both = np.concatenate([x, y])
-    roundoff = 16 * (n + m) * np.finfo(float).eps * (1.0 + (both.max() - both.min()) / eps)
-    f, g = np.zeros(n), np.zeros(m)
-
-    converged = False
-    best, best_at, stalled_at = np.inf, 0, 0
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        w = transport.OMEGA if iterations > 1 and not stalled_at else 1.0
-        f = f * (1.0 - w) + dense_softmin(g, cost, eps, log_v, axis=1) * w
-        g = g * (1.0 - w) + dense_softmin(f, cost, eps, log_u, axis=0) * w
-        violation, col = _marginal_violations(f, g, cost, eps, log_u, log_v)
-        if config.tol > 0 and max(violation, col) <= config.tol:
-            converged = True
-            break
-        if violation < best:
-            best, best_at = violation, iterations
-        elif not stalled_at and iterations - best_at >= transport.STALL and best > roundoff:
-            stalled_at = iterations
-    if config.tol == 0:
-        converged = True
-
-    plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_u[:, None] + log_v[None, :])
-    total = float((plan * cost).sum())
-    d_x, d_y = _dense_implicit_grads(x, y, f, g, eps, log_u, log_v)
-    if swapped:
-        d_x, d_y = d_y, d_x
-    d_a, d_b = np.empty_like(d_x), np.empty_like(d_y)
-    d_a[order_a], d_b[order_b] = d_x, d_y
-    var = ad.custom_op((av, bv), total, lambda g_out: (g_out * d_a, g_out * d_b))
-    return SinkhornResult(
-        var=var,
-        value=total,
-        converged=converged,
-        iterations=iterations,
-        marginal_violation=max(violation, col),
-        stalled_at=stalled_at,
-    )
 
 
 # ---------------------------------------------------------------------------

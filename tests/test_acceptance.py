@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import build_datasets, pairwise_auc, record_criterion
 from fairppm.cli import (
@@ -30,10 +31,9 @@ from fairppm.cli import (
 from fairppm.metrics import GroupedScores, abcc, abpc, auc, delta_dp_b, delta_dp_c
 from fairppm.nn import CompositeLossConfig, Hyper
 from fairppm.train import TrainConfig, default_lambdas, evaluate, lambda_sweep, pareto_front, train_model
-from fairppm.transport import SinkhornConfig, exact_w1_1d, sinkhorn_distance
+from fairppm.transport import exact_w1_1d
 
 SWEEP_HYPER = Hyper(layers=1, hidden=16, bidirectional=False, batch=512, lr=0.01, dropout=0.0)
-SWEEP_SINKHORN = SinkhornConfig(epsilon=0.01, max_iters=100, tol=1e-6)
 SWEEP_BUDGET = TrainConfig(max_epochs=10, patience=10)
 SINGLE_BUDGET = TrainConfig(max_epochs=15, patience=15)
 
@@ -116,27 +116,28 @@ def test_c3_gradients_match_finite_differences():
 
 
 @pytest.mark.slow
-def test_c4_sinkhorn_converges_to_exact_transport():
+def test_c4_exact_transport_term():
+    # the training loss's transport node against the closed form, scipy and
+    # one-sided finite differences
+    from test_transport import forward_differences, node_with_grads
+
     start = time.perf_counter()
     rng = np.random.default_rng(40426)
-    worst_rel = 0.0
-    order_flips = 0
+    inexact = 0
+    worst_scipy = worst_grad = 0.0
     for _ in range(20):
         a, b = rng.random(50), rng.random(50)
-        exact = exact_w1_1d(a, b)
-        errs = [
-            abs(sinkhorn_distance(a, b, SinkhornConfig(epsilon=eps, max_iters=5000)).value - exact)
-            for eps in (0.1, 0.01, 0.001)
-        ]
-        worst_rel = max(worst_rel, errs[2] / exact)
-        if not errs[0] >= errs[1] >= errs[2]:
-            order_flips += 1
+        value, grad_a, grad_b = node_with_grads(a, b)
+        inexact += value != exact_w1_1d(a, b)
+        worst_scipy = max(worst_scipy, abs(value - scipy.stats.wasserstein_distance(a, b)))
+        fd_a, fd_b = forward_differences(a, b)
+        worst_grad = max(worst_grad, np.abs(grad_a - fd_a).max(), np.abs(grad_b - fd_b).max())
     elapsed = time.perf_counter() - start
     record_criterion(
-        "C4 entropic convergence",
-        worst_rel <= 0.05 and order_flips == 0 and elapsed < 60,
-        f"worst rel err {worst_rel:.4f} at eps 1e-3, "
-        f"error non-increasing in eps on 20/20 pairs, {elapsed:.1f}s",
+        "C4 exact transport term",
+        inexact == 0 and worst_scipy <= 1e-12 and worst_grad <= 1e-6 and elapsed < 60,
+        f"value equals exact_w1_1d on {20 - inexact}/20 pairs, max |value-scipy| "
+        f"{worst_scipy:.1e}, max |grad-fd| {worst_grad:.1e}, {elapsed:.1f}s",
     )
 
 
@@ -152,7 +153,6 @@ def test_c5_lambda_trades_parity_gap_for_little_auc():
         SWEEP_HYPER,
         lambdas=default_lambdas(),
         seed=0,
-        sinkhorn=SWEEP_SINKHORN,
         cfg=SWEEP_BUDGET,
     )
     by_lam = {p.lam: p for p in points}
@@ -224,11 +224,10 @@ def test_c8_property_suite_at_scale():
     props = [
         (test_autodiff.prop_random_graph_gradients, 100),
         (test_transport.prop_w1_matches_scipy, 200),
-        (test_transport.prop_sinkhorn_symmetry, 100),
-        (test_transport.prop_sinkhorn_epsilon_monotone, 100),
-        (test_transport.prop_sinkhorn_translation_invariance, 100),
-        (test_transport.prop_sinkhorn_shift_sensitivity, 100),
-        (test_transport.prop_sinkhorn_gradcheck, 100),
+        (test_transport.prop_w1_node_swap, 100),
+        (test_transport.prop_w1_node_translation_invariance, 100),
+        (test_transport.prop_w1_node_permutation_equivariance, 100),
+        (test_transport.prop_w1_node_gradcheck, 100),
         (test_metrics.prop_ddp_metrics_direct_arithmetic, 200),
         (test_metrics.prop_ecdf_monotone, 100),
         (test_metrics.prop_kde_nonnegative, 100),
@@ -285,7 +284,6 @@ def test_c9_pipeline_reruns_byte_identical(tmp_path):
                   "batch": 256, "lr": 0.01, "dropout": 0.0},
         "train": {"max_epochs": 4, "patience": 4},
         "lambda": 0.2,
-        "sinkhorn": {"epsilon": 0.01, "max_iters": 60},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

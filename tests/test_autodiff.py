@@ -230,47 +230,6 @@ def test_take_grad_with_repeats(rng):
     assert np.array_equal(tape.grad(e), np.array([[0, 0], [3, 3], [0, 0]], dtype=float))
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_softmin_grads(axis, rng):
-    # the linear-time Sinkhorn soft-min update, entered as one custom_op whose
-    # VJP is built from _Softmin.sums, on random samples and on cross-set ties
-    # x_i == y_j; axis 1 updates the potential on x from the one on y, axis 0
-    # the reverse. With P the plan of the update (rows sum to 1), the
-    # adjoints of pot, t and s are -P^T g, g * (P sign(t - s)) and
-    # (P sign(t - s))^T (-g); the last two sums come from a _Softmin with
-    # the roles of t and s swapped. The update works in units of eps; the op
-    # does not. At a tie the central difference is off by about
-    # (tie weight) * step / eps, so the tie case runs at a larger eps.
-    cases = [
-        (rng.random(5), rng.random(4), 0.05),
-        ([0.2, 0.3, 0.5, 0.8], [0.2, 0.5, 0.9], 0.5),
-    ]
-    for x, y, eps in cases:
-        arrays = {"x": np.sort(x), "y": np.sort(y)}
-        t_name, s_name = ("x", "y") if axis == 1 else ("y", "x")
-        arrays["pot"] = rng.normal(scale=0.05, size=len(arrays[s_name]))
-        w = rng.normal(size=len(arrays[t_name]))
-
-        def softmin(lv):
-            t, s = lv[t_name].value, lv[s_name].value
-            low = min(t[0], s[0])
-            log_w = np.full(s.size, -np.log(s.size))
-            update = transport._Softmin(t, s, low, eps, log_w)
-            s_w = lv["pot"].value / eps + log_w
-            out = update(s_w - log_w)
-
-            def vjp(g):
-                _, t_signed = update.sums(out, s_w, np.ones((1, s.size)))
-                transposed = transport._Softmin(s, t, low, eps, np.zeros(t.size))
-                p_t_g, s_signed = transposed.sums(s_w, out, g[None])
-                return -p_t_g[0], g * t_signed[0], s_signed[0]
-
-            op = ad.custom_op((lv["pot"], lv[t_name], lv[s_name]), eps * out, vjp)
-            return weighted_sum(w)(op)
-
-        check_op(softmin, arrays)
-
-
 def test_custom_op_vjp_grads(rng):
     # out_j = sum_i exp(a_i) * b_ij, computed off the tape; the op's own VJP
     # sends nothing (None) to the constant ``c``
@@ -526,8 +485,8 @@ def test_pipeline_reaches_every_exported_primitive(monkeypatch):
     ]
     for name in exported:
         monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
-    for name in ("take", "custom_op"):  # transport imports these by name
-        monkeypatch.setattr(transport, name, counting(name, getattr(transport, name)))
+    # transport imports custom_op by name
+    monkeypatch.setattr(transport, "custom_op", counting("custom_op", transport.custom_op))
     for name in operators:
         monkeypatch.setattr(ad.Var, name, counting(name, getattr(ad.Var, name)))
 

@@ -6,6 +6,7 @@ deliberately tiny training budgets.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -49,7 +50,6 @@ from fairppm.train import (
     pareto_front,
     train_model,
 )
-from fairppm.transport import SinkhornConfig
 
 SYNTH_SCHEMA_JSON = {
     "case:protected": "boolean",
@@ -82,7 +82,6 @@ def base_config(out, n_cases: int = 100, **extra) -> dict:
         "hyper": TINY_HYPER,
         "train": TINY_TRAIN,
         "lambda": 0.0,
-        "sinkhorn": {"epsilon": 0.01, "max_iters": 40},
     }
     config.update(extra)
     return config
@@ -225,16 +224,9 @@ def test_sweep_default_range_yields_eleven_rows(tmp_path):
     assert run("sweep", cfg_path) == EXIT_OK
     assert (out / SWEEP_FILE).read_text().startswith("# config_hash=")
     header, *rows = read_csv(out / SWEEP_FILE)
-    assert header == [
-        "lambda", "auc", "abpc", "abcc", "on_pareto_abpc", "on_pareto_abcc", "seed", "converged"
-    ]
+    assert header == ["lambda", "auc", "abpc", "abcc", "on_pareto_abpc", "on_pareto_abcc", "seed"]
     assert [float(r[0]) for r in rows] == [round(0.05 * i, 2) for i in range(11)]
-    assert all(r[7] in ("true", "false") for r in rows)
-    assert rows[0][7] == "true"  # lambda=0 runs no Sinkhorn
-    points = [
-        SweepPoint(float(r[0]), float(r[1]), float(r[2]), float(r[3]), int(r[6]), r[7] == "true")
-        for r in rows
-    ]
+    points = [SweepPoint(*map(float, r[:4]), int(r[6])) for r in rows]
     for col, key in ((4, "abpc"), (5, "abcc")):
         front = pareto_front(points, key)
         assert [r[col] for r in rows] == ["true" if p in front else "false" for p in points]
@@ -259,25 +251,6 @@ def test_sweep_names_each_failed_point_and_its_error(pipeline, tmp_path, capsys,
     _, ok, bad = read_csv(copy / SWEEP_FILE)
     assert ok[0] == "0.0" and ok[1] != "nan"
     assert bad[:4] == ["0.3", "nan", "nan", "nan"]
-
-
-def test_capped_sinkhorn_runs_warn_once_per_run(tmp_path, capsys):
-    out = tmp_path / "capped"
-    config = base_config(
-        out, n_cases=60, train={"max_epochs": 1, "patience": 1}, sweep=[0.0, 0.3]
-    )
-    cfg_path = write_config(tmp_path, config)
-    assert run("synth", cfg_path) == EXIT_OK
-    assert run("ingest", cfg_path) == EXIT_OK
-    capsys.readouterr()
-    assert run("train", cfg_path, "--lambda", "0.3", "--sinkhorn-iters", "2") == EXIT_OK
-    err = capsys.readouterr().err
-    assert err.count("warning:") == 1 and "lambda=0.3" in err and "did not converge" in err
-    assert run("train", cfg_path, "--lambda", "0") == EXIT_OK
-    assert "warning" not in capsys.readouterr().err
-    assert run("sweep", cfg_path, "--sinkhorn-iters", "2") == EXIT_OK
-    err = capsys.readouterr().err
-    assert err.count("warning:") == 1 and "lambda=0.3" in err
 
 
 def test_report_merges_runs_and_writes_density_curves(pipeline, tmp_path):
@@ -380,31 +353,33 @@ def test_seed_flag_changes_outputs(pipeline, tmp_path):
 # flag overrides
 
 
-def test_lambda_and_sinkhorn_flags_reach_checkpoint(pipeline, tmp_path):
-    tmp, out, cfg_path = pipeline
+def test_lambda_flag_reaches_checkpoint(pipeline, tmp_path):
     override = tmp_path / "lam_run"
-    config = base_config(override, n_cases=100)
-    new_cfg = write_config(tmp_path, config, "lam.json")
+    new_cfg = write_config(tmp_path, base_config(override, n_cases=100), "lam.json")
     assert run("synth", new_cfg) == EXIT_OK
     assert run("ingest", new_cfg) == EXIT_OK
-    assert (
-        run(
-            "train",
-            new_cfg,
-            "--lambda",
-            "0.1",
-            "--sinkhorn-eps",
-            "0.05",
-            "--sinkhorn-iters",
-            "17",
-        )
-        == EXIT_OK
-    )
+    assert run("train", new_cfg, "--lambda", "0.1") == EXIT_OK
     ckpt = json.loads((override / CHECKPOINT_FILE).read_text())
-    assert ckpt["loss_cfg"]["lam"] == 0.1
-    assert ckpt["loss_cfg"]["sinkhorn"]["epsilon"] == 0.05
-    assert ckpt["loss_cfg"]["sinkhorn"]["max_iters"] == 17
+    assert ckpt["loss_cfg"] == {"lam": 0.1}
     assert ckpt["effective_batch"] == 512
+
+
+def test_a_sinkhorn_config_key_exits_2_listing_the_valid_keys(tmp_path, capsys):
+    out = tmp_path / "sk"
+    out.mkdir()
+    config = base_config(out, sinkhorn={"epsilon": 0.01, "max_iters": 200})
+    assert run("train", write_config(tmp_path, config)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown config key 'sinkhorn'" in err
+    assert f"(valid keys: {', '.join(cli.CONFIG_KEYS)})" in err
+
+
+def test_a_sinkhorn_flag_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "sk"))
+    with pytest.raises(SystemExit) as exit_:
+        run("train", cfg_path, "--sinkhorn-eps", "0.1")
+    assert exit_.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --sinkhorn-eps 0.1" in capsys.readouterr().err
 
 
 def test_schema_file_written_by_synth_is_read_back(pipeline, tmp_path):
@@ -456,13 +431,13 @@ def test_malformed_json_config(tmp_path, capsys):
 def test_json_int_over_the_digit_limit_exits_2_naming_the_file(tmp_path, capsys, where):
     # json.loads raises a plain ValueError, not JSONDecodeError, for an
     # integer literal over Python's 4300-digit conversion limit
-    huge = '{"epsilon": 1' + "0" * 5000 + "}"
+    huge = '{"max_epochs": 1' + "0" * 5000 + "}"
     out = tmp_path / "huge"
     out.mkdir()
     (out / "log.csv").write_text("")
     if where == "config":
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(base_config(out, sinkhorn="HUGE")).replace('"HUGE"', huge))
+        path.write_text(json.dumps(base_config(out, train="HUGE")).replace('"HUGE"', huge))
         command = "train"
     else:
         path = tmp_path / "schema.json"
@@ -565,12 +540,8 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("train", {"train": {"max_epoch": 5}}, "'max_epoch'"),
         ("train", {"train": {"patience": 0}}, "patience must be >= 1"),
         ("train", {"train": {"max_epochs": 0}}, "max_epochs must be >= 1"),
-        ("train", {"sinkhorn": {"epsilon": 0.01, "iters": 5}}, "'iters'"),
         ("train", {"hyper": {"lr": float("inf")}}, "'lr' value inf is not a finite number"),
-        ("train", {"sinkhorn": {"epsilon": float("nan")}}, "'epsilon' value nan is not a finite"),
-        pytest.param(
-            "train", {"sinkhorn": {"epsilon": 10**400}}, "'epsilon' value 1000", id="epsilon-10**400"
-        ),
+        pytest.param("train", {"hyper": {"lr": 10**400}}, "'lr' value 1000", id="lr-10**400"),
         ("train", {"hyper": "grid", "grid": {"hiden": [2]}}, "'hiden'"),
         ("train", {"hyper": "grid", "grid": {"hidden": 2}}, "'hidden'"),
         ("train", {"hyper": "grid", "grid": {"layers": [0]}}, "layers must be >= 1"),
@@ -637,6 +608,17 @@ def set_key(*path, value):
         for key in path[:-1]:
             record = record[key]
         record[path[-1]] = value
+        return json.dumps(payload)
+
+    return edit
+
+
+def change_json(change):
+    """Apply ``change`` to the payload of a JSON artifact."""
+
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
         return json.dumps(payload)
 
     return edit
@@ -837,6 +819,23 @@ def one_prefix_per_record(text):
             id="checkpoint-valid-label-a-bool",
         ),
         pytest.param(
+            "evaluate", CHECKPOINT_FILE, change_json(lambda ckpt: ckpt["valid_labels"].pop()),
+            "nonempty 1-D arrays of equal length", id="checkpoint-valid-labels-short",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE,
+            change_json(lambda ckpt: ckpt.update(valid_scores=[ckpt["valid_scores"]])),
+            "nonempty 1-D arrays of equal length", id="checkpoint-valid-scores-2d",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("valid_labels", 0, value=2.0),
+            "valid_labels must be 0 or 1", id="checkpoint-valid-label-2",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=1.5),
+            "valid_scores must lie in [0,1]", id="checkpoint-valid-score-above-1",
+        ),
+        pytest.param(
             "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "lstm0:f:b", value=5),
             "'lstm0:f:b'", id="checkpoint-array-a-scalar",
         ),
@@ -914,15 +913,6 @@ def test_samples_reader_parses_the_events_of_a_case_once(pipeline):
     assert len({id(e) for s in samples for e in s.events}) == len(distinct)
 
 
-def test_non_object_sinkhorn_with_a_flag_exits_2(tmp_path, capsys):
-    out = tmp_path / "sk"
-    out.mkdir()
-    cfg_path = write_config(tmp_path, base_config(out, sinkhorn=5))
-    assert run("train", cfg_path, "--sinkhorn-eps", "0.1") == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "'sinkhorn'" in err and "internal error" not in err
-
-
 def test_evaluate_on_an_older_checkpoint_exits_2(tmp_path, capsys):
     out, cfg_path = run_pipeline(tmp_path, "old", n_cases=40)
     path = out / CHECKPOINT_FILE
@@ -948,7 +938,6 @@ def test_readme_quick_start_config_passes_the_strict_readers():
     config = json.loads(text.split("<<'JSON'\n", 1)[1].split("\nJSON\n", 1)[0])
     assert cli._record(Hyper, config, "hyper") == Hyper(hidden=16, batch=512, lr=0.01, dropout=0.0)
     assert cli._record(TrainConfig, config, "train") == TrainConfig(max_epochs=30, patience=10)
-    assert cli._record(SinkhornConfig, config, "sinkhorn") == SinkhornConfig()
     assert len(cli._grid(config)) == 144
     assert cli._lambdas(config) == [round(0.05 * i, 2) for i in range(11)]
 
@@ -961,13 +950,33 @@ def test_readme_config_keys_match_the_record_defaults():
     assert keys == {
         "hyper": as_json(asdict(Hyper())),
         "train": as_json(asdict(TrainConfig())),
-        "sinkhorn": as_json(asdict(SinkhornConfig())),
         "grid": as_json(GRID_AXES),
         "sweep": default_lambdas(),
         "bias_spec": as_json(asdict(BiasSpec())),
     }
-    for key, cls in (("hyper", Hyper), ("train", TrainConfig), ("sinkhorn", SinkhornConfig)):
+    for key, cls in (("hyper", Hyper), ("train", TrainConfig)):
         assert cli._record(cls, keys, key) == cls()
+
+
+def test_readme_flag_list_matches_the_parser():
+    # the flags that override a config key: --config names the config itself,
+    # and --runs is report's list of run directories
+    sentence = README.read_text(encoding="utf-8").split("Useful flags", 1)[1].split(".", 1)[0]
+    named = re.findall(r"`(--[\w-]+)`", sentence)
+    (commands,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        flag
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert len(named) == len(set(named))
+    assert set(named) == flags - {"--help", "--config", "--runs"}
 
 
 def test_readme_states_the_fixed_optimizer_constants():

@@ -39,12 +39,8 @@ from fairppm.nn import (
     init_params,
     predict,
 )
-from fairppm.transport import SinkhornConfig
-
-# fixed-budget transport settings: every central difference runs the same 60
-# iterations, which bring these small calls close enough to the fixed point
-# that its implicit gradient matches the differences
-FD_SINKHORN = SinkhornConfig(epsilon=0.05, max_iters=60, tol=0.0)
+from fairppm.metrics import GroupedScores, abcc
+from fairppm.transport import exact_w1_1d
 
 
 def tiny_model(hyper: Hyper, seed: int = 0, vocab: int = 5, max_len: int = 4):
@@ -240,7 +236,7 @@ def test_only_a_training_forward_records_vjps(training, rng):
     "hyper, lam, nodes",
     [
         # the README quick-start model at a fairness weight: the fair_train step
-        (Hyper(hidden=16, batch=512, lr=0.01, dropout=0.0), 0.3, 27),
+        (Hyper(hidden=16, batch=512, lr=0.01, dropout=0.0), 0.3, 25),
         # a 2-layer bidirectional grid cell trained on BCE alone: the bce_train step
         (Hyper(layers=2, hidden=32, bidirectional=True, batch=128, dropout=0.2), 0.0, 36),
     ],
@@ -426,44 +422,56 @@ def composite_fixture(lam: float, rng=None):
     _, p = var_of(rng.uniform(0.05, 0.95, size=24))
     labels = rng.integers(0, 2, size=24).astype(np.float64)
     sensitive = np.array([0, 1] * 12)
-    cfg = CompositeLossConfig(lam=lam, sinkhorn=FD_SINKHORN)
-    return composite_loss(p, labels, sensitive, cfg), p, labels, sensitive
+    result = composite_loss(p, labels, sensitive, CompositeLossConfig(lam=lam))
+    return result, p, labels, sensitive
+
+
+def transport_term(p, sensitive) -> float:
+    return exact_w1_1d(p.value[sensitive == 0], p.value[sensitive == 1])
 
 
 def test_composite_lambda_zero_is_bce():
     result, p, labels, _ = composite_fixture(0.0)
     assert result.loss.value == bce_loss(p, labels).value
-    assert result.sinkhorn is None
     assert not result.group_empty
 
 
 def test_composite_lambda_one_is_transport_term():
-    result, *_ = composite_fixture(1.0)
-    assert result.loss.value == result.sinkhorn.value
+    result, p, _, sensitive = composite_fixture(1.0)
+    assert result.loss.value == transport_term(p, sensitive)
 
 
 def test_composite_component_sum():
-    result, *_ = composite_fixture(0.5)
+    result, p, _, sensitive = composite_fixture(0.5)
     assert result.loss.value == pytest.approx(
-        0.5 * result.bce + 0.5 * result.sinkhorn.value, abs=1e-15
+        0.5 * result.bce + 0.5 * transport_term(p, sensitive), abs=1e-15
     )
 
 
 def test_composite_affine_in_lambda():
-    base, *_ = composite_fixture(0.5)
+    base, p, _, sensitive = composite_fixture(0.5)
     for lam in (0.1, 0.25, 0.75, 0.9):
         result, *_ = composite_fixture(lam)
-        expected = (1.0 - lam) * base.bce + lam * base.sinkhorn.value
+        expected = (1.0 - lam) * base.bce + lam * transport_term(p, sensitive)
         assert result.loss.value == pytest.approx(expected, abs=1e-12)
+
+
+def test_composite_transport_term_is_the_reported_abcc():
+    # the term trained on a model's batch is the metric evaluate reports
+    # for the same scores
+    encoder, train, _, _ = build_datasets(n_cases=60, seed=3)
+    batch = train.subset(np.arange(40))
+    hyper = Hyper(hidden=4, dropout=0.0)
+    scores = forward(init_params(hyper, encoder, 0), batch, training=True).propensities
+    result = composite_loss(scores, batch.y, batch.s, CompositeLossConfig(lam=1.0))
+    assert result.loss.value == abcc(GroupedScores.from_scores(scores.value, batch.s))
 
 
 def test_composite_single_group_batch_flagged(rng):
     _, p = var_of(rng.uniform(0.1, 0.9, size=8))
     labels = rng.integers(0, 2, size=8).astype(np.float64)
-    cfg = CompositeLossConfig(lam=0.3, sinkhorn=FD_SINKHORN)
-    result = composite_loss(p, labels, np.ones(8), cfg)
+    result = composite_loss(p, labels, np.ones(8), CompositeLossConfig(lam=0.3))
     assert result.group_empty
-    assert result.sinkhorn is None
     assert result.loss.value == pytest.approx(0.7 * result.bce, abs=1e-15)
 
 
@@ -502,7 +510,7 @@ def model_gradcheck(lam: float, hyper: Hyper, n: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
     params = tiny_model(hyper, seed=seed)
     batch = random_packed(rng, n)
-    cfg = CompositeLossConfig(lam=lam, sinkhorn=FD_SINKHORN)
+    cfg = CompositeLossConfig(lam=lam)
 
     def loss_value() -> float:
         res = forward(params, batch, training=False)

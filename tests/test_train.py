@@ -43,9 +43,6 @@ from fairppm.train import (
 )
 
 FAST = TrainConfig(max_epochs=3, patience=2)
-QUICK_SINKHORN = dataclasses.replace(
-    CompositeLossConfig().sinkhorn, max_iters=50
-)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +77,6 @@ def make_point(lam, auc_value, fair, key="abpc", **kw):
         abpc=fair if key == "abpc" else 0.0,
         abcc=fair if key == "abcc" else 0.0,
         seed=0,
-        converged=True,
     )
     fields.update(kw)
     return SweepPoint(**fields)
@@ -100,10 +96,8 @@ def test_lambda_zero_keeps_hyper_batch(small_data):
 def test_lambda_positive_forces_batch_512(small_data):
     encoder, train, valid, _ = small_data
     hyper = Hyper(hidden=4, batch=128, dropout=0.0)
-    cfg = CompositeLossConfig(lam=0.3, sinkhorn=QUICK_SINKHORN)
-    ckpt = train_model(train, valid, encoder, hyper, cfg, 0, FAST)
+    ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=0.3), 0, FAST)
     assert ckpt.effective_batch == IPM_BATCH == 512
-    assert ckpt.sinkhorn_evals > 0
 
 
 def test_separable_toy_reaches_perfect_ranking():
@@ -143,7 +137,7 @@ def test_epoch_cap_ends_a_run_that_patience_cannot_stop(small_data):
 def test_validation_loss_is_the_mean_of_the_batch_losses(lam, small_data):
     encoder, _, valid, _ = small_data
     params = init_params(Hyper(layers=2, hidden=3, bidirectional=True), encoder, 5)
-    cfg = CompositeLossConfig(lam=lam, sinkhorn=QUICK_SINKHORN)
+    cfg = CompositeLossConfig(lam=lam)
     batch = 16
     losses = []
     for start in range(0, len(valid), batch):
@@ -175,7 +169,7 @@ def test_train_model_refuses_a_non_finite_validation_loss(small_data, monkeypatc
 def test_training_is_deterministic(small_data):
     encoder, train, valid, _ = small_data
     hyper = Hyper(hidden=3, dropout=0.2)
-    cfg = CompositeLossConfig(lam=0.1, sinkhorn=QUICK_SINKHORN)
+    cfg = CompositeLossConfig(lam=0.1)
     a = train_model(train, valid, encoder, hyper, cfg, 42, FAST)
     b = train_model(train, valid, encoder, hyper, cfg, 42, FAST)
     assert a.best_val_loss == b.best_val_loss
@@ -187,30 +181,6 @@ def test_training_is_deterministic(small_data):
     assert any(
         not np.array_equal(a.params.arrays[k], c.params.arrays[k]) for k in a.params.arrays
     )
-
-
-def test_converged_property_thresholds():
-    def ckpt_with(evals, nonconverged):
-        params = init_params(Hyper(hidden=1, dropout=0.0), toy_encoder(vocab=1, max_len=1), 0)
-        return Checkpoint(
-            params=params,
-            seed=0,
-            loss_cfg=CompositeLossConfig(),
-            train_cfg=TrainConfig(),
-            effective_batch=512,
-            best_val_loss=0.5,
-            best_epoch=1,
-            epochs_run=1,
-            valid_scores=np.array([0.5]),
-            valid_labels=np.array([1.0]),
-            group_empty_batches=0,
-            sinkhorn_evals=evals,
-            sinkhorn_nonconverged=nonconverged,
-        )
-
-    assert ckpt_with(0, 0).converged
-    assert ckpt_with(10, 4).converged
-    assert not ckpt_with(10, 5).converged
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +348,13 @@ def test_sweep_records_failures_and_continues(small_data, monkeypatch):
         Hyper(hidden=3, dropout=0.0),
         lambdas=[0.05, 0.0],
         seed=0,
-        sinkhorn=QUICK_SINKHORN,
         cfg=FAST,
     )
     assert [p.lam for p in points] == [0.0, 0.05]  # lambda order regardless of input order
     ok, bad = points
     assert not ok.failed
     assert bad.failed and "synthetic blowup" in bad.error
-    assert math.isnan(bad.auc) and not bad.converged
+    assert math.isnan(bad.auc)
 
 
 def test_sweep_validates_lambdas(small_data, monkeypatch):
@@ -407,7 +376,7 @@ def test_sweep_validates_lambdas(small_data, monkeypatch):
 def test_sweep_is_deterministic(small_data):
     encoder, train, valid, test = small_data
     hyper = Hyper(hidden=3, dropout=0.2)
-    kw = dict(lambdas=[0.0, 0.1], seed=9, sinkhorn=QUICK_SINKHORN, cfg=FAST)
+    kw = dict(lambdas=[0.0, 0.1], seed=9, cfg=FAST)
     a = lambda_sweep(train, valid, test, encoder, hyper, **kw)
     b = lambda_sweep(train, valid, test, encoder, hyper, **kw)
     assert a == b
@@ -497,7 +466,6 @@ SWEPT_POINTS = st.lists(
         abpc=st.sampled_from([0.1, 0.2, 0.3]),
         abcc=st.sampled_from([0.1, 0.2, 0.3]),
         seed=st.just(0),
-        converged=st.booleans(),
         error=st.sampled_from([None, None, None, "RuntimeError: boom"]),
     ),
     min_size=1,
@@ -544,8 +512,6 @@ def constant_checkpoint(valid_n: int = 20, seed: int = 0) -> Checkpoint:
         valid_scores=np.full(valid_n, 0.5),
         valid_labels=labels,
         group_empty_batches=0,
-        sinkhorn_evals=0,
-        sinkhorn_nonconverged=0,
     )
 
 
@@ -595,7 +561,7 @@ def test_evaluate_missing_group_names_metric(small_data):
 
 def test_checkpoint_round_trip(tmp_path, small_data):
     encoder, train, valid, _ = small_data
-    cfg = CompositeLossConfig(lam=0.2, sinkhorn=QUICK_SINKHORN)
+    cfg = CompositeLossConfig(lam=0.2)
     ckpt = train_model(train, valid, encoder, Hyper(hidden=3, dropout=0.2), cfg, 5, FAST)
     ckpt.encoder_ref = {"path": "encoder.json", "sha256": "f" * 64}
     path = tmp_path / "model.json"
