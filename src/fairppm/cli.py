@@ -35,6 +35,7 @@ from .eventlog import (
     validation_split,
     write_event_log,
     write_samples_jsonl,
+    without_cyclic_gc,
 )
 from .metrics import (
     EvalReport,
@@ -43,7 +44,7 @@ from .metrics import (
     density_curve,
 )
 from .nn import Hyper, init_params, predict
-from .records import from_fields, json_cast, read_json, write_json
+from .records import from_fields, json_cast, parse_json, read_json, write_json
 from .train import (
     TrainConfig,
     default_grid,
@@ -109,8 +110,8 @@ def _load_config(args) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
         try:
-            config = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
+            config = parse_json(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
@@ -176,7 +177,7 @@ def _schema_from_config(config: dict) -> SchemaConfig:
             raise ConfigError(f"schema file '{path}' does not exist")
         try:
             raw = read_json(path)
-        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
+        except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
             raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
     if isinstance(raw, dict) and not isinstance(raw.get("attributes"), dict):
@@ -306,6 +307,10 @@ def cmd_synth(config: dict) -> int:
     return EXIT_OK
 
 
+# the stage keeps the records it builds until its writes end, and then drops
+# them all: with the collector paused only inside the readers, each reader's
+# records would still be walked once at the first allocation after it returns
+@without_cyclic_gc
 def cmd_ingest(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)

@@ -18,6 +18,8 @@ schema with a kind (categorical | numeric | boolean).
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .records import json_cast
+from .records import json_cast, parse_json
 
 __all__ = [
     "EventLogError",
@@ -51,6 +53,7 @@ __all__ = [
     "sample_from_dict",
     "write_samples_jsonl",
     "read_samples_jsonl",
+    "without_cyclic_gc",
 ]
 
 REQUIRED_COLUMNS = ("case_id", "activity", "timestamp")
@@ -197,105 +200,148 @@ def _not_utf8(path) -> RowError:
     return RowError("the file is not UTF-8")
 
 
-def _parse_value(raw: str, kind: str, column: str, line: int):
+def _converter(kind: str, column: str):
+    """The parser of ``column``'s raw values, ``parse(raw, line)``, bound once
+    per column; a bad value raises RowError naming ``line``."""
     if kind == "categorical":
-        return raw
+        return lambda raw, line: raw
     if kind == "numeric":
+
+        def parse(raw, line):
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):  # "nan" and "inf" parse as floats but fit no range
+                raise RowError(
+                    f"line {line}: column '{column}' value '{raw}' is not a finite number"
+                )
+            return value
+
+        return parse
+
+    def parse(raw, line):
+        upper = raw.strip().upper()
+        if upper == "TRUE":
+            return True
+        if upper == "FALSE":
+            return False
+        raise RowError(f"line {line}: column '{column}' value '{raw}' is not TRUE/FALSE")
+
+    return parse
+
+
+def without_cyclic_gc(fn):
+    """``fn`` with Python's cyclic garbage collector paused during the call.
+
+    For a function that builds many small records and no reference cycles:
+    reference counting frees all it drops, and the collector would only walk
+    the growing result again and again. The caller's setting comes back on
+    return or raise, and a collector the caller turned off stays off."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
         try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):  # "nan" and "inf" parse as floats but fit no range
-            raise RowError(f"line {line}: column '{column}' value '{raw}' is not a finite number")
-        return value
-    upper = raw.strip().upper()
-    if upper == "TRUE":
-        return True
-    if upper == "FALSE":
-        return False
-    raise RowError(f"line {line}: column '{column}' value '{raw}' is not TRUE/FALSE")
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
+@without_cyclic_gc
 def parse_event_log(path, schema: SchemaConfig) -> EventLog:
     """Read a CSV event log into one Trace per case.
 
     Events are sorted by timestamp within each case (stable, so file order
     breaks ties); static attributes come from the case's first file row and
-    must be constant across the case.
+    must be constant across the case. A later row's static values are
+    parsed only when their text differs from the first row's, and then
+    compared by parsed value, so " true" and "TRUE" agree.
     """
     skipped: list = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_skip_comment_lines(fh, skipped))
-        header = next(reader, [])
-        for col in header:
-            if header.count(col) > 1:
-                raise SchemaError(
-                    f"line {reader.line_num + len(skipped)}: duplicate column '{col}'"
-                )
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise SchemaError(f"missing required column '{col}'")
-        extra = [c for c in header if c not in REQUIRED_COLUMNS]
-        for col in extra:
-            if col not in schema.attributes:
-                raise SchemaError(f"column '{col}' is not declared in the schema")
-        for col in schema.attributes:
-            if col not in header:
-                raise SchemaError(f"schema attribute '{col}' is missing from the file")
-        static_cols = [c for c in extra if c.startswith(STATIC_PREFIX)]
-        dynamic_cols = [c for c in extra if not c.startswith(STATIC_PREFIX)]
-
-        cases: dict[str, dict] = {}
-        for values in reader:
-            if not values:
-                continue  # a blank line
-            # the physical line the record ends on: a quoted field may span lines
-            line = reader.line_num + len(skipped)
-            if len(values) != len(header):
-                raise RowError(
-                    f"line {line}: {len(values)} fields where the header has {len(header)}"
-                )
-            row = dict(zip(header, values))
-            case_id = row["case_id"]
-            if not case_id:
-                raise RowError(f"line {line}: empty case_id")
-            if not row["activity"]:
-                raise RowError(f"line {line}: empty activity")
-            try:
-                stamp = datetime.fromisoformat(row["timestamp"])
-            except ValueError:
-                raise RowError(
-                    f"line {line}: unparseable timestamp '{row['timestamp']}'"
-                ) from None
-            statics = {
-                c: _parse_value(row[c], schema.attributes[c], c, line) for c in static_cols
-            }
-            dynamics = {
-                c: _parse_value(row[c], schema.attributes[c], c, line) for c in dynamic_cols
-            }
-            event = Event(row["activity"], stamp, dynamics)
-            entry = cases.get(case_id)
-            if entry is None:
-                cases[case_id] = {"static": statics, "events": [event]}
-            else:
-                if entry["static"] != statics:
-                    raise ConsistencyError(
-                        f"case '{case_id}': static attributes vary between rows"
-                    )
-                # naive and offset-carrying stamps do not compare; the sort
-                # below would fail on them
-                if (stamp.tzinfo is None) != (entry["events"][0].timestamp.tzinfo is None):
-                    raise RowError(
-                        f"line {line}: timestamp '{row['timestamp']}' mixes naive and "
-                        f"UTC-offset timestamps within case '{case_id}'"
-                    )
-                entry["events"].append(event)
+        try:
+            cases = _read_cases(reader, skipped, schema)
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise RowError(f"line {reader.line_num + len(skipped)}: {exc}") from None
 
     traces = []
-    for case_id, entry in cases.items():
-        events = sorted(entry["events"], key=lambda e: e.timestamp)
-        traces.append(Trace(case_id, tuple(events), entry["static"]))
+    for case_id, (_, statics, events) in cases.items():
+        events.sort(key=lambda e: e.timestamp)
+        traces.append(Trace(case_id, tuple(events), statics))
     return EventLog(tuple(traces), schema)
+
+
+def _read_cases(reader, skipped: list, schema: SchemaConfig) -> dict:
+    """case_id -> (raw static values, parsed static map, events in file order)
+    from the rows of ``reader``, checking the header against ``schema``."""
+    header = next(reader, [])
+    for col in header:
+        if header.count(col) > 1:
+            raise SchemaError(f"line {reader.line_num + len(skipped)}: duplicate column '{col}'")
+    for col in REQUIRED_COLUMNS:
+        if col not in header:
+            raise SchemaError(f"missing required column '{col}'")
+    extra = [c for c in header if c not in REQUIRED_COLUMNS]
+    for col in extra:
+        if col not in schema.attributes:
+            raise SchemaError(f"column '{col}' is not declared in the schema")
+    for col in schema.attributes:
+        if col not in header:
+            raise SchemaError(f"schema attribute '{col}' is missing from the file")
+    case_at, activity_at, stamp_at = map(header.index, REQUIRED_COLUMNS)
+    columns = [(c, header.index(c), _converter(schema.attributes[c], c)) for c in extra]
+    static = [col for col in columns if col[0].startswith(STATIC_PREFIX)]
+    dynamic = [col for col in columns if not col[0].startswith(STATIC_PREFIX)]
+    static_at = [i for _, i, _ in static]
+    width = len(header)
+
+    cases: dict[str, tuple] = {}
+    for values in reader:
+        if not values:
+            continue  # a blank line
+        # the physical line the record ends on: a quoted field may span lines
+        line = reader.line_num + len(skipped)
+        if len(values) != width:
+            raise RowError(f"line {line}: {len(values)} fields where the header has {width}")
+        case_id = values[case_at]
+        if not case_id:
+            raise RowError(f"line {line}: empty case_id")
+        activity = values[activity_at]
+        if not activity:
+            raise RowError(f"line {line}: empty activity")
+        try:
+            stamp = datetime.fromisoformat(values[stamp_at])
+        except ValueError:
+            raise RowError(f"line {line}: unparseable timestamp '{values[stamp_at]}'") from None
+        raw_statics = [values[i] for i in static_at]
+        entry = cases.get(case_id)
+        # a case's first row parses its statics; a later row only when they
+        # are spelt differently
+        statics = None
+        if entry is None or raw_statics != entry[0]:
+            statics = {c: parse(values[i], line) for c, i, parse in static}
+        dynamics = {c: parse(values[i], line) for c, i, parse in dynamic}
+        event = Event(activity, stamp, dynamics)
+        if entry is None:
+            cases[case_id] = (raw_statics, statics, [event])
+            continue
+        if statics is not None and statics != entry[1]:
+            raise ConsistencyError(f"case '{case_id}': static attributes vary between rows")
+        # naive and offset-carrying stamps do not compare; the sort in
+        # parse_event_log would fail on them
+        if (stamp.tzinfo is None) != (entry[2][0].timestamp.tzinfo is None):
+            raise RowError(
+                f"line {line}: timestamp '{values[stamp_at]}' mixes naive and "
+                f"UTC-offset timestamps within case '{case_id}'"
+            )
+        entry[2].append(event)
+    return cases
 
 
 def write_event_log(log: EventLog, path, header_comment: str | None = None) -> None:
@@ -332,6 +378,7 @@ def label_and_cut(trace: Trace, target_activity: str) -> tuple[int, int]:
     return 0, len(trace.events)
 
 
+@without_cyclic_gc
 def extract_prefixes(
     log: EventLog,
     target_activity: str,
@@ -521,7 +568,7 @@ def generate_synthetic_log(spec: BiasSpec, seed: int) -> EventLog:
                     timestamp=stamp,
                     dynamic_attrs={
                         "resource": f"r{int(rng.integers(1, 6))}",
-                        "score": float(np.clip(rng.normal(loc, 0.15), 0.0, 1.0)),
+                        "score": min(max(float(rng.normal(loc, 0.15)), 0.0), 1.0),
                     },
                 )
             )
@@ -627,6 +674,7 @@ def write_samples_jsonl(samples, path, provenance: dict | None = None) -> None:
             fh.write("\n")
 
 
+@without_cyclic_gc
 def read_samples_jsonl(path) -> list:
     """The samples of a JSONL file; a malformed record raises RowError with its line.
 
@@ -639,7 +687,7 @@ def read_samples_jsonl(path) -> list:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = parse_json(line)
                 if type(record) is not dict:
                     raise ValueError(f"a record must be a JSON object, not {record!r}")
                 # tooling may stamp a metadata record first; it carries no sample

@@ -11,7 +11,7 @@ from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
-__all__ = ["json_cast", "from_fields", "float_array", "write_json", "read_json"]
+__all__ = ["json_cast", "from_fields", "float_array", "write_json", "read_json", "parse_json"]
 
 # the types a value may have for a field type other than that type alone
 _JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
@@ -30,11 +30,21 @@ def write_json(path, payload: dict, provenance: dict | None = None) -> None:
         fh.write("\n")
 
 
+def parse_json(text: str):
+    """``json.loads(text)``, except that a value nested past the interpreter's
+    recursion limit raises ValueError, as other malformed JSON does, and not
+    RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply ({exc})") from None
+
+
 def read_json(path):
     """A JSON file's payload, less the ``provenance`` object that
     ``write_json`` stamps into an artifact."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = parse_json(fh.read())
     if isinstance(payload, dict) and isinstance(payload.get("provenance"), dict):
         del payload["provenance"]
     return payload

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -501,6 +502,85 @@ def test_log_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys):
     assert run("ingest", write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "line 5: byte 0xff is not UTF-8" in err and "internal error" not in err
+
+
+def test_log_field_over_the_csv_field_limit_exits_2_naming_the_line(tmp_path, capsys):
+    log = tmp_path / "wide.csv"
+    log.write_text(
+        "# provenance\n"
+        "case_id,activity,timestamp,case:protected\n"
+        "c1,submit,2024-01-05T08:00:00,TRUE\n"
+        f"c1,{'x' * 131073},2024-01-05T09:00:00,TRUE\n"
+    )
+    config = {
+        "out": str(tmp_path / "wide"),
+        "log": str(log),
+        "schema": {"case:protected": "boolean"},
+        "target_activity": "offer",
+    }
+    assert run("ingest", write_config(tmp_path, config)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 4: field larger than field limit (131072)" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_ingest_pauses_the_collector_and_restores_the_callers_setting(tmp_path, enabled):
+    # the stage runs no collector pass while it builds and writes records,
+    # and leaves the collector as it found it, also when it fails
+    out = tmp_path / "run"
+    assert run("synth", write_config(tmp_path, base_config(out, n_cases=30))) == EXIT_OK
+    passes = []
+
+    def count(phase, info):
+        passes.append(phase)
+
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    gc.collect()  # no pass is due when the stage starts
+    gc.callbacks.append(count)
+    try:
+        assert cli.cmd_ingest(base_config(out, n_cases=30)) == EXIT_OK
+        assert not passes and gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="case:absent"):
+            cli.cmd_ingest(base_config(out, sensitive_attr="case:absent"))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize(
+    "where", ["config", "schema file", ENCODER_FILE, CHECKPOINT_FILE, TEST_SAMPLES]
+)
+def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(
+    pipeline, tmp_path, capsys, where
+):
+    deep = "[" * 200000
+    copy = tmp_path / "copy"
+    shutil.copytree(pipeline[1], copy)
+    config = base_config(copy)
+    command = {ENCODER_FILE: "train", CHECKPOINT_FILE: "evaluate", TEST_SAMPLES: "evaluate"}
+    if where == "config":
+        path = tmp_path / "config.json"
+        path.write_text(deep)
+    elif where == "schema file":
+        path = tmp_path / "schema.json"
+        path.write_text(deep)
+        write_config(tmp_path, {**config, "schema": str(path)})
+    else:
+        path = copy / where
+        lines = path.read_text().split("\n")
+        lines[1 if where == TEST_SAMPLES else 0] = deep
+        path.write_text("\n".join(lines))
+        write_config(tmp_path, config)
+    capsys.readouterr()
+    assert run(command.get(where, "ingest"), str(tmp_path / "config.json")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "JSON nested too deeply" in err
+    assert "internal error" not in err
+    if where == TEST_SAMPLES:
+        assert "line 2: ValueError" in err
 
 
 def test_samples_that_are_not_utf8_exit_2_naming_the_file_and_line(pipeline, tmp_path, capsys):

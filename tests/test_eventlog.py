@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import gc
 import json
+import math
 import re
 import tempfile
 from datetime import datetime, timedelta
@@ -260,6 +262,154 @@ def test_parse_varying_static_attr_names_case(tmp_path):
     )
     with pytest.raises(ConsistencyError, match="c7"):
         parse_event_log(path, SCHEMA)
+
+
+STATIC_SCHEMA = SchemaConfig(
+    attributes={"case:protected": "boolean", "case:amount": "numeric", "cost": "numeric"}
+)
+
+
+@pytest.mark.parametrize(
+    "first, later, error",
+    [
+        # an equal value spelt differently on a later row is the same value
+        ("TRUE,1", " true,1", None),
+        ("FALSE,1", "false ,1", None),
+        ("TRUE,1", "TRUE,1.0", None),
+        ("TRUE,1", "TRUE, 1e0", None),
+        # a malformed value is a bad row, named by its line, not a varying case
+        ("TRUE,1", "maybe,1", (RowError, "line 3: column 'case:protected' value 'maybe' is not")),
+        ("TRUE,1", "TRUE,one", (RowError, "line 3: column 'case:amount' value 'one' is not")),
+        ("TRUE,1", "TRUE,nan", (RowError, "line 3: column 'case:amount' value 'nan' is not")),
+        # a changed value varies the case
+        ("TRUE,1", " false,1", (ConsistencyError, "case 'c1': static attributes vary")),
+        ("TRUE,1", "TRUE,1.5", (ConsistencyError, "case 'c1': static attributes vary")),
+    ],
+)
+def test_parse_compares_a_later_rows_statics_by_parsed_value(tmp_path, first, later, error):
+    path = write_csv(
+        tmp_path,
+        "case_id,activity,timestamp,case:protected,case:amount,cost\n"
+        f"c1,submit,{ts(0)},{first},0\n"
+        f"c1,review,{ts(5)},{later},0\n",
+    )
+    if error is None:
+        trace = parse_event_log(path, STATIC_SCHEMA).traces[0]
+        assert len(trace.events) == 2
+        assert trace.static_attrs == {"case:protected": first.startswith("T"), "case:amount": 1.0}
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            parse_event_log(path, STATIC_SCHEMA)
+
+
+# the spellings of each static value in generated logs: groups of equal
+# values spelt differently, and malformed text
+SPELLINGS = {
+    "case:protected": (
+        [["TRUE", "true", " True", "tRuE "], ["FALSE", "false", " False "]],
+        ["yes", ""],
+    ),
+    "case:amount": ([["1", "1.0", " 1e0", "+1.00"], ["2", "2.0"], ["0.5"]], ["one", "inf"]),
+}
+
+
+def reference_parse(path, schema):
+    """Every value of every row parsed, the statics of each later row
+    compared with the case's first by value: the parse the shortcut for
+    repeated static text must agree with. Handles logs of one physical line
+    per row with naive timestamps. Returns case_id -> (statics, events), or
+    the (type, message) of the first error."""
+
+    def value(raw, column, line):
+        kind = schema.attributes[column]
+        if kind == "categorical":
+            return raw
+        if kind == "numeric":
+            try:
+                number = float(raw)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise RowError(
+                    f"line {line}: column '{column}' value '{raw}' is not a finite number"
+                )
+            return number
+        if raw.strip().upper() in ("TRUE", "FALSE"):
+            return raw.strip().upper() == "TRUE"
+        raise RowError(f"line {line}: column '{column}' value '{raw}' is not TRUE/FALSE")
+
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cases = {}
+    try:
+        for line, row in enumerate(rows, 2):
+            parsed = {c: value(row[c], c, line) for c in schema.attributes}
+            statics = {c: v for c, v in parsed.items() if c.startswith("case:")}
+            event = (row["activity"], datetime.fromisoformat(row["timestamp"]), parsed["cost"])
+            entry = cases.setdefault(row["case_id"], (statics, []))
+            if entry[0] != statics:
+                raise ConsistencyError(
+                    f"case '{row['case_id']}': static attributes vary between rows"
+                )
+            entry[1].append(event)
+    except EventLogError as exc:
+        return type(exc), str(exc)
+    return {
+        case_id: (statics, sorted(events, key=lambda e: e[1]))
+        for case_id, (statics, events) in cases.items()
+    }
+
+
+@st.composite
+def respelled_logs(draw):
+    """A log of up to 4 interleaved cases whose rows spell their statics from
+    ``SPELLINGS``: mostly a respelling of the value of the case's first row,
+    at times another value, and rarely malformed text."""
+    rows = []
+    firsts = {}  # case_id -> the index of its first row's value group, per column
+    for i in range(draw(st.integers(1, 12))):
+        case_id = f"c{draw(st.integers(0, 3))}"
+        spelt = []
+        for column, (groups, malformed) in SPELLINGS.items():
+            choice = draw(st.integers(0, 29))
+            if choice == 0:
+                spelt.append(draw(st.sampled_from(malformed)))
+                continue
+            group = firsts.get(case_id, {}).get(column)
+            if group is None or choice < 3:
+                group = draw(st.integers(0, len(groups) - 1))
+            firsts.setdefault(case_id, {}).setdefault(column, group)
+            spelt.append(draw(st.sampled_from(groups[group])))
+        rows.append([case_id, f"a{i}", ts(i), *spelt, "0.5"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["case_id", "activity", "timestamp", *SPELLINGS, "cost"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(respelled_logs())
+def test_parse_static_shortcut_matches_a_full_parse_property(text):
+    # a later row's static text is parsed only when it differs from the
+    # case's first row; the traces, or the error and its line, are those of
+    # a parse that converts every value of every row
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_csv(Path(tmp), text)
+        expected = reference_parse(path, STATIC_SCHEMA)
+        try:
+            log = parse_event_log(path, STATIC_SCHEMA)
+        except EventLogError as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+    got = {
+        t.case_id: (
+            t.static_attrs,
+            [(e.activity, e.timestamp, e.dynamic_attrs["cost"]) for e in t.events],
+        )
+        for t in log.traces
+    }
+    assert got == expected
 
 
 def test_parse_mixed_naive_and_offset_timestamps_reports_line(tmp_path):
@@ -671,6 +821,16 @@ def test_samples_jsonl_rejects_a_record_that_is_not_an_object(tmp_path, line):
         read_samples_jsonl(path)
 
 
+def test_samples_jsonl_rejects_json_nested_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "samples.jsonl"
+    write_samples_jsonl(sample_fixture()[:7], path)
+    lines = path.read_text().splitlines()
+    lines[1] = "[" * 200000
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RowError, match="line 2: ValueError: JSON nested too deeply"):
+        read_samples_jsonl(path)
+
+
 @pytest.mark.parametrize(
     "lengths, error",
     [
@@ -808,3 +968,65 @@ def test_domain_type_invariants():
         dataclasses.replace(sample, outcome=2)
     with pytest.raises(EventLogError):
         dataclasses.replace(sample, sensitive=-1)
+
+
+# ---------------------------------------------------------------------------
+# collector pause
+
+
+def reader_calls(tmp_path):
+    """reader -> (a call that returns, a call that raises EventLogError), each
+    building a few thousand objects, more than a collector pass waits for."""
+    log = generate_synthetic_log(BiasSpec(n_cases=200), seed=3)
+    good_csv = tmp_path / "log.csv"
+    write_event_log(log, good_csv)
+    bad_csv = write_csv(tmp_path, good_csv.read_text().replace("TRUE", "maybe", 1), "bad.csv")
+    samples = extract_prefixes(log, "offer", "case:protected")
+    good_jsonl, bad_jsonl = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_samples_jsonl(samples, good_jsonl)
+    bad_jsonl.write_text(good_jsonl.read_text() + "[1, 2]\n")
+    return {
+        "parse_event_log": (
+            lambda: parse_event_log(good_csv, SYNTH_SCHEMA),
+            lambda: parse_event_log(bad_csv, SYNTH_SCHEMA),
+        ),
+        "extract_prefixes": (
+            lambda: extract_prefixes(log, "offer", "case:protected"),
+            lambda: extract_prefixes(log, "offer", "resource"),  # not a static boolean
+        ),
+        "read_samples_jsonl": (
+            lambda: read_samples_jsonl(good_jsonl),
+            lambda: read_samples_jsonl(bad_jsonl),
+        ),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("reader", ["parse_event_log", "extract_prefixes", "read_samples_jsonl"])
+def test_readers_pause_the_collector_and_restore_the_callers_setting(
+    tmp_path, reader, fails, enabled
+):
+    call = reader_calls(tmp_path)[reader][fails]
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    gc.callbacks.append(count)
+    try:
+        if fails:
+            with pytest.raises(EventLogError):
+                call()
+        else:
+            call()
+            # read before anything allocates: a collector turned back on
+            # runs its first pass at the next allocation
+            assert not passes
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable() if was else gc.disable()
