@@ -8,7 +8,7 @@ or CDF curves) metrics.
 """
 
 from .autodiff import Tape, Var
-from .encoding import EncodedPrefix, EncoderSpec, PackedDataset, encode, fit_encoder
+from .encoding import EncoderSpec, PackedDataset, encode, fit_encoder
 from .eventlog import (
     BiasSpec,
     Event,

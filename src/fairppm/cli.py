@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import EncoderSpec, PackedDataset, encode, fit_encoder
+from .encoding import EncoderSpec, PackedDataset, fit_encoder
 from .eventlog import (
     BiasSpec,
     EventLogError,
@@ -248,23 +248,9 @@ def _sha256_file(path: Path) -> str:
 
 
 def _load_packed(out: Path, name: str, encoder: EncoderSpec) -> PackedDataset:
-    def read(path):
-        samples = read_samples_jsonl(path)
-        try:
-            return PackedDataset.from_samples(encoder, samples)
-        except (ValueError, KeyError, TypeError):
-            # the bulk error names no sample: encode one by one to find the first
-            for sample in samples:
-                try:
-                    encode(encoder, sample)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(
-                        f"case '{sample.case_id}' does not fit {ENCODER_FILE}: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from None
-            raise
-
-    return _artifact(out, name, read)
+    return _artifact(
+        out, name, lambda path: PackedDataset.from_samples(encoder, read_samples_jsonl(path))
+    )
 
 
 # ---------------------------------------------------------------------------

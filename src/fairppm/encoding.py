@@ -1,18 +1,17 @@
-"""Fixed-length tensor encoding of prefix samples.
+"""Packed encoding of prefix samples.
 
 Categorical attributes (the activity plus any declared categorical column)
-become index sequences against train-fitted vocabularies, with index 0
-reserved for padding and out-of-vocabulary labels. Numeric and boolean
-attributes become min-max-scaled channels in [0,1], fitted on training data
-and clamped elsewhere. Each attribute is read as one value per event (a
-static one repeated at every event), so a sample that lacks an attribute
-does not encode. Prefixes shorter than ``max_len`` are right-padded; longer
-ones keep their last ``max_len`` events.
+become indices against train-fitted vocabularies, with index 0 reserved for
+out-of-vocabulary labels. Numeric and boolean attributes become
+min-max-scaled channels in [0,1], fitted on training data and clamped
+elsewhere. Each attribute is read as one value per event (a static one
+repeated at every event), so a sample that lacks an attribute does not
+encode. A prefix longer than ``max_len`` keeps its last ``max_len`` events.
 
-There is one value rule (``_values``) and two shapes it fills: ``encode``
-turns one sample into rows of Python values, and
-``PackedDataset.from_samples`` reads each attribute once over the kept
-events of a whole sample list and packs the arrays column by column.
+``PackedDataset.from_samples`` is the one way samples become model input:
+it reads each attribute once over the kept events of a whole sample list,
+through one value rule (``_values``), and stores them row after row with no
+padding.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +27,8 @@ from .eventlog import RawPrefixSample, SchemaConfig, STATIC_PREFIX
 
 __all__ = [
     "EncoderSpec",
-    "EncodedPrefix",
     "PackedDataset",
     "fit_encoder",
-    "encode",
 ]
 
 ACTIVITY = "activity"
@@ -41,9 +39,9 @@ class EncoderSpec:
     """Train-fitted labels and scaling ranges; ``encoder.json`` is this record.
 
     ``labels`` lists each categorical attribute's labels in index order: a
-    label's index is its position plus 1, and 0 is the padding and
-    out-of-vocabulary index. The label -> index maps (``vocabularies``) and
-    the embedding sizes are derived from it.
+    label's index is its position plus 1, and 0 is the out-of-vocabulary
+    index. The label -> index maps (``vocabularies``) and the embedding
+    sizes are derived from it.
     """
 
     max_len: int
@@ -80,17 +78,6 @@ class EncoderSpec:
 def _holds_only(items, kinds: tuple) -> bool:
     """Whether ``items`` is a list or tuple of entries of exactly these types."""
     return isinstance(items, (list, tuple)) and all(type(v) in kinds for v in items)
-
-
-@dataclass(frozen=True)
-class EncodedPrefix:
-    """One sample as fixed-length index/value rows plus the event mask."""
-
-    cat_indices: dict  # attr -> tuple of max_len indices
-    num_values: dict  # attr -> tuple of max_len floats in [0,1]
-    mask: tuple  # max_len booleans, contiguous True block from position 0
-    y: int
-    s: int
 
 
 def fit_encoder(
@@ -185,96 +172,89 @@ def _label_key(label) -> tuple:
     return (not isinstance(label, bool), str(label))
 
 
-def encode(spec: EncoderSpec, sample: RawPrefixSample) -> EncodedPrefix:
-    """Encode one sample; a missing attribute raises KeyError, a non-finite value ValueError."""
-    events = sample.events[-spec.max_len :]
-    statics = (sample.static_attrs,)
-    pad = spec.max_len - len(events)
-    cat_indices, num_values = {}, {}
-    for attrs, rows, padding in (
-        (spec.categorical_attrs, cat_indices, [0] * pad),
-        (spec.numeric_attrs, num_values, [0.0] * pad),
-    ):
-        for attr in attrs:
-            # a static value is encoded once and repeated at every event
-            times = len(events) if attr.startswith(STATIC_PREFIX) else 1
-            values = _values(spec, attr, _column(attr, events, statics))
-            rows[attr] = tuple(values * times + padding)
-    return EncodedPrefix(
-        cat_indices=cat_indices,
-        num_values=num_values,
-        mask=tuple([True] * len(events) + [False] * pad),
-        y=sample.outcome,
-        s=sample.sensitive,
-    )
+def encode(spec: EncoderSpec, sample: RawPrefixSample) -> tuple:
+    """``(spec, sample)`` for ``PackedDataset.from_encoded``. It exists only for
+    ``benchmarks/workload.py:205``, and is deleted once ROADMAP item 8 moves that call."""
+    return spec, sample
 
 
 @dataclass
 class PackedDataset:
-    """Column-packed encoded samples for batched model evaluation."""
+    """Encoded samples for batched model evaluation: each attribute's values
+    at the kept events, row after row with no padding (E = Σ ``lengths``)."""
 
-    cat: dict  # attr -> (N, T) int64
-    num: dict  # attr -> (N, T) float64
-    mask: np.ndarray  # (N, T) bool
+    cat: dict  # attr -> (E,) int64
+    num: dict  # attr -> (E,) float64
+    lengths: np.ndarray  # (N,) int64, the kept events of each row
     y: np.ndarray  # (N,) float64
     s: np.ndarray  # (N,) int64
 
     @classmethod
-    def from_encoded(cls, encoded: list) -> "PackedDataset":
-        if not encoded:
-            raise ValueError("cannot pack an empty sample list")
-        return cls(
-            cat={
-                a: np.array([e.cat_indices[a] for e in encoded], dtype=np.int64)
-                for a in sorted(encoded[0].cat_indices)
-            },
-            num={
-                a: np.array([e.num_values[a] for e in encoded], dtype=np.float64)
-                for a in sorted(encoded[0].num_values)
-            },
-            mask=np.array([e.mask for e in encoded], dtype=bool),
-            y=np.array([e.y for e in encoded], dtype=np.float64),
-            s=np.array([e.s for e in encoded], dtype=np.int64),
-        )
+    def from_encoded(cls, pairs: list) -> "PackedDataset":
+        """``from_samples`` of ``encode``'s pairs. It exists only for
+        ``benchmarks/workload.py:205``, and is deleted once ROADMAP item 8 moves that call."""
+        return cls.from_samples(pairs[0][0], [sample for _, sample in pairs])
 
     @classmethod
     def from_samples(cls, spec: EncoderSpec, samples: list) -> "PackedDataset":
-        """``from_encoded([encode(spec, s) for s in samples])``, array for
-        array, built a column at a time: each attribute is read once over the
-        kept events of every sample and scattered into place through the mask.
-        A sample that does not encode raises the error type ``encode`` raises,
-        without saying which sample it was."""
+        """Pack ``samples``, reading each attribute once over the kept events
+        of the whole list. A sample that does not encode raises ValueError
+        naming its case and the error that packing it alone raises; with
+        several such samples, the first in list order."""
         if not samples:
             raise ValueError("cannot pack an empty sample list")
+        try:
+            return cls._pack(spec, samples)
+        except (ValueError, KeyError, TypeError):
+            # the error met first may be a later sample's, as each attribute
+            # is read over all of them: pack one at a time to find the first
+            for sample in samples:
+                try:
+                    cls._pack(spec, [sample])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"case '{sample.case_id}' does not fit encoder.json: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from None
+            raise
+
+    @classmethod
+    def _pack(cls, spec: EncoderSpec, samples: list) -> "PackedDataset":
         kept = [s.events[-spec.max_len :] for s in samples]
-        lengths = np.array(list(map(len, kept)))
-        mask = np.arange(spec.max_len) < lengths[:, None]
-        # row-major, as a boolean mask indexes: sample by sample, event by event
+        lengths = np.array(list(map(len, kept)), dtype=np.int64)
         events = [e for k in kept for e in k]
         statics = [s.static_attrs for s in samples]
 
-        def scatter(attr, dtype):
-            values = _values(spec, attr, _column(attr, events, statics))
+        def column(attr, dtype):
+            values = np.array(_values(spec, attr, _column(attr, events, statics)), dtype)
             if attr.startswith(STATIC_PREFIX):  # one per sample, repeated at its events
                 values = np.repeat(values, lengths)
-            out = np.zeros(mask.shape, dtype)
-            out[mask] = values
-            return out
+            return values
 
         return cls(
-            cat={a: scatter(a, np.int64) for a in spec.categorical_attrs},
-            num={a: scatter(a, np.float64) for a in spec.numeric_attrs},
-            mask=mask,
+            cat={a: column(a, np.int64) for a in spec.categorical_attrs},
+            num={a: column(a, np.float64) for a in spec.numeric_attrs},
+            lengths=lengths,
             y=np.array([s.outcome for s in samples], dtype=np.float64),
             s=np.array([s.sensitive for s in samples], dtype=np.int64),
         )
 
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Each row's first position in the event arrays."""
+        return np.cumsum(self.lengths) - self.lengths
+
     def subset(self, indices) -> "PackedDataset":
+        """The rows ``indices``, in that order; a row may repeat."""
         idx = np.asarray(indices)
+        lengths = self.lengths[idx]
+        ends = np.cumsum(lengths)
+        # each chosen row's span of event positions, row after row
+        spans = np.arange(lengths.sum()) + np.repeat(self._starts[idx] - ends + lengths, lengths)
         return PackedDataset(
-            cat={a: m[idx] for a, m in self.cat.items()},
-            num={a: m[idx] for a, m in self.num.items()},
-            mask=self.mask[idx],
+            cat={a: v[spans] for a, v in self.cat.items()},
+            num={a: v[spans] for a, v in self.num.items()},
+            lengths=lengths,
             y=self.y[idx],
             s=self.s[idx],
         )

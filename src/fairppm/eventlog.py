@@ -512,6 +512,7 @@ SYNTH_SCHEMA = SchemaConfig(
 )
 
 
+@without_cyclic_gc
 def generate_synthetic_log(spec: BiasSpec, seed: int) -> EventLog:
     """Deterministic biased log: exact group/outcome quotas, a proxy static
     feature, outcome-dependent control flow and a numeric signal channel.

@@ -1,12 +1,12 @@
 """Recurrent outcome classifier: embeddings, (bi)LSTM, losses, optimizer.
 
-The model reads only the real (unmasked) events of each sample, packed row
-by row into one (E, ·) array, so padding is never read. It embeds each
-categorical attribute separately, concatenates the embeddings with the
-numeric channels per event, runs one or two (optionally bidirectional)
-LSTM layers, reads the hidden state at each row's last event (the backward
-direction's at its first), and maps it through a dense layer + sigmoid to
-a propensity in (0,1). Everything runs on the autodiff tape from
+The model reads each sample's events as ``PackedDataset`` holds them, row
+by row in one (E, ·) array. It embeds each categorical attribute
+separately, concatenates the embeddings with the numeric channels per
+event, runs one or two (optionally bidirectional) LSTM layers, reads the
+hidden state at each row's last event (the backward direction's at its
+first), and maps it through a dense layer + sigmoid to a propensity in
+(0,1). Everything runs on the autodiff tape from
 ``fairppm.autodiff``; one call builds one graph, with one fused node per
 LSTM layer and direction. The nodes share one event plan per forward: one
 longest-first sort of the rows, so each LSTM step updates only the rows
@@ -256,10 +256,10 @@ def forward(
 
     Only a training forward records a backward: an eval forward's leaves
     need no gradients, so none of its nodes keeps a VJP. The model reads
-    only the unmasked events, packed row by row (padding is never read):
-    the forward direction's state is read at each row's last event, the
-    backward direction's (run over each row's events reversed) at its
-    first. ``rng`` is required in training mode when dropout is active.
+    the batch's events as packed, row by row: the forward direction's state
+    is read at each row's last event, the backward direction's (run over
+    each row's events reversed) at its first. ``rng`` is required in
+    training mode when dropout is active.
     """
     hyper = params.hyper
     if training and hyper.dropout > 0 and rng is None:
@@ -267,15 +267,14 @@ def forward(
     tape = Tape()
     leaves = {name: tape.leaf(arr, needs_grad=training) for name, arr in params.arrays.items()}
 
-    lengths = batch.mask.sum(axis=1).astype(np.int64)
-    if (lengths < 1).any():
-        raise ValueError("every sample must have at least one unmasked event")
-    plan = _EventPlan(lengths)
+    if (batch.lengths < 1).any():
+        raise ValueError("every sample must have at least one event")
+    plan = _EventPlan(batch.lengths)
 
     # categorical columns by sorted name, then numeric ones: the order of layer 0's W rows
-    channels = [ad.take(leaves[f"emb:{a}"], batch.cat[a][batch.mask]) for a in sorted(batch.cat)]
+    channels = [ad.take(leaves[f"emb:{a}"], batch.cat[a]) for a in sorted(batch.cat)]
     if batch.num:
-        numeric = [batch.num[a][batch.mask] for a in sorted(batch.num)]
+        numeric = [batch.num[a] for a in sorted(batch.num)]
         channels.append(tape.constant(np.stack(numeric, axis=-1)))
     x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
 

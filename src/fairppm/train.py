@@ -310,7 +310,7 @@ def _run_tasks(fn, tasks, jobs):
     isolated = functools.partial(_isolated, fn)
     if jobs <= 1 or len(tasks) <= 1:
         return list(map(isolated, tasks))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(isolated, tasks))
 
 

@@ -261,9 +261,10 @@ def random_packed(rng: np.random.Generator, n: int, steps: int = 4, vocab: int =
     """A synthetic PackedDataset with one categorical and one numeric channel,
     random lengths 1..steps, and both sensitive groups present."""
     lengths = rng.integers(1, steps + 1, size=n)
-    mask = np.arange(steps)[None, :] < lengths[:, None]
-    cat = np.where(mask, rng.integers(1, vocab + 1, size=(n, steps)), 0)
-    num = np.where(mask, rng.random((n, steps)), 0.0)
+    # each row's first ``length`` of ``steps`` draws, packed row after row
+    kept = np.arange(steps) < lengths[:, None]
+    cat = rng.integers(1, vocab + 1, size=(n, steps))[kept]
+    num = rng.random((n, steps))[kept]
     s = rng.integers(0, 2, size=n)
     if s.min() == s.max():  # force both groups
         s[0] = 1 - s[0]
@@ -273,7 +274,7 @@ def random_packed(rng: np.random.Generator, n: int, steps: int = 4, vocab: int =
     return PackedDataset(
         cat={"activity": cat.astype(np.int64)},
         num={"score": num},
-        mask=mask,
+        lengths=lengths.astype(np.int64),
         y=y.astype(np.float64),
         s=s.astype(np.int64),
     )

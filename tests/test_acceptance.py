@@ -217,7 +217,6 @@ def test_c8_property_suite_at_scale():
     import test_encoding
     import test_eventlog
     import test_metrics
-    import test_nn
     import test_train
     import test_transport
 
@@ -240,7 +239,7 @@ def test_c8_property_suite_at_scale():
         (test_eventlog.prop_split_partition, 100),
         (test_eventlog.prop_samples_jsonl_round_trip, 100),
         (test_encoding.prop_encoding_invariants, 100),
-        (test_nn.prop_mask_invariance, 100),
+        (test_encoding.prop_subset_matches_packing, 100),
         (test_train.prop_select_best_monotone_invariant, 100),
         (test_train.prop_pareto_matches_brute_force, 200),
     ]

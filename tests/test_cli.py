@@ -948,7 +948,7 @@ def test_malformed_artifact_exits_2_naming_the_file(
 def test_samples_that_do_not_encode_name_the_first_one(pipeline, tmp_path, capsys):
     """Packing reads attribute by attribute, so it meets the second bad sample
     (no 'resource', a categorical) before the first (a NaN 'score'); the
-    message still names the first, as encoding sample by sample does."""
+    message still names the first."""
     _, out, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
@@ -957,7 +957,7 @@ def test_samples_that_do_not_encode_name_the_first_one(pipeline, tmp_path, capsy
     second = edit_sample(6, lambda r: r["events"][0]["dynamic_attrs"].pop("resource"))
     text = second(first(path.read_text())).replace('"edited"', '"first"', 1)
     path.write_text(text.replace('"edited"', '"second"'))
-    with pytest.raises(KeyError, match="resource"):
+    with pytest.raises(ValueError, match="case 'first'"):
         PackedDataset.from_samples(cli._load_encoder(copy), read_samples_jsonl(path))
     capsys.readouterr()
     assert run("train", write_config(tmp_path, base_config(copy))) == EXIT_CONFIG

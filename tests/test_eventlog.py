@@ -975,8 +975,9 @@ def test_domain_type_invariants():
 
 
 def reader_calls(tmp_path):
-    """reader -> (a call that returns, a call that raises EventLogError), each
-    building a few thousand objects, more than a collector pass waits for."""
+    """reader -> (a call that returns, a call that raises EventLogError, or
+    None for a builder with no bad input), each building a few thousand
+    objects, more than a collector pass waits for."""
     log = generate_synthetic_log(BiasSpec(n_cases=200), seed=3)
     good_csv = tmp_path / "log.csv"
     write_event_log(log, good_csv)
@@ -998,12 +999,23 @@ def reader_calls(tmp_path):
             lambda: read_samples_jsonl(good_jsonl),
             lambda: read_samples_jsonl(bad_jsonl),
         ),
+        "generate_synthetic_log": (
+            lambda: generate_synthetic_log(BiasSpec(n_cases=200), seed=3),
+            None,
+        ),
     }
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-@pytest.mark.parametrize("reader", ["parse_event_log", "extract_prefixes", "read_samples_jsonl"])
+@pytest.mark.parametrize(
+    "reader, fails",
+    [
+        pytest.param(reader, fails, id=f"{reader}-{'raises' if fails else 'returns'}")
+        for reader in ("parse_event_log", "extract_prefixes", "read_samples_jsonl")
+        for fails in (False, True)
+    ]
+    + [pytest.param("generate_synthetic_log", False, id="generate_synthetic_log-returns")],
+)
 def test_readers_pause_the_collector_and_restore_the_callers_setting(
     tmp_path, reader, fails, enabled
 ):

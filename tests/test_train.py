@@ -7,6 +7,7 @@ for determinism and serialization round-trips.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -29,6 +30,7 @@ from fairppm.train import (
     SweepPoint,
     TrainConfig,
     TrainingError,
+    _run_tasks,
     _validation_loss,
     default_grid,
     default_lambdas,
@@ -62,9 +64,9 @@ def separable_packed(n: int = 80, seed: int = 0) -> PackedDataset:
     s = rng.integers(0, 2, size=n).astype(np.int64)
     s[:2] = [0, 1]
     return PackedDataset(
-        cat={"activity": np.ones((n, steps), dtype=np.int64)},
-        num={"score": num},
-        mask=np.ones((n, steps), dtype=bool),
+        cat={"activity": np.ones(n * steps, dtype=np.int64)},
+        num={"score": num.ravel()},
+        lengths=np.full(n, steps, dtype=np.int64),
         y=y,
         s=s,
     )
@@ -302,6 +304,30 @@ def test_grid_search_all_failures_raise(small_data):
     empty = train.subset(np.array([], dtype=np.int64))
     with pytest.raises(TrainingError, match="every grid cell failed"):
         grid_search(train, empty, encoder, seed=0, grid=[Hyper(hidden=3)], cfg=FAST)
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    """A process pool starts all its workers at the first submit, so ``jobs``
+    is capped at the task count. The pool is a stand-in: no process starts."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert _run_tasks(abs, [-1, -2], jobs=5000) == [1, 2]
+    assert _run_tasks(abs, [-1, -2, -3], jobs=2) == [1, 2, 3]
+    assert sizes == [2, 2]
 
 
 # ---------------------------------------------------------------------------
