@@ -44,7 +44,15 @@ from .metrics import (
     density_curve,
 )
 from .nn import Hyper, init_params, predict
-from .records import from_fields, json_cast, parse_json, read_json, write_json
+from .records import (
+    from_fields,
+    json_cast,
+    parse_json,
+    read_json,
+    skip_comment_lines,
+    utf8_lines,
+    write_json,
+)
 from .train import (
     TrainConfig,
     default_grid,
@@ -110,7 +118,8 @@ def _load_config(args) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
         try:
-            config = parse_json(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                config = parse_json("".join(utf8_lines(fh)))
         except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
@@ -262,8 +271,6 @@ def _split_stats(samples) -> dict:
     y = np.array([s.outcome for s in samples])
     s1 = np.array([s.sensitive for s in samples])
     stats = {"n_prefixes": n}
-    if n == 0:
-        return stats
     stats["pct_positive"] = float(100.0 * y.mean())
     stats["pct_s1"] = float(100.0 * s1.mean())
     group0 = y[s1 == 0]
@@ -322,6 +329,13 @@ def cmd_ingest(config: dict) -> int:
         raise ConfigError("ingest produced an empty validation set; raise 'valid_fraction'")
     if not test_samples:
         raise ConfigError("ingest produced an empty test set; raise 'test_fraction'")
+    splits = {"train": train_samples, "valid": valid_samples, "test": test_samples}
+    for split, samples in splits.items():
+        if all(s.outcome == samples[0].outcome for s in samples):
+            raise ConfigError(
+                f"every {split} prefix has outcome {samples[0].outcome}: 'target_activity' "
+                f"'{target}' must occur in some cases of each split and not in others"
+            )
     encoder = fit_encoder(train_samples, schema, max_len, drop_sensitive, sensitive_attr)
 
     prov = _provenance(config)
@@ -334,11 +348,7 @@ def cmd_ingest(config: dict) -> int:
         out / SUMMARY_FILE,
         {
             "cases": {"train": len(train_log), "test": len(test_log)},
-            "splits": {
-                "train": _split_stats(train_samples),
-                "valid": _split_stats(valid_samples),
-                "test": _split_stats(test_samples),
-            },
+            "splits": {split: _split_stats(samples) for split, samples in splits.items()},
         },
         prov,
     )
@@ -533,21 +543,20 @@ def cmd_report(config: dict, runs: list) -> int:
 def _read_scores_csv(path: Path):
     """Scores in [0,1] and sensitive flags in {0,1}; a bad row raises
     ValueError naming its line."""
-    scores, sensitives = [], []
+    scores, sensitives, skipped = [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
-        numbered = [(n, ln) for n, ln in enumerate(fh, 1) if not ln.startswith("#")]
-    reader = csv.DictReader(ln for _, ln in numbered)
-    for row in reader:
-        try:
-            score, sensitive = float(row["score"]), int(row["sensitive"])
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"score {score} outside [0,1]")
-            if sensitive not in (0, 1):
-                raise ValueError(f"sensitive {sensitive} is not 0 or 1")
-            scores.append(score)
-            sensitives.append(sensitive)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from None
+        reader = csv.DictReader(skip_comment_lines(fh, skipped))
+        for row in reader:
+            try:
+                score, sensitive = float(row["score"]), int(row["sensitive"])
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"score {score} outside [0,1]")
+                if sensitive not in (0, 1):
+                    raise ValueError(f"sensitive {sensitive} is not 0 or 1")
+                scores.append(score)
+                sensitives.append(sensitive)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {reader.line_num + len(skipped)}: {exc}") from None
     return np.array(scores), np.array(sensitives)
 
 

@@ -27,7 +27,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .records import json_cast, parse_json
+from .records import json_cast, parse_json, skip_comment_lines, utf8_lines
 
 __all__ = [
     "EventLogError",
@@ -165,41 +165,6 @@ class RawPrefixSample:
             raise EventLogError("prefix must hold at least one event")
 
 
-def _skip_comment_lines(fh, skipped: list):
-    """Pass lines through, dropping leading '#' comments (provenance headers)."""
-    in_preamble = True
-    for line in _utf8_lines(fh):
-        if in_preamble and line.startswith("#"):
-            skipped.append(line)
-            continue
-        in_preamble = False
-        yield line
-
-
-def _utf8_lines(fh):
-    """The lines of text file ``fh``; a byte that is not UTF-8 raises RowError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise _not_utf8(fh.name) from None
-
-
-def _not_utf8(path) -> RowError:
-    """The error naming the physical line of the first byte of ``path`` that
-    is not UTF-8. A text read decodes in chunks, so its error gives only an
-    offset into one chunk: the file is read again as bytes, on this path only."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines end at \n, \r or \r\n, as text mode reads them
-        line = len((data[: exc.start] + b"?").splitlines())
-        byte = data[exc.start]
-        return RowError(f"line {line}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})")
-    return RowError("the file is not UTF-8")
-
-
 def _converter(kind: str, column: str):
     """The parser of ``column``'s raw values, ``parse(raw, line)``, bound once
     per column; a bad value raises RowError naming ``line``."""
@@ -264,7 +229,7 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
     """
     skipped: list = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(_skip_comment_lines(fh, skipped))
+        reader = csv.reader(skip_comment_lines(fh, skipped, RowError))
         try:
             cases = _read_cases(reader, skipped, schema)
         except csv.Error as exc:  # a field over csv.field_size_limit()
@@ -683,7 +648,7 @@ def read_samples_jsonl(path) -> list:
     they share the ``Event`` objects and the static map."""
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(_utf8_lines(fh), 1):
+        for number, line in enumerate(utf8_lines(fh, RowError), 1):
             line = line.strip()
             if not line:
                 continue

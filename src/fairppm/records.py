@@ -1,6 +1,7 @@
-"""The JSON artifact format, and the type rule that reads configs and JSON
-artifacts into dataclass records, the inverse of ``dataclasses.asdict``. It
-imports no other ``fairppm`` module, so every layer may use it."""
+"""The JSON artifact format, the type rule that reads configs and JSON
+artifacts into dataclass records, the inverse of ``dataclasses.asdict``, and
+the UTF-8 line reading every text artifact shares. It imports no other
+``fairppm`` module, so every layer may use it."""
 
 from __future__ import annotations
 
@@ -11,13 +12,53 @@ from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
-__all__ = ["json_cast", "from_fields", "float_array", "write_json", "read_json", "parse_json"]
+__all__ = [
+    "json_cast", "from_fields", "float_array", "write_json", "read_json", "parse_json",
+    "utf8_lines", "skip_comment_lines",
+]
 
 # the types a value may have for a field type other than that type alone
 _JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
 
 # a float must lie within +-this: NaN fails both bounds, an int past float's range one
 _FLOAT_MAX = sys.float_info.max
+
+
+def utf8_lines(fh, error: type = ValueError):
+    """The lines of text file ``fh``; a byte that is not UTF-8 raises
+    ``error`` naming its line."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise error(_not_utf8(fh.name)) from None
+
+
+def _not_utf8(path) -> str:
+    """The message naming the physical line of the first byte of ``path``
+    that is not UTF-8. A text read decodes in chunks, so its error gives only
+    an offset into one chunk: the file is read again as bytes, on this path
+    only."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r or \r\n, as text mode reads them
+        line = len((data[: exc.start] + b"?").splitlines())
+        return f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+    return "the file is not UTF-8"
+
+
+def skip_comment_lines(fh, skipped: list, error: type = ValueError):
+    """The ``utf8_lines`` of ``fh`` after its leading '#' comments
+    (provenance headers), which go to ``skipped``; a later '#' line is data."""
+    in_preamble = True
+    for line in utf8_lines(fh, error):
+        if in_preamble and line.startswith("#"):
+            skipped.append(line)
+            continue
+        in_preamble = False
+        yield line
 
 
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:
@@ -44,7 +85,7 @@ def read_json(path):
     """A JSON file's payload, less the ``provenance`` object that
     ``write_json`` stamps into an artifact."""
     with open(path, encoding="utf-8") as fh:
-        payload = parse_json(fh.read())
+        payload = parse_json("".join(utf8_lines(fh)))
     if isinstance(payload, dict) and isinstance(payload.get("provenance"), dict):
         del payload["provenance"]
     return payload

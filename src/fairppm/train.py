@@ -7,9 +7,10 @@ A training run shuffles mini-batches per epoch (per-epoch seed derived from
 the run seed and epoch index), optimizes with AdamW under a plateau LR
 schedule, early-stops on validation loss and returns the best-validation
 snapshot; a non-finite validation loss ends the run with no snapshot.
-Validation propensities are stored in the checkpoint so threshold tuning at
-evaluation time never touches training data again. When the fairness term
-is active (lambda > 0) the batch size is forced to 512.
+The snapshot's validation AUC and its F1-optimal operating threshold are
+tuned once, on the validation set, and stored in the checkpoint, so
+evaluation never touches training or validation data again. When the
+fairness term is active (lambda > 0) the batch size is forced to 512.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .encoding import EncoderSpec, PackedDataset
-from .metrics import (
-    EvalReport,
-    GroupedScores,
-    abcc,
-    abpc,
-    auc,
-    eval_report,
-    optimal_threshold,
-)
+from .metrics import EvalReport, auc, eval_report, optimal_threshold
 from .nn import (
     AdamWState,
     CompositeLossConfig,
@@ -73,7 +66,7 @@ __all__ = [
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
 
-CHECKPOINT_VERSION = 5  # 5: no transport counters, loss_cfg holds only lam
+CHECKPOINT_VERSION = 6  # 6: the tuned threshold and validation AUC, not the scores
 
 
 class TrainingError(RuntimeError):
@@ -109,24 +102,15 @@ class Checkpoint:
     best_val_loss: float
     best_epoch: int
     epochs_run: int
-    valid_scores: np.ndarray
-    valid_labels: np.ndarray
+    valid_auc: float
+    opt_threshold: float
     group_empty_batches: int
     encoder_ref: dict | None = None
 
     def __post_init__(self):
-        # evaluate tunes its threshold on these, so a checkpoint read from
-        # JSON must hold one [0,1] score and one 0/1 label per sample
-        scores, labels = self.valid_scores, self.valid_labels
-        if scores.ndim != 1 or scores.size == 0 or scores.shape != labels.shape:
-            raise ValueError(
-                f"valid_scores {scores.shape} and valid_labels {labels.shape} must be "
-                "nonempty 1-D arrays of equal length"
-            )
-        if not np.isin(labels, (0.0, 1.0)).all():
-            raise ValueError("valid_labels must be 0 or 1")
-        if not ((scores >= 0.0) & (scores <= 1.0)).all():
-            raise ValueError("valid_scores must lie in [0,1]")
+        for key in ("valid_auc", "opt_threshold"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} {getattr(self, key)!r} must lie in [0,1]")
 
 
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:
@@ -156,7 +140,9 @@ def train_model(
     seed: int,
     cfg: TrainConfig | None = None,
 ) -> Checkpoint:
-    """Full training loop returning the best-validation snapshot."""
+    """Full training loop returning the best-validation snapshot, with the
+    snapshot's validation AUC and F1-optimal threshold; a validation set
+    with one outcome class raises UndefinedMetricError."""
     cfg = cfg or TrainConfig()
     if len(train) == 0 or len(valid) == 0:
         raise TrainingError("training and validation sets must be nonempty")
@@ -198,8 +184,8 @@ def train_model(
         best_val_loss=float(stopper.best),
         best_epoch=stopper.best_epoch,
         epochs_run=stopper.epoch,
-        valid_scores=valid_scores,
-        valid_labels=valid.y.copy(),
+        valid_auc=auc(valid_scores, valid.y),
+        opt_threshold=optimal_threshold(valid_scores, valid.y),
         group_empty_batches=group_empty,
     )
 
@@ -287,13 +273,13 @@ def grid_search(
             cells.append(GridCell(hyper, outcome))
             scored.append((hyper, outcome))
     if not scored:
-        raise TrainingError("every grid cell failed to train")
+        raise TrainingError(f"every grid cell failed to train; the first: {outcomes[0]}")
     return GridResult(best=select_best(scored), cells=cells)
 
 
 def _grid_cell_task(train, valid, encoder, seed, cfg, hyper):
     ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=0.0), seed, cfg)
-    return float(auc(ckpt.valid_scores, ckpt.valid_labels))
+    return ckpt.valid_auc
 
 
 def _isolated(fn, task):
@@ -374,16 +360,8 @@ def lambda_sweep(
 
 
 def _sweep_point_task(train, valid, test, encoder, hyper, seed, cfg, loss_cfg) -> SweepPoint:
-    ckpt = train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg)
-    scores = predict(ckpt.params, test)
-    grouped = GroupedScores.from_scores(scores, test.s)
-    return SweepPoint(
-        lam=loss_cfg.lam,
-        auc=float(auc(scores, test.y)),
-        abpc=float(abpc(grouped)),
-        abcc=float(abcc(grouped)),
-        seed=seed,
-    )
+    report = evaluate(train_model(train, valid, encoder, hyper, loss_cfg, seed, cfg), test)
+    return SweepPoint(loss_cfg.lam, report.auc, report.abpc, report.abcc, seed)
 
 
 def pareto_front(points: list, fairness_key: str) -> tuple:
@@ -415,13 +393,12 @@ def pareto_front(points: list, fairness_key: str) -> tuple:
 def evaluate(
     checkpoint: Checkpoint, test: PackedDataset, scores: np.ndarray | None = None
 ) -> EvalReport:
-    """All metrics on a test set; the operating threshold is tuned on the
-    validation scores stored inside the checkpoint. ``scores`` are the
+    """All metrics on a test set, at the operating threshold the checkpoint
+    stores (tuned on validation scores at training time). ``scores`` are the
     checkpoint's test-set predictions when the caller already has them."""
     if scores is None:
         scores = predict(checkpoint.params, test)
-    opt_t = optimal_threshold(checkpoint.valid_scores, checkpoint.valid_labels)
-    return eval_report(scores, test.y, test.s, opt_t)
+    return eval_report(scores, test.y, test.s, checkpoint.opt_threshold)
 
 
 # ---------------------------------------------------------------------------

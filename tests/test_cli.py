@@ -45,6 +45,7 @@ from fairppm.nn import Hyper
 from fairppm.train import (
     CHECKPOINT_VERSION,
     GRID_AXES,
+    Checkpoint,
     SweepPoint,
     TrainConfig,
     default_lambdas,
@@ -598,6 +599,35 @@ def test_samples_that_are_not_utf8_exit_2_naming_the_file_and_line(pipeline, tmp
     assert "position" not in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "where", ["config", "schema file", ENCODER_FILE, CHECKPOINT_FILE, REPORT_FILE, SCORES_FILE]
+)
+def test_a_file_that_is_not_utf8_exits_2_naming_the_line(pipeline, tmp_path, capsys, where):
+    copy = tmp_path / "copy"
+    shutil.copytree(pipeline[1], copy)
+    config = {**base_config(copy), "runs": [str(copy)]}
+    command = {ENCODER_FILE: "train", CHECKPOINT_FILE: "evaluate"}
+    if where == "config":
+        path = tmp_path / "config.json"
+    elif where == "schema file":
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(SYNTH_SCHEMA_JSON, indent=2))
+        config["schema"] = str(path)
+    else:
+        path = copy / where
+    if where in (REPORT_FILE, SCORES_FILE):
+        command[where], config["out"] = "report", str(tmp_path / "merged")
+    write_config(tmp_path, config)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert run(command.get(where, "ingest"), str(tmp_path / "config.json")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and "line 3: byte 0xff is not UTF-8" in err
+    assert "position" not in err and "internal error" not in err
+
+
 def test_python_m_fairppm_runs_the_cli():
     # a source checkout has no installed script; the package runs as a module
     src = Path(cli.__file__).parents[1]
@@ -767,6 +797,10 @@ def one_prefix_per_record(text):
             "report", SCORES_FILE, replace_line(4, "0.5,1,5"), "line 4",
             id="scores-sensitive-not-a-flag",
         ),
+        pytest.param(
+            "report", SCORES_FILE, replace_line(5, "# stray"), "line 5: could not convert",
+            id="scores-comment-below-the-header",
+        ),
         pytest.param("evaluate", ENCODER_FILE, not_json, "Expecting", id="encoder-not-json"),
         pytest.param(
             "train", ENCODER_FILE, set_key("max_len", value="6"), "'max_len'",
@@ -883,37 +917,36 @@ def one_prefix_per_record(text):
             id="checkpoint-unknown-hyper-key",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", value="x"), "'valid_scores'",
-            id="checkpoint-valid-scores-a-string",
+            "evaluate", CHECKPOINT_FILE, set_key("opt_threshold", value="x"), "'opt_threshold'",
+            id="checkpoint-opt-threshold-a-string",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=None), "'valid_scores'",
-            id="checkpoint-valid-score-null",
+            "evaluate", CHECKPOINT_FILE, set_key("opt_threshold", value=None), "'opt_threshold'",
+            id="checkpoint-opt-threshold-null",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=float("nan")),
-            "'valid_scores' value nan", id="checkpoint-valid-score-nan",
+            "evaluate", CHECKPOINT_FILE, set_key("opt_threshold", value=[0.5]),
+            "'opt_threshold'", id="checkpoint-opt-threshold-a-list",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("valid_labels", 0, value=True), "'valid_labels'",
-            id="checkpoint-valid-label-a-bool",
+            "evaluate", CHECKPOINT_FILE, drop_key("opt_threshold"), "missing key 'opt_threshold'",
+            id="checkpoint-no-opt-threshold",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, change_json(lambda ckpt: ckpt["valid_labels"].pop()),
-            "nonempty 1-D arrays of equal length", id="checkpoint-valid-labels-short",
+            "evaluate", CHECKPOINT_FILE, set_key("opt_threshold", value=1.5),
+            "opt_threshold 1.5 must lie in [0,1]", id="checkpoint-opt-threshold-above-1",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE,
-            change_json(lambda ckpt: ckpt.update(valid_scores=[ckpt["valid_scores"]])),
-            "nonempty 1-D arrays of equal length", id="checkpoint-valid-scores-2d",
+            "evaluate", CHECKPOINT_FILE, set_key("valid_auc", value=float("nan")),
+            "'valid_auc' value nan", id="checkpoint-valid-auc-nan",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("valid_labels", 0, value=2.0),
-            "valid_labels must be 0 or 1", id="checkpoint-valid-label-2",
+            "evaluate", CHECKPOINT_FILE, set_key("valid_auc", value=True), "'valid_auc'",
+            id="checkpoint-valid-auc-a-bool",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("valid_scores", 0, value=1.5),
-            "valid_scores must lie in [0,1]", id="checkpoint-valid-score-above-1",
+            "evaluate", CHECKPOINT_FILE, set_key("valid_auc", value=-0.1),
+            "valid_auc -0.1 must lie in [0,1]", id="checkpoint-valid-auc-below-0",
         ),
         pytest.param(
             "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "lstm0:f:b", value=5),
@@ -1074,6 +1107,16 @@ def test_readme_states_the_fixed_optimizer_constants():
     assert (factor, patience, margin) == (nn.LR_FACTOR, nn.LR_PATIENCE, nn.LR_MARGIN)
 
 
+def test_readme_names_the_checkpoint_fields():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(
+        r"Format (\d+) stores the `Checkpoint` record's fields (.*?) under their own names", text
+    )
+    assert sentence is not None
+    assert int(sentence[1]) == CHECKPOINT_VERSION
+    assert re.findall(r"`(\w+)`", sentence[2]) == [f.name for f in fields(Checkpoint)]
+
+
 def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):
     out = tmp_path / "norun"
     cfg_path = write_config(tmp_path, base_config(out, n_cases=30))
@@ -1142,6 +1185,20 @@ def test_ingest_exits_2_naming_a_fraction_that_leaves_a_split_empty(tmp_path, ca
     assert run("ingest", cfg_path) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"raise '{key}'" in err and "internal error" not in err
+
+
+def test_ingest_exits_2_when_a_split_holds_one_outcome(tmp_path, capsys):
+    # a target activity that never occurs labels every prefix negative;
+    # no later stage then runs on the split, and none exits 1
+    cfg_path = write_config(
+        tmp_path, base_config(tmp_path / "never", n_cases=200, target_activity="nonexistent")
+    )
+    assert run("synth", cfg_path) == EXIT_OK
+    assert run("ingest", cfg_path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "every train prefix has outcome 0: 'target_activity' 'nonexistent'" in err
+    for command in ("train", "sweep", "evaluate"):
+        assert run(command, cfg_path) == EXIT_MISSING
 
 
 @pytest.mark.parametrize("key", ["valid_fraction", "test_fraction"])

@@ -20,8 +20,16 @@ from hypothesis import strategies as st
 from conftest import brute_force_pareto, build_datasets, random_packed, toy_encoder
 from fairppm.encoding import PackedDataset
 from fairppm.eventlog import BiasSpec
-from fairppm.metrics import GroupedScores, UndefinedMetricError, abcc, abpc, auc, delta_dp_c
-from fairppm.nn import CompositeLossConfig, Hyper, composite_loss, forward, init_params
+from fairppm.metrics import (
+    GroupedScores,
+    UndefinedMetricError,
+    abcc,
+    abpc,
+    auc,
+    delta_dp_c,
+    optimal_threshold,
+)
+from fairppm.nn import CompositeLossConfig, Hyper, composite_loss, forward, init_params, predict
 from fairppm.records import from_fields
 from fairppm.train import (
     IPM_BATCH,
@@ -109,8 +117,6 @@ def test_separable_toy_reaches_perfect_ranking():
     ckpt = train_model(
         data, data, encoder, hyper, CompositeLossConfig(lam=0.0), 0, TrainConfig(max_epochs=40)
     )
-    from fairppm.nn import predict
-
     assert auc(predict(ckpt.params, data), data.y) == 1.0
 
 
@@ -120,8 +126,10 @@ def test_checkpoint_bookkeeping(small_data):
         train, valid, encoder, Hyper(hidden=4, dropout=0.2), CompositeLossConfig(), 1, FAST
     )
     assert 1 <= ckpt.best_epoch <= ckpt.epochs_run <= FAST.max_epochs
-    assert ckpt.valid_scores.shape == valid.y.shape
-    assert np.array_equal(ckpt.valid_labels, valid.y)
+    # tuned once, on the snapshot's validation scores
+    valid_scores = predict(ckpt.params, valid)
+    assert ckpt.valid_auc == auc(valid_scores, valid.y)
+    assert ckpt.opt_threshold == optimal_threshold(valid_scores, valid.y)
     assert math.isfinite(ckpt.best_val_loss)
     assert ckpt.seed == 1
 
@@ -159,6 +167,13 @@ def test_train_model_rejects_empty_sets(small_data):
         train_model(train, empty, encoder, Hyper(hidden=4), CompositeLossConfig(), 0, FAST)
 
 
+def test_train_model_needs_both_outcomes_in_validation(small_data):
+    encoder, train, valid, _ = small_data
+    negatives = valid.subset(np.flatnonzero(valid.y == 0))
+    with pytest.raises(UndefinedMetricError, match="both classes"):
+        train_model(train, negatives, encoder, Hyper(hidden=4), CompositeLossConfig(), 0, FAST)
+
+
 def test_train_model_refuses_a_non_finite_validation_loss(small_data, monkeypatch):
     encoder, train, valid, _ = small_data
     monkeypatch.setattr(
@@ -178,7 +193,7 @@ def test_training_is_deterministic(small_data):
     assert a.best_epoch == b.best_epoch
     assert a.epochs_run == b.epochs_run
     assert all(np.array_equal(a.params.arrays[k], b.params.arrays[k]) for k in a.params.arrays)
-    assert np.array_equal(a.valid_scores, b.valid_scores)
+    assert (a.valid_auc, a.opt_threshold) == (b.valid_auc, b.opt_threshold)
     c = train_model(train, valid, encoder, hyper, cfg, 43, FAST)
     assert any(
         not np.array_equal(a.params.arrays[k], c.params.arrays[k]) for k in a.params.arrays
@@ -302,7 +317,8 @@ def test_grid_search_trains_and_records_cells(small_data):
 def test_grid_search_all_failures_raise(small_data):
     encoder, train, _, _ = small_data
     empty = train.subset(np.array([], dtype=np.int64))
-    with pytest.raises(TrainingError, match="every grid cell failed"):
+    message = "every grid cell failed to train; the first: TrainingError: training and"
+    with pytest.raises(TrainingError, match=message):
         grid_search(train, empty, encoder, seed=0, grid=[Hyper(hidden=3)], cfg=FAST)
 
 
@@ -346,8 +362,8 @@ def test_sweep_degenerate_single_lambda_matches_direct_training(small_data):
     assert len(points) == 1
     point = points[0]
     ckpt = train_model(train, valid, encoder, hyper, CompositeLossConfig(lam=0.0), 3, FAST)
-    from fairppm.nn import predict
-
+    report = evaluate(ckpt, test)
+    assert (point.auc, point.abpc, point.abcc) == (report.auc, report.abpc, report.abcc)
     scores = predict(ckpt.params, test)
     grouped = GroupedScores.from_scores(scores, test.s)
     assert point.auc == auc(scores, test.y)
@@ -521,11 +537,12 @@ def test_pareto_brute_force_at_scale(rng):
 # evaluate
 
 
-def constant_checkpoint(valid_n: int = 20, seed: int = 0) -> Checkpoint:
+def constant_checkpoint(seed: int = 0) -> Checkpoint:
+    """A model that scores every prefix 0.5, with the validation AUC and
+    threshold that tuning on such scores gives (checked below)."""
     params = init_params(Hyper(hidden=4, dropout=0.0), toy_encoder(), seed)
     for k in params.arrays:
         params.arrays[k] = np.zeros_like(params.arrays[k])
-    labels = (np.arange(valid_n) % 2).astype(np.float64)
     return Checkpoint(
         params=params,
         seed=seed,
@@ -535,14 +552,18 @@ def constant_checkpoint(valid_n: int = 20, seed: int = 0) -> Checkpoint:
         best_val_loss=float(np.log(2.0)),
         best_epoch=1,
         epochs_run=1,
-        valid_scores=np.full(valid_n, 0.5),
-        valid_labels=labels,
+        valid_auc=0.5,
+        opt_threshold=0.0,
         group_empty_batches=0,
     )
 
 
 def test_evaluate_constant_classifier(rng):
     ckpt = constant_checkpoint()
+    valid = random_packed(rng, 20)
+    scores = predict(ckpt.params, valid)
+    assert (scores == 0.5).all()
+    assert (auc(scores, valid.y), optimal_threshold(scores, valid.y)) == (0.5, 0.0)
     test = random_packed(rng, 50)
     report = evaluate(ckpt, test)
     assert report.auc == 0.5
@@ -601,8 +622,6 @@ def test_checkpoint_round_trip(tmp_path, small_data):
             for k in before.arrays:
                 assert after.arrays[k].dtype == np.float64
                 assert np.array_equal(after.arrays[k], before.arrays[k])
-        elif isinstance(before, np.ndarray):
-            assert after.dtype == np.float64 and np.array_equal(after, before), f.name
         else:
             assert after == before and type(after) is type(before), f.name
 
