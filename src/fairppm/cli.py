@@ -30,11 +30,9 @@ from .eventlog import (
     extract_prefixes,
     generate_synthetic_log,
     parse_event_log,
-    read_samples_jsonl,
     split_cases,
     validation_split,
     write_event_log,
-    write_samples_jsonl,
     without_cyclic_gc,
 )
 from .metrics import (
@@ -75,9 +73,8 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_UNDEFINED = 4
 
-TRAIN_SAMPLES = "train.jsonl"
-VALID_SAMPLES = "valid.jsonl"
-TEST_SAMPLES = "test.jsonl"
+# each split's packed prefixes (``PackedDataset.save``), by split
+SPLIT_FILES = {"train": "train.npz", "valid": "valid.npz", "test": "test.npz"}
 ENCODER_FILE = "encoder.json"
 SUMMARY_FILE = "summary.json"
 CHECKPOINT_FILE = "checkpoint.json"
@@ -256,9 +253,10 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _load_packed(out: Path, name: str, encoder: EncoderSpec) -> PackedDataset:
+def _load_split(out: Path, split: str, encoder: EncoderSpec) -> PackedDataset:
+    sha256 = _sha256_file(out / ENCODER_FILE)
     return _artifact(
-        out, name, lambda path: PackedDataset.from_samples(encoder, read_samples_jsonl(path))
+        out, SPLIT_FILES[split], lambda path: PackedDataset.load(path, encoder, sha256)
     )
 
 
@@ -266,11 +264,9 @@ def _load_packed(out: Path, name: str, encoder: EncoderSpec) -> PackedDataset:
 # commands
 
 
-def _split_stats(samples) -> dict:
-    n = len(samples)
-    y = np.array([s.outcome for s in samples])
-    s1 = np.array([s.sensitive for s in samples])
-    stats = {"n_prefixes": n}
+def _split_stats(data: PackedDataset) -> dict:
+    y, s1 = data.y, data.s
+    stats = {"n_prefixes": len(data)}
     stats["pct_positive"] = float(100.0 * y.mean())
     stats["pct_s1"] = float(100.0 * s1.mean())
     group0 = y[s1 == 0]
@@ -330,30 +326,35 @@ def cmd_ingest(config: dict) -> int:
     if not test_samples:
         raise ConfigError("ingest produced an empty test set; raise 'test_fraction'")
     splits = {"train": train_samples, "valid": valid_samples, "test": test_samples}
+    cases = {"train": len(train_log), "test": len(test_log)}
+    # the events no prefix holds (from a case's target activity on) go before packing
+    del log, train_log, test_log, train_all
     for split, samples in splits.items():
         if all(s.outcome == samples[0].outcome for s in samples):
             raise ConfigError(
                 f"every {split} prefix has outcome {samples[0].outcome}: 'target_activity' "
                 f"'{target}' must occur in some cases of each split and not in others"
             )
+    # every parity metric compares the two groups' test scores
+    if all(s.sensitive == test_samples[0].sensitive for s in test_samples):
+        raise ConfigError(
+            f"every test prefix has sensitive value {test_samples[0].sensitive}: "
+            f"'sensitive_attr' '{sensitive_attr}' must be true in some test cases and false "
+            "in others"
+        )
     encoder = fit_encoder(train_samples, schema, max_len, drop_sensitive, sensitive_attr)
 
     prov = _provenance(config)
-    write_samples_jsonl(train_samples, out / TRAIN_SAMPLES, prov)
-    write_samples_jsonl(valid_samples, out / VALID_SAMPLES, prov)
-    write_samples_jsonl(test_samples, out / TEST_SAMPLES, prov)
-
     write_json(out / ENCODER_FILE, asdict(encoder), prov)
-    write_json(
-        out / SUMMARY_FILE,
-        {
-            "cases": {"train": len(train_log), "test": len(test_log)},
-            "splits": {split: _split_stats(samples) for split, samples in splits.items()},
-        },
-        prov,
-    )
+    sha256 = _sha256_file(out / ENCODER_FILE)
+    stats = {}
+    for split, samples in splits.items():
+        data = PackedDataset.from_samples(encoder, samples)
+        data.save(out / SPLIT_FILES[split], prov, sha256)
+        stats[split] = _split_stats(data)
+    write_json(out / SUMMARY_FILE, {"cases": cases, "splits": stats}, prov)
     print(
-        f"ingested {len(log)} cases -> {len(train_samples)} train / "
+        f"ingested {sum(cases.values())} cases -> {len(train_samples)} train / "
         f"{len(valid_samples)} valid / {len(test_samples)} test prefixes"
     )
     return EXIT_OK
@@ -377,8 +378,8 @@ def cmd_train(config: dict, jobs: int) -> int:
     else:
         raise ConfigError("'hyper' must be an object or the string \"grid\"")
     encoder = _load_encoder(out)
-    train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
-    valid_data = _load_packed(out, VALID_SAMPLES, encoder)
+    train_data = _load_split(out, "train", encoder)
+    valid_data = _load_split(out, "valid", encoder)
 
     if grid is not None:
         result = grid_search(
@@ -424,9 +425,9 @@ def cmd_sweep(config: dict, jobs: int) -> int:
     lambdas = _lambdas(config)
     _losses("sweep", lambdas)  # a bad list exits 2 before any artifact is read
     encoder = _load_encoder(out)
-    train_data = _load_packed(out, TRAIN_SAMPLES, encoder)
-    valid_data = _load_packed(out, VALID_SAMPLES, encoder)
-    test_data = _load_packed(out, TEST_SAMPLES, encoder)
+    train_data = _load_split(out, "train", encoder)
+    valid_data = _load_split(out, "valid", encoder)
+    test_data = _load_split(out, "test", encoder)
 
     points = lambda_sweep(
         train_data,
@@ -470,7 +471,7 @@ def cmd_sweep(config: dict, jobs: int) -> int:
 def cmd_evaluate(config: dict) -> int:
     out = _out_dir(config)
     encoder = _load_encoder(out)
-    test_data = _load_packed(out, TEST_SAMPLES, encoder)
+    test_data = _load_split(out, "test", encoder)
     ckpt = _artifact(out, CHECKPOINT_FILE, load_checkpoint)
     if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != _sha256_file(out / ENCODER_FILE):
         raise ConfigError(

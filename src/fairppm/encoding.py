@@ -11,13 +11,16 @@ encode. A prefix longer than ``max_len`` keeps its last ``max_len`` events.
 ``PackedDataset.from_samples`` is the one way samples become model input:
 it reads each attribute once over the kept events of a whole sample list,
 through one value rule (``_values``), and stores them row after row with no
-padding.
+padding. ``PackedDataset.save`` and ``load`` are the one split-file format:
+``ingest`` packs each split once, and the later stages load its arrays.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +32,7 @@ __all__ = [
     "EncoderSpec",
     "PackedDataset",
     "fit_encoder",
+    "split_members",
 ]
 
 ACTIVITY = "activity"
@@ -150,21 +154,26 @@ def _column(attr: str, events, statics) -> list:
     return [e.dynamic_attrs[attr] for e in events]
 
 
-def _values(spec: EncoderSpec, attr: str, column: list) -> list:
-    """The value rule: ``attr``'s raw values as vocabulary indices (0 out of
-    vocabulary), or as floats min-max scaled and clamped into [0,1] (all 0 on
-    a constant channel). A value that is not a finite number raises ValueError."""
+def _values(spec: EncoderSpec, attr: str, column: list) -> np.ndarray:
+    """The value rule: ``attr``'s raw values as int64 vocabulary indices (0
+    out of vocabulary), or as float64 min-max scaled and clamped into [0,1]
+    (all 0 on a constant channel). A value that is not a finite number
+    raises ValueError."""
     vocab = spec.vocabularies.get(attr)
     if vocab is not None:
-        return [vocab.get(v, 0) for v in column]
+        return np.fromiter((vocab.get(v, 0) for v in column), np.int64, len(column))
     lo, hi = spec.numeric_ranges[attr]
-    raw = list(map(float, column))
-    if not all(map(math.isfinite, raw)):
-        raise ValueError(f"'{attr}' holds a value that is not a finite number: {raw}")
+    raw = np.fromiter(map(float, column), np.float64, len(column))
+    finite = np.isfinite(raw)
+    if not finite.all():
+        raise ValueError(f"'{attr}' holds {raw[~finite][0]}, not a finite number")
     if hi > lo:
-        span = hi - lo  # comparisons clamp bit-equal to min(max(x, 0.0), 1.0), and faster
-        return [0.0 if (x := (v - lo) / span) < 0.0 else 1.0 if x > 1.0 else x for v in raw]
-    return [0.0] * len(raw)
+        scaled = (raw - lo) / (hi - lo)
+        # the comparisons clamp bit-equal to min(max(x, 0.0), 1.0)
+        scaled[scaled < 0.0] = 0.0
+        scaled[scaled > 1.0] = 1.0
+        return scaled
+    return np.zeros(len(raw))
 
 
 def _label_key(label) -> tuple:
@@ -225,15 +234,15 @@ class PackedDataset:
         events = [e for k in kept for e in k]
         statics = [s.static_attrs for s in samples]
 
-        def column(attr, dtype):
-            values = np.array(_values(spec, attr, _column(attr, events, statics)), dtype)
+        def column(attr):
+            values = _values(spec, attr, _column(attr, events, statics))
             if attr.startswith(STATIC_PREFIX):  # one per sample, repeated at its events
                 values = np.repeat(values, lengths)
             return values
 
         return cls(
-            cat={a: column(a, np.int64) for a in spec.categorical_attrs},
-            num={a: column(a, np.float64) for a in spec.numeric_attrs},
+            cat={a: column(a) for a in spec.categorical_attrs},
+            num={a: column(a) for a in spec.numeric_attrs},
             lengths=lengths,
             y=np.array([s.outcome for s in samples], dtype=np.float64),
             s=np.array([s.sensitive for s in samples], dtype=np.int64),
@@ -261,3 +270,102 @@ class PackedDataset:
 
     def __len__(self):
         return self.y.size
+
+    def save(self, path, provenance: dict, encoder_sha256: str) -> None:
+        """Write the arrays to ``path`` as an uncompressed ``.npz`` split
+        file, stamped with ``provenance`` and the sha256 of the
+        ``encoder.json`` they were packed with. Its members are those of
+        ``split_members``; the zip holds no timestamps, so a rerun writes the
+        same bytes."""
+        np.savez(
+            path,
+            lengths=self.lengths,
+            y=self.y,
+            s=self.s,
+            **{f"cat:{a}": v for a, v in self.cat.items()},
+            **{f"num:{a}": v for a, v in self.num.items()},
+            provenance=np.array(json.dumps(provenance, sort_keys=True)),
+            encoder_sha256=np.array(encoder_sha256),
+        )
+
+    @classmethod
+    def load(cls, path, spec: EncoderSpec, encoder_sha256: str) -> "PackedDataset":
+        """The dataset ``save`` wrote to ``path``, checked against ``spec``
+        and the sha256 of its ``encoder.json``: the member set and dtypes,
+        lengths in [1, ``max_len``] that sum to the event count, indices within
+        the vocabularies, numerics in [0,1], labels in {0,1} and the encoder
+        hash. Any mismatch, or a file that is not such a zip, raises
+        ValueError; no pickled object is read."""
+        try:
+            with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        except (zipfile.BadZipFile, EOFError) as exc:
+            raise ValueError(f"not an .npz split file: {exc}") from None
+        members = split_members(spec)
+        if arrays.keys() != members.keys():
+            missing = sorted(members.keys() - arrays.keys())
+            extra = sorted(arrays.keys() - members.keys())
+            raise ValueError(f"members missing {missing} and unexpected {extra}")
+        for name, dtype in members.items():
+            array = arrays[name]
+            if not isinstance(array, np.ndarray):
+                raise ValueError(f"member '{name}' is not an .npy array")
+            # a text member is one string of any length
+            if dtype.kind == "U":
+                fits, expected = (array.ndim, array.dtype.kind) == (0, "U"), "one string"
+            else:
+                fits, expected = (array.ndim, array.dtype) == (1, dtype), f"a 1-D {dtype} array"
+            if not fits:
+                raise ValueError(
+                    f"member '{name}' is {array.dtype} of shape {array.shape}, not {expected}"
+                )
+        if str(arrays["encoder_sha256"]) != encoder_sha256:
+            raise ValueError(
+                "it was packed with another encoder.json than the one beside it; rerun ingest"
+            )
+
+        lengths = arrays["lengths"]
+        if not (lengths.size and np.all((1 <= lengths) & (lengths <= spec.max_len))):
+            raise ValueError(f"'lengths' must be nonempty and each in [1, {spec.max_len}]")
+        rows = (lengths.size, "one per row")
+        events = (int(lengths.sum()), "the sum of 'lengths'")
+
+        def check(name, size, inside, what):
+            array = arrays[name]
+            if array.size != size[0]:
+                raise ValueError(
+                    f"member '{name}' holds {array.size} values, expected {size[0]} ({size[1]})"
+                )
+            fits = inside(array)  # NaN fails every comparison
+            if not fits.all():
+                raise ValueError(f"member '{name}' holds {array[~fits][0]}, {what}")
+
+        for name in ("y", "s"):
+            check(name, rows, lambda v: (v == 0) | (v == 1), "not 0 or 1")
+        for a in spec.categorical_attrs:
+            n = len(spec.labels[a])
+            check(f"cat:{a}", events, lambda v: (0 <= v) & (v <= n), f"outside [0, {n}]")
+        for a in spec.numeric_attrs:
+            check(f"num:{a}", events, lambda v: (0 <= v) & (v <= 1), "not a number in [0,1]")
+        return cls(
+            cat={a: arrays[f"cat:{a}"] for a in spec.categorical_attrs},
+            num={a: arrays[f"num:{a}"] for a in spec.numeric_attrs},
+            lengths=lengths,
+            y=arrays["y"],
+            s=arrays["s"],
+        )
+
+
+def split_members(spec: EncoderSpec) -> dict:
+    """Each member of a split file and its dtype, in the order ``save``
+    writes them: a 1-D array per label and attribute, then two strings."""
+    int64, float64 = np.dtype(np.int64), np.dtype(np.float64)
+    return {
+        "lengths": int64,
+        "y": float64,
+        "s": int64,
+        **{f"cat:{a}": int64 for a in spec.categorical_attrs},
+        **{f"num:{a}": float64 for a in spec.numeric_attrs},
+        "provenance": np.dtype(str),
+        "encoder_sha256": np.dtype(str),
+    }

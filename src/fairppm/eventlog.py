@@ -20,14 +20,13 @@ from __future__ import annotations
 import csv
 import functools
 import gc
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .records import json_cast, parse_json, skip_comment_lines, utf8_lines
+from .records import skip_comment_lines
 
 __all__ = [
     "EventLogError",
@@ -49,10 +48,6 @@ __all__ = [
     "split_cases",
     "validation_split",
     "generate_synthetic_log",
-    "sample_to_dict",
-    "sample_from_dict",
-    "write_samples_jsonl",
-    "read_samples_jsonl",
     "without_cyclic_gc",
 ]
 
@@ -540,136 +535,3 @@ def generate_synthetic_log(spec: BiasSpec, seed: int) -> EventLog:
             )
         traces.append(Trace(case_id, tuple(events), statics))
     return EventLog(tuple(traces), SYNTH_SCHEMA)
-
-
-# ---------------------------------------------------------------------------
-# sample (de)serialization for ingest artifacts
-
-
-def sample_to_dict(sample: RawPrefixSample) -> dict:
-    return {
-        "case_id": sample.case_id,
-        "outcome": sample.outcome,
-        "sensitive": sample.sensitive,
-        "static_attrs": sample.static_attrs,
-        "events": [
-            {
-                "activity": e.activity,
-                "timestamp": e.timestamp.isoformat(),
-                "dynamic_attrs": e.dynamic_attrs,
-            }
-            for e in sample.events
-        ],
-    }
-
-
-def _event_from_dict(e: dict) -> Event:
-    return Event(
-        activity=json_cast("activity", e["activity"], str),
-        timestamp=datetime.fromisoformat(json_cast("timestamp", e["timestamp"], str)),
-        dynamic_attrs=json_cast("dynamic_attrs", e["dynamic_attrs"], dict),
-    )
-
-
-def sample_from_dict(d: dict) -> RawPrefixSample:
-    """The sample ``sample_to_dict`` wrote; an id, label or attribute map of
-    another JSON type (an outcome of 0.9 or "1", a list of pairs for a map)
-    raises ValueError naming its key (``json_cast``)."""
-    return RawPrefixSample(
-        case_id=json_cast("case_id", d["case_id"], str),
-        events=tuple(map(_event_from_dict, d["events"])),
-        static_attrs=json_cast("static_attrs", d["static_attrs"], dict),
-        outcome=json_cast("outcome", d["outcome"], int),
-        sensitive=json_cast("sensitive", d["sensitive"], int),
-    )
-
-
-def _extends(shorter: RawPrefixSample, longer: RawPrefixSample) -> bool:
-    """Whether ``longer`` is a longer prefix of the same labeled case."""
-    n = len(shorter.events)
-    return (
-        len(longer.events) > n
-        and longer.case_id == shorter.case_id
-        and longer.outcome == shorter.outcome
-        and longer.sensitive == shorter.sensitive
-        and longer.events[:n] == shorter.events
-        and longer.static_attrs == shorter.static_attrs
-    )
-
-
-def _nested_runs(samples):
-    """``samples`` in order, cut into maximal runs where each sample extends
-    the one before it."""
-    run = []
-    for sample in samples:
-        if run and not _extends(run[-1], sample):
-            yield run
-            run = []
-        run.append(sample)
-    if run:
-        yield run
-
-
-def _prefix_lengths(value, n_events: int) -> list:
-    """A record's ``lengths``: a non-empty JSON list of ints that rises
-    strictly from at least 1 to ``n_events``, so no event goes unread."""
-    lengths = [json_cast("lengths", n, int) for n in json_cast("lengths", value, list)]
-    steps = zip([0] + lengths, lengths)
-    if not lengths or lengths[-1] != n_events or any(a >= b for a, b in steps):
-        raise ValueError(
-            f"'lengths' value {value!r} does not rise strictly from at least 1 "
-            f"to the record's {n_events} events"
-        )
-    return lengths
-
-
-def write_samples_jsonl(samples, path, provenance: dict | None = None) -> None:
-    """One JSON record per run of nested prefixes, after a ``_provenance``
-    record when given. A record is ``sample_to_dict`` of the run's longest
-    sample plus ``lengths``, the run's prefix lengths in ascending order; a
-    sample that does not extend the one before it (``_extends``) starts a
-    new record, so ``read_samples_jsonl`` gives back the list in order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if provenance:
-            fh.write(json.dumps({"_provenance": provenance}, sort_keys=True))
-            fh.write("\n")
-        for run in _nested_runs(samples):
-            record = sample_to_dict(run[-1])
-            record["lengths"] = [len(s.events) for s in run]
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
-
-
-@without_cyclic_gc
-def read_samples_jsonl(path) -> list:
-    """The samples of a JSONL file; a malformed record raises RowError with its line.
-
-    Each record is parsed once; its prefixes are slices of its events, so
-    they share the ``Event`` objects and the static map."""
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(utf8_lines(fh, RowError), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = parse_json(line)
-                if type(record) is not dict:
-                    raise ValueError(f"a record must be a JSON object, not {record!r}")
-                # tooling may stamp a metadata record first; it carries no sample
-                if "_provenance" in record:
-                    continue
-                if "lengths" not in record:
-                    raise ValueError(
-                        "the record has no 'lengths' (a samples file from an earlier "
-                        "version, one prefix per record); rerun ingest"
-                    )
-                s = sample_from_dict(record)
-                samples.extend(
-                    RawPrefixSample(s.case_id, s.events[:n], s.static_attrs, s.outcome, s.sensitive)
-                    for n in _prefix_lengths(record["lengths"], len(s.events))[:-1]
-                )
-                samples.append(s)
-            except (KeyError, ValueError, TypeError, AttributeError) as exc:
-                raise RowError(f"line {number}: {type(exc).__name__}: {exc}") from None
-    return samples

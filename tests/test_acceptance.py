@@ -22,10 +22,8 @@ from fairppm.cli import (
     ENCODER_FILE,
     REPORT_FILE,
     SCORES_FILE,
+    SPLIT_FILES,
     SUMMARY_FILE,
-    TEST_SAMPLES,
-    TRAIN_SAMPLES,
-    VALID_SAMPLES,
     main,
 )
 from fairppm.metrics import GroupedScores, abcc, abpc, auc, delta_dp_b, delta_dp_c
@@ -237,9 +235,9 @@ def test_c8_property_suite_at_scale():
         (test_metrics.prop_optimal_threshold_scan, 100),
         (test_eventlog.prop_prefix_invariants, 100),
         (test_eventlog.prop_split_partition, 100),
-        (test_eventlog.prop_samples_jsonl_round_trip, 100),
         (test_encoding.prop_encoding_invariants, 100),
         (test_encoding.prop_subset_matches_packing, 100),
+        (test_encoding.prop_save_load_round_trip, 100),
         (test_train.prop_select_best_monotone_invariant, 100),
         (test_train.prop_pareto_matches_brute_force, 200),
     ]
@@ -289,9 +287,7 @@ def test_c9_pipeline_reruns_byte_identical(tmp_path):
 
     assert main(["synth", "--config", str(cfg_path)]) == 0
     tracked = (
-        TRAIN_SAMPLES,
-        VALID_SAMPLES,
-        TEST_SAMPLES,
+        *SPLIT_FILES.values(),
         ENCODER_FILE,
         SUMMARY_FILE,
         CHECKPOINT_FILE,

@@ -16,9 +16,11 @@ import re
 import shutil
 import subprocess
 import sys
+import zipfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairppm import cli, nn
@@ -31,15 +33,13 @@ from fairppm.cli import (
     EXIT_UNDEFINED,
     REPORT_FILE,
     SCORES_FILE,
+    SPLIT_FILES,
     SUMMARY_FILE,
     SWEEP_FILE,
-    TEST_SAMPLES,
-    TRAIN_SAMPLES,
-    VALID_SAMPLES,
     main,
 )
-from fairppm.encoding import PackedDataset
-from fairppm.eventlog import BiasSpec, read_samples_jsonl, sample_from_dict
+from fairppm.encoding import split_members
+from fairppm.eventlog import BiasSpec
 from fairppm.metrics import EvalReport
 from fairppm.nn import Hyper
 from fairppm.train import (
@@ -70,6 +70,8 @@ TINY_HYPER = {
 }
 
 TINY_TRAIN = {"max_epochs": 2, "patience": 2}
+
+TRAIN_NPZ, VALID_NPZ, TEST_NPZ = (SPLIT_FILES[split] for split in ("train", "valid", "test"))
 
 
 def base_config(out, n_cases: int = 100, **extra) -> dict:
@@ -131,9 +133,9 @@ def test_pipeline_writes_all_artifacts(pipeline):
         "log.csv",
         "schema.json",
         "bias_spec.json",
-        TRAIN_SAMPLES,
-        VALID_SAMPLES,
-        TEST_SAMPLES,
+        TRAIN_NPZ,
+        VALID_NPZ,
+        TEST_NPZ,
         ENCODER_FILE,
         SUMMARY_FILE,
         CHECKPOINT_FILE,
@@ -186,9 +188,9 @@ def test_provenance_in_every_artifact(pipeline):
         prov = payload["provenance"]
         assert prov["seed"] == 7
         hashes.add(prov["config_hash"])
-    for name in (TRAIN_SAMPLES, VALID_SAMPLES, TEST_SAMPLES):
-        first = json.loads((out / name).read_text().splitlines()[0])
-        prov = first["_provenance"]
+    for name in (TRAIN_NPZ, VALID_NPZ, TEST_NPZ):
+        with np.load(out / name) as npz:
+            prov = json.loads(str(npz["provenance"]))
         assert prov["seed"] == 7
         hashes.add(prov["config_hash"])
     ckpt = json.loads((out / CHECKPOINT_FILE).read_text())
@@ -326,9 +328,9 @@ def test_reruns_are_byte_identical(pipeline):
     _, out, cfg_path = pipeline
     tracked = [
         "log.csv",
-        TRAIN_SAMPLES,
-        VALID_SAMPLES,
-        TEST_SAMPLES,
+        TRAIN_NPZ,
+        VALID_NPZ,
+        TEST_NPZ,
         ENCODER_FILE,
         SUMMARY_FILE,
         CHECKPOINT_FILE,
@@ -551,9 +553,7 @@ def test_ingest_pauses_the_collector_and_restores_the_callers_setting(tmp_path, 
         gc.enable() if was else gc.disable()
 
 
-@pytest.mark.parametrize(
-    "where", ["config", "schema file", ENCODER_FILE, CHECKPOINT_FILE, TEST_SAMPLES]
-)
+@pytest.mark.parametrize("where", ["config", "schema file", ENCODER_FILE, CHECKPOINT_FILE])
 def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(
     pipeline, tmp_path, capsys, where
 ):
@@ -561,7 +561,7 @@ def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(
     copy = tmp_path / "copy"
     shutil.copytree(pipeline[1], copy)
     config = base_config(copy)
-    command = {ENCODER_FILE: "train", CHECKPOINT_FILE: "evaluate", TEST_SAMPLES: "evaluate"}
+    command = {ENCODER_FILE: "train", CHECKPOINT_FILE: "evaluate"}
     if where == "config":
         path = tmp_path / "config.json"
         path.write_text(deep)
@@ -572,7 +572,7 @@ def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(
     else:
         path = copy / where
         lines = path.read_text().split("\n")
-        lines[1 if where == TEST_SAMPLES else 0] = deep
+        lines[0] = deep
         path.write_text("\n".join(lines))
         write_config(tmp_path, config)
     capsys.readouterr()
@@ -580,23 +580,6 @@ def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(
     err = capsys.readouterr().err
     assert f"'{path}'" in err and "JSON nested too deeply" in err
     assert "internal error" not in err
-    if where == TEST_SAMPLES:
-        assert "line 2: ValueError" in err
-
-
-def test_samples_that_are_not_utf8_exit_2_naming_the_file_and_line(pipeline, tmp_path, capsys):
-    _, out, _ = pipeline
-    copy = tmp_path / "copy"
-    shutil.copytree(out, copy)
-    path = copy / TRAIN_SAMPLES
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[2] = lines[2].replace(b'"case_id": "', b'"case_id": "\xe9', 1)
-    path.write_bytes(b"".join(lines))
-    capsys.readouterr()
-    assert run("train", write_config(tmp_path, base_config(copy))) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"'{path}'" in err and "line 3: byte 0xe9 is not UTF-8" in err
-    assert "position" not in err and "internal error" not in err
 
 
 @pytest.mark.parametrize(
@@ -747,31 +730,50 @@ def not_json(text):
     return "{not json"
 
 
-def edit_sample(number, change):
-    """Apply ``change`` to the record on line ``number`` of a JSONL artifact,
-    renaming its case 'edited'."""
+def edit_split(change):
+    """Apply ``change`` to a split file's arrays, by member name, and save
+    them back (an object array pickled)."""
 
-    def edit(text):
-        lines = text.split("\n")
-        record = json.loads(lines[number - 1])
-        change(record)
-        record["case_id"] = "edited"
-        lines[number - 1] = json.dumps(record)
-        return "\n".join(lines)
+    def edit(path):
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        change(arrays)
+        np.savez(path, **arrays)
 
     return edit
 
 
-def one_prefix_per_record(text):
-    """A samples artifact in the layout of earlier versions: one record per
-    prefix, without 'lengths'."""
-    lines = text.split("\n")
-    header, records = lines[0], [json.loads(line) for line in lines[1:] if line]
-    rows = [header]
-    for record in records:
-        for n in record.pop("lengths"):
-            rows.append(json.dumps({**record, "events": record["events"][:n]}))
-    return "\n".join(rows) + "\n"
+def set_entry(name, index, value):
+    """Set entry ``index`` of split-file member ``name`` to ``value``."""
+
+    def change(arrays):
+        arrays[name][index] = value
+
+    return edit_split(change)
+
+
+def drop_last_event(arrays):
+    for name in arrays:
+        if name.startswith(("cat:", "num:")):
+            arrays[name] = arrays[name][:-1]
+
+
+def no_rows(arrays):
+    for name, array in arrays.items():
+        if array.ndim == 1:
+            arrays[name] = array[:0]
+
+
+def member_not_npy(path):
+    """Replace member 'y' with bytes that are no .npy array."""
+    edit_split(lambda arrays: arrays.pop("y"))(path)
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("y.npy", b"not an array")
+
+
+def truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
 
 
 @pytest.mark.parametrize(
@@ -823,72 +825,74 @@ def one_prefix_per_record(text):
             "'embedding_dims'", id="encoder-dropped-embedding-dims-key",
         ),
         pytest.param(
-            "train", TRAIN_SAMPLES,
-            edit_sample(2, lambda record: record["static_attrs"].update({"case:proxy": "abc"})),
-            "case 'edited'", id="samples-proxy-not-a-number",
+            "train", TRAIN_NPZ, edit_split(lambda arrays: arrays.pop("num:score")),
+            "members missing ['num:score'] and unexpected []", id="split-missing-member",
         ),
         pytest.param(
-            "train", TRAIN_SAMPLES,
-            edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].pop("score")),
-            "case 'edited'", id="samples-event-without-score",
+            "train", VALID_NPZ, edit_split(lambda arrays: arrays.update(extra=np.zeros(1))),
+            "members missing [] and unexpected ['extra']", id="split-extra-member",
         ),
         pytest.param(
-            "train", TRAIN_SAMPLES,
-            edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].update(
-                {"score": float("nan")}
-            )),
-            "case 'edited'", id="samples-score-nan",
+            "evaluate", TEST_NPZ,
+            edit_split(lambda arrays: arrays.update(lengths=arrays["lengths"].astype(np.int32))),
+            "member 'lengths' is int32", id="split-lengths-int32",
         ),
         pytest.param(
-            "train", VALID_SAMPLES,
-            edit_sample(2, lambda record: record["events"][0]["dynamic_attrs"].pop("resource")),
-            "case 'edited'", id="samples-event-without-resource",
+            "evaluate", TEST_NPZ,
+            edit_split(lambda arrays: arrays.update(y=arrays["y"].astype(object))),
+            "Object arrays cannot be loaded when allow_pickle=False", id="split-object-member",
         ),
         pytest.param(
-            "evaluate", TEST_SAMPLES,
-            edit_sample(2, lambda record: record["static_attrs"].update(
-                {"case:proxy": float("inf")}
-            )),
-            "case 'edited'", id="samples-proxy-infinity",
+            "train", TRAIN_NPZ, member_not_npy, "member 'y' is not an .npy array",
+            id="split-member-not-npy",
         ),
         pytest.param(
-            "evaluate", TEST_SAMPLES, edit_sample(2, lambda record: record.update(outcome=0.9)),
-            "line 2: ValueError: 'outcome'", id="samples-outcome-a-float",
+            "train", TRAIN_NPZ, set_entry("cat:resource", 0, 6),
+            "member 'cat:resource' holds 6, outside [0, 5]", id="split-index-above-the-vocabulary",
         ),
         pytest.param(
-            "train", VALID_SAMPLES, lambda text: text.split("\n", 1)[0] + "\n", "empty",
-            id="samples-none",
+            "train", VALID_NPZ, edit_split(no_rows),
+            "'lengths' must be nonempty and each in [1, 6]", id="split-no-rows",
         ),
         pytest.param(
-            "evaluate", TEST_SAMPLES, replace_line(3, "{not json"), "line 3",
-            id="samples-bad-line",
+            "train", VALID_NPZ, set_entry("lengths", 0, 0),
+            "'lengths' must be nonempty and each in [1, 6]", id="split-length-0",
         ),
         pytest.param(
-            "evaluate", TEST_SAMPLES, replace_line(2, '"_provenance is not here"'),
-            "line 2: ValueError: a record must be a JSON object", id="samples-a-string-record",
+            "evaluate", TEST_NPZ, set_entry("lengths", 0, 7),
+            "'lengths' must be nonempty and each in [1, 6]", id="split-length-above-max-len",
         ),
         pytest.param(
-            "train", TRAIN_SAMPLES,
-            edit_sample(2, lambda record: record.update(static_attrs=[["case:proxy", True]])),
-            "line 2: ValueError: 'static_attrs'", id="samples-static-attrs-a-list",
+            "evaluate", TEST_NPZ, edit_split(drop_last_event), "(the sum of 'lengths')",
+            id="split-lengths-do-not-sum-to-the-events",
         ),
         pytest.param(
-            "train", VALID_SAMPLES, one_prefix_per_record,
-            "line 2: ValueError: the record has no 'lengths'", id="samples-earlier-layout",
+            "evaluate", TEST_NPZ, set_entry("y", 0, 0.5), "member 'y' holds 0.5, not 0 or 1",
+            id="split-y-not-a-label",
         ),
         pytest.param(
-            "evaluate", TEST_SAMPLES, one_prefix_per_record,
-            "line 2: ValueError: the record has no 'lengths'", id="samples-earlier-layout-test",
+            "train", TRAIN_NPZ, set_entry("s", 0, 2), "member 's' holds 2, not 0 or 1",
+            id="split-s-not-a-flag",
         ),
         pytest.param(
-            "train", TRAIN_SAMPLES,
-            edit_sample(2, lambda record: record["lengths"].pop()),
-            "line 2: ValueError: 'lengths'", id="samples-lengths-leave-an-event-unread",
+            "train", TRAIN_NPZ, set_entry("num:score", 0, np.nan),
+            "member 'num:score' holds nan, not a number in [0,1]", id="split-score-nan",
         ),
         pytest.param(
-            "evaluate", TEST_SAMPLES,
-            edit_sample(2, lambda record: record.update(lengths=[0.5])),
-            "line 2: ValueError: 'lengths' value 0.5", id="samples-lengths-a-float",
+            "evaluate", TEST_NPZ, set_entry("num:case:proxy", 0, 1.5),
+            "member 'num:case:proxy' holds 1.5, not a number in [0,1]", id="split-proxy-above-1",
+        ),
+        pytest.param(
+            "evaluate", TEST_NPZ, truncate, "not an .npz split file", id="split-truncated"
+        ),
+        pytest.param(
+            "train", VALID_NPZ, lambda path: path.write_text("lengths,y,s\n1,0,1\n"),
+            "not an .npz split file: File is not a zip file", id="split-not-a-zip",
+        ),
+        pytest.param(
+            "evaluate", TEST_NPZ,
+            edit_split(lambda arrays: arrays.update(encoder_sha256=np.array("0" * 64))),
+            "packed with another encoder.json", id="split-encoder-sha256-mismatch",
         ),
         pytest.param(
             "evaluate", CHECKPOINT_FILE, lambda text: "[]", "list", id="checkpoint-a-list"
@@ -968,7 +972,11 @@ def test_malformed_artifact_exits_2_naming_the_file(
     _, out, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
-    (copy / name).write_text(edit((copy / name).read_text()))
+    path = copy / name
+    if path.suffix == ".npz":
+        edit(path)
+    else:
+        path.write_text(edit(path.read_text()))
     config = {**base_config(copy), "runs": [str(copy)]}
     if command == "report":
         config["out"] = str(tmp_path / "merged")
@@ -976,54 +984,6 @@ def test_malformed_artifact_exits_2_naming_the_file(
     assert run(command, write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"'{copy / name}'" in err and named in err and "internal error" not in err
-
-
-def test_samples_that_do_not_encode_name_the_first_one(pipeline, tmp_path, capsys):
-    """Packing reads attribute by attribute, so it meets the second bad sample
-    (no 'resource', a categorical) before the first (a NaN 'score'); the
-    message still names the first."""
-    _, out, _ = pipeline
-    copy = tmp_path / "copy"
-    shutil.copytree(out, copy)
-    path = copy / TRAIN_SAMPLES
-    first = edit_sample(3, lambda r: r["events"][-1]["dynamic_attrs"].update(score=float("nan")))
-    second = edit_sample(6, lambda r: r["events"][0]["dynamic_attrs"].pop("resource"))
-    text = second(first(path.read_text())).replace('"edited"', '"first"', 1)
-    path.write_text(text.replace('"edited"', '"second"'))
-    with pytest.raises(ValueError, match="case 'first'"):
-        PackedDataset.from_samples(cli._load_encoder(copy), read_samples_jsonl(path))
-    capsys.readouterr()
-    assert run("train", write_config(tmp_path, base_config(copy))) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "case 'first' does not fit encoder.json: ValueError: 'score'" in err
-    assert "second" not in err
-
-
-def test_samples_reader_parses_the_events_of_a_case_once(pipeline):
-    """A record holds a case's nested prefixes: the samples read from it share
-    its Event objects and static map, and train.jsonl holds one event record
-    per distinct event of the split, one per (case, position)."""
-    _, out, _ = pipeline
-    path = out / TRAIN_SAMPLES
-    records = [r for r in map(json.loads, path.read_text().splitlines()) if "_provenance" not in r]
-    samples = read_samples_jsonl(path)
-    assert len(samples) == sum(len(r["lengths"]) for r in records) > 2 * len(records)
-
-    first = 0
-    for record in records:
-        run = samples[first : first + len(record["lengths"])]
-        first += len(run)
-        longest = run[-1]
-        assert longest == sample_from_dict(record)
-        assert [len(s.events) for s in run] == record["lengths"]
-        for sample in run:
-            assert sample.case_id == longest.case_id
-            assert sample.static_attrs is longest.static_attrs
-            assert all(a is b for a, b in zip(sample.events, longest.events))
-
-    distinct = {(s.case_id, i) for s in samples for i in range(len(s.events))}
-    assert sum(len(r["events"]) for r in records) == len(distinct)
-    assert len({id(e) for s in samples for e in s.events}) == len(distinct)
 
 
 def test_evaluate_on_an_older_checkpoint_exits_2(tmp_path, capsys):
@@ -1117,6 +1077,18 @@ def test_readme_names_the_checkpoint_fields():
     assert re.findall(r"`(\w+)`", sentence[2]) == [f.name for f in fields(Checkpoint)]
 
 
+def test_readme_lists_the_split_file_members(pipeline):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(
+        r"whose members are (.*?) \(a test checks this list against the code\)", text
+    )
+    assert sentence is not None
+    encoder = cli._load_encoder(pipeline[1])
+    # each attribute's member once, under a placeholder name
+    generic = [re.sub(r"^(cat|num):.*", r"\1:<attr>", name) for name in split_members(encoder)]
+    assert re.findall(r"`([\w:<>]+)`", sentence[1]) == list(dict.fromkeys(generic))
+
+
 def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):
     out = tmp_path / "norun"
     cfg_path = write_config(tmp_path, base_config(out, n_cases=30))
@@ -1127,6 +1099,8 @@ def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):
 
 
 def test_single_group_test_set_is_undefined_metric(tmp_path, capsys):
+    # every parity metric needs both groups: ingest rejects the split before
+    # any training, and no later stage runs on it
     out = tmp_path / "onegroup"
     config = base_config(
         out,
@@ -1134,11 +1108,22 @@ def test_single_group_test_set_is_undefined_metric(tmp_path, capsys):
     )
     cfg_path = write_config(tmp_path, config)
     assert run("synth", cfg_path) == EXIT_OK
-    with pytest.warns(UserWarning, match="'case:protected' is constant"):
-        assert run("ingest", cfg_path) == EXIT_OK
-    assert run("train", cfg_path) == EXIT_OK
-    assert run("evaluate", cfg_path) == EXIT_UNDEFINED
-    assert "undefined metric" in capsys.readouterr().err
+    assert run("ingest", cfg_path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "every test prefix has sensitive value 0: 'sensitive_attr' 'case:protected'" in err
+    for command in ("train", "evaluate"):
+        assert run(command, cfg_path) == EXIT_MISSING
+
+
+def test_evaluate_on_a_single_group_test_split_exits_4(pipeline, tmp_path, capsys):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    edit_split(lambda arrays: arrays["s"].fill(0))(copy / TEST_NPZ)
+    capsys.readouterr()
+    assert run("evaluate", write_config(tmp_path, base_config(copy))) == EXIT_UNDEFINED
+    err = capsys.readouterr().err
+    assert "undefined metric" in err and "group S1 is empty" in err
 
 
 def test_encoder_checkpoint_mismatch_detected(tmp_path):

@@ -2,21 +2,32 @@
 
 Oracles: hand-built samples with known vocabularies and ranges, packed
 against hand-built event arrays, plus structural checks (attribute absence,
-row lengths, index round-trips, row independence of packing and subsets).
+row lengths, index round-trips, row independence of packing and subsets)
+and bit-equal save/load round trips of the split-file format.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tempfile
 import warnings
+import zipfile
 from dataclasses import asdict, replace
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairppm.encoding import EncoderSpec, PackedDataset, encode, fit_encoder
+from fairppm.encoding import (
+    EncoderSpec,
+    PackedDataset,
+    _values,
+    encode,
+    fit_encoder,
+    split_members,
+)
 from fairppm.eventlog import Event, RawPrefixSample, SchemaConfig
 from fairppm.records import from_fields
 
@@ -170,6 +181,37 @@ def test_encode_rejects_a_sample_missing_an_attribute(attr):
         PackedDataset.from_samples(spec, [bad])
 
 
+def scalar_values(spec: EncoderSpec, attr: str, column: list) -> list:
+    """The value rule one Python value at a time: the reference that the
+    vectorized ``_values`` must match bit for bit."""
+    vocab = spec.vocabularies.get(attr)
+    if vocab is not None:
+        return [vocab.get(v, 0) for v in column]
+    lo, hi = spec.numeric_ranges[attr]
+    if hi == lo:
+        return [0.0] * len(column)
+    return [min(max((float(v) - lo) / (hi - lo), 0.0), 1.0) for v in column]
+
+
+def test_values_match_the_scalar_rule():
+    rng = np.random.default_rng(17)
+    spec = fit_encoder(TRAIN, SCHEMA)  # cost in [10, 30]
+    # a range from 0.0 keeps a -0.0 value's sign; a constant channel encodes to 0
+    specs = [spec] + [
+        replace(spec, numeric_ranges={**spec.numeric_ranges, "cost": span})
+        for span in ((0.0, 4.0), (2.0, 2.0))
+    ]
+    edges = [-0.0, 0.0, 10.0, 30.0, 9.999999999999998, 30.000000000000004, 5e-324, True, 7]
+    for column in (edges, rng.uniform(-50, 80, 500).tolist()):
+        for s in specs:
+            want = np.array(scalar_values(s, "cost", column), dtype=np.float64)
+            assert _values(s, "cost", column).tobytes() == want.tobytes()
+    labels = ["A", "B", "C", "Z", True]
+    column = [labels[int(k)] for k in rng.integers(0, len(labels), 200)]
+    want = np.array(scalar_values(spec, "activity", column), dtype=np.int64)
+    assert _values(spec, "activity", column).tobytes() == want.tobytes()
+
+
 def test_encode_clamps_out_of_range_numerics():
     spec = fit_encoder(TRAIN, SCHEMA)
     packed = PackedDataset.from_samples(spec, [make_sample(["A", "A"], costs=[-100.0, 100.0])])
@@ -307,6 +349,45 @@ def prop_subset_matches_packing(cases: int, seed: int = 83) -> None:
 
 def test_subset_matches_packing():
     prop_subset_matches_packing(100)
+
+
+def prop_save_load_round_trip(cases: int, seed: int = 89) -> None:
+    """``load`` gives back the arrays ``save`` wrote, bit for bit and with
+    their dtypes, for packed sample lists and for subsets of them with
+    repeated rows; saving the same arrays again writes the same bytes."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.npz"
+        for _ in range(cases):
+            spec, samples = random_spec_and_samples(rng)
+            packed = PackedDataset.from_samples(spec, samples)
+            n = len(samples)
+            sha256 = f"{int(rng.integers(0, 2**62)):064x}"
+            repeated = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+            for data in (packed, packed.subset(repeated)):
+                data.save(path, {"seed": seed}, sha256)
+                written = path.read_bytes()
+                assert_packed_identical(PackedDataset.load(path, spec, sha256), data)
+                data.save(path, {"seed": seed}, sha256)
+                assert path.read_bytes() == written
+
+
+def test_save_load_round_trip():
+    prop_save_load_round_trip(30)
+
+
+def test_save_writes_the_split_members_in_order_without_timestamps(tmp_path):
+    spec = fit_encoder(TRAIN, SCHEMA, max_len=4)
+    path = tmp_path / "train.npz"
+    PackedDataset.from_samples(spec, TRAIN).save(path, {"seed": 3}, "ab" * 32)
+    with zipfile.ZipFile(path) as zf:
+        infos = zf.infolist()
+    assert [i.filename for i in infos] == [f"{name}.npy" for name in split_members(spec)]
+    assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+    assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+    with np.load(path) as npz:
+        assert json.loads(str(npz["provenance"])) == {"seed": 3}
+        assert str(npz["encoder_sha256"]) == "ab" * 32
 
 
 # ---------------------------------------------------------------------------

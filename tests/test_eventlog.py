@@ -2,7 +2,7 @@
 
 Oracles: hand-built CSVs with known groupings, a sort oracle over permuted
 rows, exact quota arithmetic for splits, chi-square contingency tests
-(scipy) for proxy independence, and round-trips through both serializers.
+(scipy) for proxy independence, and round-trips through the CSV writer.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import io
 import gc
 import json
 import math
-import re
 import tempfile
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from fairppm.eventlog import (
     Event,
     EventLog,
     EventLogError,
-    RawPrefixSample,
     RowError,
     SchemaConfig,
     SchemaError,
@@ -42,13 +40,9 @@ from fairppm.eventlog import (
     generate_synthetic_log,
     label_and_cut,
     parse_event_log,
-    read_samples_jsonl,
-    sample_from_dict,
-    sample_to_dict,
     split_cases,
     validation_split,
     write_event_log,
-    write_samples_jsonl,
 )
 from fairppm.records import from_fields
 
@@ -750,205 +744,12 @@ def test_bias_spec_presets_and_serde():
 
 
 # ---------------------------------------------------------------------------
-# sample serialization
+# samples
 
 
 def sample_fixture():
     log = generate_synthetic_log(BiasSpec(n_cases=30), seed=21)
     return extract_prefixes(log, "offer", "case:protected")
-
-
-def test_sample_dict_round_trip():
-    for sample in sample_fixture():
-        assert sample_from_dict(sample_to_dict(sample)) == sample
-
-
-def test_samples_jsonl_round_trip(tmp_path):
-    samples = sample_fixture()
-    path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(samples, path)
-    assert read_samples_jsonl(path) == samples
-
-
-def test_samples_jsonl_skips_provenance_record(tmp_path):
-    samples = sample_fixture()[:3]
-    path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(samples, path, provenance={"config_hash": "abc"})
-    assert path.read_text().startswith('{"_provenance": {"config_hash": "abc"}}\n')
-    assert read_samples_jsonl(path) == samples
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("outcome", 0.9),
-        ("outcome", "1"),
-        ("outcome", True),
-        ("sensitive", 1.5),
-        ("sensitive", "1"),
-        ("sensitive", True),
-        ("case_id", 7),
-        ("activity", 5),
-        ("timestamp", 20240105),
-        ("static_attrs", [["case:proxy", True]]),
-        ("dynamic_attrs", [["score", 0.5]]),
-    ],
-)
-def test_samples_jsonl_rejects_mistyped_values(tmp_path, key, value):
-    # a label or id of the wrong JSON type is not cast: 0.9 is no outcome 0,
-    # and a list of pairs is no attribute map
-    path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(sample_fixture()[:7], path)  # two cases, one record each
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    in_event = key in ("activity", "timestamp", "dynamic_attrs")
-    (record["events"][0] if in_event else record)[key] = value
-    lines[1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(RowError, match=f"line 2: ValueError: '{key}' value"):
-        read_samples_jsonl(path)
-
-
-@pytest.mark.parametrize("line", ['"_provenance is not here"', "[1, 2]", "5", "null"])
-def test_samples_jsonl_rejects_a_record_that_is_not_an_object(tmp_path, line):
-    # a JSON string holding "_provenance" is no provenance record to skip
-    path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(sample_fixture()[:7], path)
-    lines = path.read_text().splitlines()
-    lines[1] = line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(RowError, match="line 2: ValueError: a record must be a JSON object"):
-        read_samples_jsonl(path)
-
-
-def test_samples_jsonl_rejects_json_nested_past_the_recursion_limit(tmp_path):
-    path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(sample_fixture()[:7], path)
-    lines = path.read_text().splitlines()
-    lines[1] = "[" * 200000
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(RowError, match="line 2: ValueError: JSON nested too deeply"):
-        read_samples_jsonl(path)
-
-
-@pytest.mark.parametrize(
-    "lengths, error",
-    [
-        # a record of the earlier layout, one prefix per record
-        (None, "the record has no 'lengths'"),
-        ("3", "'lengths' value '3' does not cast to list"),
-        ([], "'lengths' value [] does not rise"),
-        ([1, 2.0, 3], "'lengths' value 2.0 does not cast to int"),
-        ([True, 3], "'lengths' value True does not cast to int"),
-        ([0, 3], "'lengths' value [0, 3] does not rise"),
-        ([1, 1, 3], "'lengths' value [1, 1, 3] does not rise"),
-        ([2, 1, 3], "'lengths' value [2, 1, 3] does not rise"),
-        ([1, 2], "'lengths' value [1, 2] does not rise strictly from at least 1 to the "
-                 "record's 3 events"),
-        ([1, 2, 4], "'lengths' value [1, 2, 4] does not rise"),
-    ],
-)
-def test_samples_jsonl_rejects_bad_lengths(tmp_path, lengths, error):
-    # a record's prefix lengths rise strictly from 1 at least to its event
-    # count, so every event it holds is read
-    path = tmp_path / "samples.jsonl"
-    write_samples_jsonl(sample_fixture()[:7], path)  # line 2 holds c01's 3 prefixes
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    assert record["lengths"] == [1, 2, 3]
-    if lengths is None:
-        del record["lengths"]
-    else:
-        record["lengths"] = lengths
-    lines[1] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(RowError, match=f"line 2: ValueError: {re.escape(error)}"):
-        read_samples_jsonl(path)
-
-
-def nested_runs(samples) -> int:
-    """How many maximal runs of consecutive samples ``samples`` holds where
-    each sample is a longer prefix of the one before it, labeled alike."""
-    breaks = sum(
-        not (
-            (a.case_id, a.static_attrs, a.outcome, a.sensitive)
-            == (b.case_id, b.static_attrs, b.outcome, b.sensitive)
-            and len(a.events) < len(b.events)
-            and b.events[: len(a.events)] == a.events
-        )
-        for a, b in zip(samples, samples[1:])
-    )
-    return breaks + 1 if samples else 0
-
-
-def prop_samples_jsonl_round_trip(cases: int, seed: int = 71) -> None:
-    """Any sample list reads back equal and in order, from one record per
-    maximal run of nested prefixes. The lists mix cases, repeat samples,
-    leave gaps, put same-case prefixes that do not nest side by side and
-    vary the static map and labels within a case. On ``extract_prefixes``
-    output, split as ``validation_split`` splits it, a file writes each
-    distinct Event once."""
-    rng = np.random.default_rng(seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "samples.jsonl"
-
-        def round_trip(samples) -> list:
-            write_samples_jsonl(samples, path, provenance={"seed": seed})
-            assert read_samples_jsonl(path) == samples
-            return [json.loads(line) for line in path.read_text().splitlines()[1:]]
-
-        for _ in range(cases):
-            traces = []
-            for i in range(int(rng.integers(1, 5))):
-                start = datetime(2024, 1, 5, 8) + timedelta(days=int(rng.integers(0, 3)))
-                events = tuple(
-                    Event(
-                        "ABC"[int(rng.integers(0, 3))],
-                        start + timedelta(minutes=k),
-                        {"cost": float(rng.integers(0, 3)) / 2, "flag": bool(rng.integers(0, 2))},
-                    )
-                    for k in range(int(rng.integers(1, 10)))
-                )
-                static = {"case:protected": bool(rng.integers(0, 2)), "case:region": "n"}
-                traces.append(Trace(f"c{i}", events, static))
-
-            samples = []
-            for _ in range(int(rng.integers(0, 25))):
-                last = samples[-1] if samples else None
-                if last is not None and rng.random() < 0.6:
-                    # most often the case before again: the same, the next or a later prefix
-                    trace = next(t for t in traces if t.case_id == last.case_id)
-                    length = len(last.events) + int(rng.integers(0, 3))
-                else:
-                    trace = traces[int(rng.integers(0, len(traces)))]
-                    length = int(rng.integers(1, len(trace.events) + 1))
-                static = dict(trace.static_attrs)
-                if rng.random() < 0.1:
-                    static["case:region"] = "s"
-                samples.append(
-                    RawPrefixSample(
-                        trace.case_id,
-                        trace.events[: min(length, len(trace.events))],
-                        static,
-                        int(rng.random() < 0.1),
-                        int(static["case:protected"]),
-                    )
-                )
-            assert len(round_trip(samples)) == nested_runs(samples)
-
-            log = make_log(*traces)
-            prefixes = extract_prefixes(log, "C", "case:protected", int(rng.integers(1, 7)))
-            if len(prefixes) < 2:
-                continue
-            fraction = float(rng.uniform(0.1, 0.9))
-            for part in validation_split(prefixes, fraction, int(rng.integers(0, 1000))):
-                records = round_trip(part)
-                distinct = {id(e) for s in part for e in s.events}
-                assert sum(len(r["events"]) for r in records) == len(distinct)
-
-
-def test_samples_jsonl_round_trip_property():
-    prop_samples_jsonl_round_trip(60)
 
 
 def test_domain_type_invariants():
@@ -982,10 +783,6 @@ def reader_calls(tmp_path):
     good_csv = tmp_path / "log.csv"
     write_event_log(log, good_csv)
     bad_csv = write_csv(tmp_path, good_csv.read_text().replace("TRUE", "maybe", 1), "bad.csv")
-    samples = extract_prefixes(log, "offer", "case:protected")
-    good_jsonl, bad_jsonl = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
-    write_samples_jsonl(samples, good_jsonl)
-    bad_jsonl.write_text(good_jsonl.read_text() + "[1, 2]\n")
     return {
         "parse_event_log": (
             lambda: parse_event_log(good_csv, SYNTH_SCHEMA),
@@ -994,10 +791,6 @@ def reader_calls(tmp_path):
         "extract_prefixes": (
             lambda: extract_prefixes(log, "offer", "case:protected"),
             lambda: extract_prefixes(log, "offer", "resource"),  # not a static boolean
-        ),
-        "read_samples_jsonl": (
-            lambda: read_samples_jsonl(good_jsonl),
-            lambda: read_samples_jsonl(bad_jsonl),
         ),
         "generate_synthetic_log": (
             lambda: generate_synthetic_log(BiasSpec(n_cases=200), seed=3),
@@ -1011,7 +804,7 @@ def reader_calls(tmp_path):
     "reader, fails",
     [
         pytest.param(reader, fails, id=f"{reader}-{'raises' if fails else 'returns'}")
-        for reader in ("parse_event_log", "extract_prefixes", "read_samples_jsonl")
+        for reader in ("parse_event_log", "extract_prefixes")
         for fails in (False, True)
     ]
     + [pytest.param("generate_synthetic_log", False, id="generate_synthetic_log-returns")],
