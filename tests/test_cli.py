@@ -829,6 +829,10 @@ def truncate(path):
             "members missing ['num:score'] and unexpected []", id="split-missing-member",
         ),
         pytest.param(
+            "evaluate", TEST_NPZ, edit_split(lambda arrays: arrays.pop("cat:resource")),
+            "members missing ['cat:resource'] and unexpected []", id="split-missing-resource",
+        ),
+        pytest.param(
             "train", VALID_NPZ, edit_split(lambda arrays: arrays.update(extra=np.zeros(1))),
             "members missing [] and unexpected ['extra']", id="split-extra-member",
         ),
@@ -881,6 +885,10 @@ def truncate(path):
         pytest.param(
             "evaluate", TEST_NPZ, set_entry("num:case:proxy", 0, 1.5),
             "member 'num:case:proxy' holds 1.5, not a number in [0,1]", id="split-proxy-above-1",
+        ),
+        pytest.param(
+            "train", VALID_NPZ, set_entry("num:case:proxy", 0, np.nan),
+            "member 'num:case:proxy' holds nan, not a number in [0,1]", id="split-proxy-nan",
         ),
         pytest.param(
             "evaluate", TEST_NPZ, truncate, "not an .npz split file", id="split-truncated"
