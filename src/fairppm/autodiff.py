@@ -17,6 +17,8 @@ oracles build any other op on ``custom_op`` themselves.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -125,8 +127,10 @@ class Tape:
         if not node.needs_grad:
             return
         if self._adjoints[idx] is None:
-            self._adjoints[idx] = np.zeros_like(node.value)
-        self._adjoints[idx] += contribution
+            # 0 + c in a fresh array, as zeros += c would give: -0.0 becomes +0.0
+            self._adjoints[idx] = np.add(contribution, 0.0, out=np.empty_like(node.value))
+        else:
+            self._adjoints[idx] += contribution
 
 
 def _unbroadcast(grad, shape):
@@ -178,10 +182,18 @@ def add(a: Var, b: Var) -> Var:
 
 
 def mul(a: Var, b: Var) -> Var:
+    """The product; the VJP computes only the adjoints of operands that need
+    gradients (a dropout mask or a constant factor gets none)."""
     x, y = a.value, b.value
-    return custom_op(
-        (a, b), x * y, lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
-    )
+    need_x, need_y = (v.tape.nodes[v.idx].needs_grad for v in (a, b))
+
+    def vjp(g):
+        return (
+            _unbroadcast(g * y, x.shape) if need_x else None,
+            _unbroadcast(g * x, y.shape) if need_y else None,
+        )
+
+    return custom_op((a, b), x * y, vjp)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -205,12 +217,15 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """The sigmoid of a plain array, as a fresh array: 1/(1+e) where x >= 0
     and e/(1+e) elsewhere, with e = exp(-|x|), so exp never overflows. The
     branches share one temporary and one divide, element by element the
-    same operations as two full-size quotients, so the same bits."""
+    same operations as two full-size quotients, so the same bits. Since e
+    lies in [0, 1] (or is NaN), the numerator max(e, x >= 0) is 1 where
+    x >= 0 and e elsewhere, with no branch per element."""
     e = np.abs(x, out=np.empty(np.shape(x)))  # an array even for a 0-d x
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    denominator = 1.0 + e
+    out = np.maximum(e, x >= 0, out=e)
+    out /= denominator
     return out
 
 
@@ -227,12 +242,16 @@ def concat(vars_, axis=-1) -> Var:
 
 def take(a: Var, indices) -> Var:
     """Index the leading axis with an integer array (gather with repeats);
-    the adjoint scatters back with repeats summed."""
+    the adjoint scatters back with repeats summed, in index order, as
+    ``np.add.at`` would, through one ``bincount`` over flat positions."""
     x, idx = a.value, np.asarray(indices)
 
     def vjp(g):
-        gx = np.zeros_like(x)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        rows = np.where(idx < 0, idx + len(x), idx).reshape(-1, 1)
+        width = math.prod(x.shape[1:])
+        flat = rows * width + np.arange(width)
+        gx = np.bincount(flat.ravel(), weights=g.ravel(), minlength=x.size)
+        # bincount of no indices gives integer zeros, weights or not
+        return (gx.astype(np.float64, copy=False).reshape(x.shape),)
 
     return custom_op((a,), x[idx], vjp)

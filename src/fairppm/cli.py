@@ -235,18 +235,33 @@ def _artifact(out: Path, name: str, reader):
 _CSV_FORMAT = {"f": repr, "b": lambda v: "true" if v else "false"}
 
 
+def _csv_quoted(cells: list) -> list:
+    """Cells as ``csv.writer`` writes them with LF line ends (QUOTE_MINIMAL):
+    a cell holding a comma, a quote or a newline is quoted, its quotes
+    doubled. A column of plain numbers is scanned once and returned as is."""
+    text = "".join(cells)
+    if "," not in text and '"' not in text and "\n" not in text:
+        return cells
+    return [
+        '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
+        for c in cells
+    ]
+
+
 def _write_csv(path: Path, config: dict, columns: dict) -> None:
     """``columns`` (header -> column of values) as CSV under the provenance
-    comment, with LF line ends and fields quoted as needed."""
+    comment, with LF line ends and fields quoted as needed, byte for byte
+    as ``csv.writer`` would write them."""
     cells = [
-        list(map(_CSV_FORMAT.get(col.dtype.kind, str), col.tolist()))
-        for col in map(np.asarray, columns.values())
+        _csv_quoted([str(name), *map(_CSV_FORMAT.get(col.dtype.kind, str), col.tolist())])
+        for name, col in zip(columns, map(np.asarray, columns.values()))
     ]
+    if len(cells) == 1:  # csv.writer writes a row of one empty field as ""
+        cells = [[cell or '""' for cell in cells[0]]]
+    rows = [",".join(row) for row in zip(*cells)] if cells else [""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {_provenance_comment(config)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        fh.write("\n".join(rows) + "\n")
 
 
 def _sha256_file(path: Path) -> str:

@@ -178,10 +178,12 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
     the hidden state after each event (E, H). With ``reverse`` each row's
     events are read backwards, so a state has consumed its row's suffix.
 
-    Each step updates only the rows still live. When an input needs
-    gradients, the forward keeps each step's gate activations and cell
-    state for the VJP, backprop through time over the same live prefixes;
-    an eval forward keeps none of them."""
+    Each step updates only the rows still live. Inside, the gates run in
+    the order (i, f, o, g), so the three sigmoid gates of a step are one
+    contiguous block; W, U, b and the adjoints keep ``GATES`` order. When
+    an input needs gradients, the forward keeps each step's gate
+    activations and cell state for the VJP, backprop through time over the
+    same live prefixes; an eval forward keeps none of them."""
     xv, wv, uv = x.value, w.value, u.value
     feat, hidden = wv.shape[0], uv.shape[0]
     src = plan.reverse if reverse else plan.forward
@@ -189,29 +191,28 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
     x_p = xv[src]
     # gate-major (4, F, H), (4, 1, H) and (4, H, H), so each step's gate
     # pre-activations come out as contiguous (m, H) blocks
-    w_gates = np.ascontiguousarray(wv.reshape(feat, 4, hidden).transpose(1, 0, 2))
-    b_gates = b.value.reshape(4, 1, hidden)
-    u_gates = np.ascontiguousarray(uv.reshape(hidden, 4, hidden).transpose(1, 0, 2))
+    order = [GATES.index(gate) for gate in "ifog"]
+    w_gates = np.ascontiguousarray(wv.reshape(feat, 4, hidden).transpose(1, 0, 2)[order])
+    b_gates = b.value.reshape(4, 1, hidden)[order]
+    u_gates = np.ascontiguousarray(uv.reshape(hidden, 4, hidden).transpose(1, 0, 2)[order])
     states = np.empty((src.size, hidden))
     h = c = np.zeros((live0, hidden))
     record = any(v.tape.nodes[v.idx].needs_grad for v in (x, w, u, b))
-    gates, cells, tanh_c = [], [], []
+    saved = []
     for s, m in plan.spans:
         z = x_p[s : s + m] @ w_gates
         z += b_gates
         z += h[:m] @ u_gates
-        i, f = ad.logistic(z[:2])
-        g = np.tanh(z[2])
-        o = ad.logistic(z[3])
+        sig = ad.logistic(z[:3])
+        i, f, o = sig
+        g = np.tanh(z[3])
         c_prev = c[:m]
         c = f * c_prev + i * g
         t = np.tanh(c)
         h = o * t
         states[src[s : s + m]] = h
         if record:
-            gates.append((i, f, g, o))
-            cells.append(c_prev)
-            tanh_c.append(t)
+            saved.append((sig, g, c_prev, t))
 
     def vjp(g_out):
         g_p = g_out[src]
@@ -220,14 +221,21 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
         dc_next = np.zeros((live0, hidden))
         for step in reversed(range(len(plan.spans))):
             s, m = plan.spans[step]
-            i, f, g, o = gates[step]
+            sig, g, c_prev, t = saved[step]
+            i, f, o = sig
             dh = dh_next[:m] + g_p[s : s + m]
-            dc = dc_next[:m] + dh * o * (1.0 - tanh_c[step] ** 2)
+            dc = dc_next[:m] + dh * o * (1.0 - t**2)
+            # the i, f and o adjoints in one pass: (dc g, dc c_prev, dh tanh c) s (1 - s)
+            d_sig = np.empty((3, m, hidden))
+            np.multiply(dc, g, out=d_sig[0])
+            np.multiply(dc, c_prev, out=d_sig[1])
+            np.multiply(dh, t, out=d_sig[2])
+            d_sig *= sig
+            d_sig *= 1.0 - sig
             d = d_pre[s : s + m]
-            d[:, 0] = dc * g * i * (1.0 - i)
-            d[:, 1] = dc * cells[step] * f * (1.0 - f)
-            d[:, 2] = dc * i * (1.0 - g * g)
-            d[:, 3] = dh * tanh_c[step] * o * (1.0 - o)
+            d[:, :2] = d_sig[:2].transpose(1, 0, 2)
+            d[:, 3] = d_sig[2]
+            np.multiply(dc * i, 1.0 - g * g, out=d[:, 2])
             np.multiply(dc, f, out=dc_next[:m])
             np.matmul(d.reshape(m, 4 * hidden), uv.T, out=dh_next[:m])
         flat = d_pre.reshape(-1, 4 * hidden)
@@ -384,8 +392,9 @@ def adamw_step(params: ModelParams, grads: dict, state: AdamWState, lr: float) -
     corr2 = 1.0 - b2**state.step
     for name, w in params.arrays.items():
         g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(w))
-        v = state.v.setdefault(name, np.zeros_like(w))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(w), np.zeros_like(w)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -228,6 +228,86 @@ def test_take_grad_with_repeats(rng):
     e = tape.leaf(np.ones((3, 2)))
     tape.backward(reduce_sum(ad.take(e, np.array([1, 1, 1]))))
     assert np.array_equal(tape.grad(e), np.array([[0, 0], [3, 3], [0, 0]], dtype=float))
+
+
+def take_vjp(x, idx, g):
+    """The adjoint ``take``'s VJP sends back to ``x``."""
+    tape = Tape()
+    out = ad.take(tape.leaf(x), idx)
+    (gx,) = tape.nodes[out.idx].vjp(g)
+    return gx
+
+
+def add_at_scatter(x, idx, g):
+    """The scatter as ``np.add.at`` into zeros: each row's repeats summed in index order."""
+    gx = np.zeros_like(x)
+    np.add.at(gx, idx, g)
+    return gx
+
+
+# finite adjoints over the whole exponent range, with signed zeros and subnormals
+ADJOINTS = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+
+
+@st.composite
+def take_cases(draw):
+    rows = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(rows,), (rows, 1), (rows, 3)]))
+    # negative indices count from the end, as in the gather
+    idx = np.array(draw(st.lists(st.integers(-rows, rows - 1), max_size=12)), dtype=np.intp)
+    g = draw(hnp.arrays(np.float64, idx.shape + shape[1:], elements=ADJOINTS))
+    return np.ones(shape), idx, g
+
+
+def take_case(shape, idx, g):
+    return np.ones(shape), np.array(idx, dtype=np.intp), np.array(g, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=take_cases())
+# 1 + 1e16 rounds to even: summed in index order, the ones are lost
+@example(case=take_case((2,), [0, 0, 0], [1.0, 1e16, 1.0]))
+@example(case=take_case((3, 2), [2, -1, 0, -3], [[1, -0.0], [2, -0.0], [-0.0, 3], [4, 5]]))
+@example(case=take_case((4,), [], []))
+@example(case=take_case((2, 3), [], np.empty((0, 3))))
+def test_take_vjp_matches_add_at_bit_for_bit(case):
+    x, idx, g = case
+    gx = take_vjp(x, idx, g)
+    assert gx.shape == x.shape and gx.dtype == np.float64
+    assert gx.tobytes() == add_at_scatter(x, idx, g).tobytes()
+    assert not np.signbit(gx[gx == 0]).any()  # sums start at +0.0, and 0 + -0.0 is +0.0
+
+
+def test_first_adjoint_is_a_fresh_array_with_minus_zero_as_plus_zero():
+    # the tape stores a node's first adjoint as 0 + c: a later += must not
+    # write into the array a VJP returned, and -0.0 becomes +0.0
+    tape = Tape()
+    a = tape.leaf(np.zeros(3))
+    sent = np.array([-0.0, 1.0, -2.0])
+    out = ad.custom_op((a,), np.sum(a.value), lambda g: (sent,))
+    tape.backward(out)
+    assert tape.grad(a).tobytes() == np.array([0.0, 1.0, -2.0]).tobytes()
+    assert not np.shares_memory(tape.grad(a), sent)
+    twice = ad.custom_op((a, a), np.sum(a.value), lambda g: (sent, sent))
+    tape.backward(twice)
+    assert tape.grad(a).tobytes() == np.array([0.0, 2.0, -4.0]).tobytes()
+    assert sent.tobytes() == np.array([-0.0, 1.0, -2.0]).tobytes()
+
+
+def test_mul_vjp_computes_only_the_adjoints_that_are_needed(rng):
+    # a dropout mask or a constant factor needs no adjoint, so none is formed
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(4, 3)))
+    y = tape.leaf(rng.normal(size=(4, 3)))
+    mask = tape.constant((rng.random((4, 3)) >= 0.5) / 0.5)
+    g = rng.normal(size=(4, 3))
+    for a, b, need in ((x, mask, (True, False)), (mask, x, (False, True)), (x, y, (True, True))):
+        adjoints = tape.nodes[(a * b).idx].vjp(g)
+        for adjoint, other, needed in zip(adjoints, (b, a), need):
+            if needed:
+                assert adjoint.tobytes() == (g * other.value).tobytes()
+            else:
+                assert adjoint is None
 
 
 def test_custom_op_vjp_grads(rng):

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairppm import cli, nn
 from fairppm.cli import (
@@ -318,6 +320,54 @@ def test_report_quotes_a_run_name_with_a_comma(pipeline, tmp_path):
     rows = read_csv(tmp_path / "merged" / "report.csv")
     assert [len(row) for row in rows] == [1 + len(fields(EvalReport))] * 2
     assert rows[1][0] == "r,1"
+
+
+def csv_module_write(path, config, columns):
+    """The CSV artifact as the csv module writes it: the same cells under
+    the same provenance line, through ``csv.writer`` with LF line ends."""
+    cells = [
+        list(map(cli._CSV_FORMAT.get(col.dtype.kind, str), col.tolist()))
+        for col in map(np.asarray, columns.values())
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {cli._provenance_comment(config)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
+
+
+# cells that need quoting (or, as \r, do not), a lone empty field, and any other text
+CSV_TEXT = st.text(st.sampled_from(',"\n\r a\x00\u00e9')) | st.text(
+    st.characters(blacklist_categories=("Cs",))
+)
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 5))
+    column = st.one_of(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=rows, max_size=rows),
+        st.lists(st.integers(-(2**40), 2**40), min_size=rows, max_size=rows),
+        st.lists(st.booleans(), min_size=rows, max_size=rows),
+        st.lists(CSV_TEXT, min_size=rows, max_size=rows),
+    )
+    return draw(st.dictionaries(CSV_TEXT, column, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=csv_columns())
+# no columns; a one-column row of one empty field, which csv writes as "";
+# and cells that need quoting beside \r, which needs none with LF line ends
+@example(columns={})
+@example(columns={"": [""]})
+@example(columns={"a": ["", "x"], "b": ["", ""]})
+@example(columns={"q": ['a"b', "c,d", "e\nf", "g\rh"]})
+def test_csv_writer_matches_the_csv_module_byte_for_byte(tmp_path_factory, columns):
+    tmp = tmp_path_factory.mktemp("csv")
+    config = {"seed": 3, "out": str(tmp)}
+    cli._write_csv(tmp / "ours.csv", config, columns)
+    csv_module_write(tmp / "csv.csv", config, columns)
+    assert (tmp / "ours.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -507,13 +507,18 @@ def test_adamw_descends_quadratic():
     assert all(b < a for a, b in zip(history, history[1:]))
 
 
-def test_adamw_state_tracks_steps():
+def test_adamw_state_tracks_steps(monkeypatch):
+    # the moments are allocated on the first step and updated in place after it
+    zeros_like, allocated = np.zeros_like, []
+    monkeypatch.setattr(np, "zeros_like", lambda a: allocated.append(a) or zeros_like(a))
     params = one_param(1.0)
     state = AdamWState()
-    for i in range(3):
+    adamw_step(params, {"w": np.asarray(1.0)}, state, lr=0.01)
+    moments = state.m["w"], state.v["w"]
+    for i in range(2):
         adamw_step(params, {"w": np.asarray(1.0)}, state, lr=0.01)
-    assert state.step == 3
-    assert "w" in state.m and "w" in state.v
+    assert state.step == 3 and len(allocated) == 2
+    assert state.m["w"] is moments[0] and state.v["w"] is moments[1]
 
 
 # ---------------------------------------------------------------------------
