@@ -189,8 +189,9 @@ def _lstm_layer(x: Var, w: Var, u: Var, b: Var, plan: _EventPlan, reverse: bool)
     src = plan.reverse if reverse else plan.forward
     live0 = plan.spans[0][1]
     x_p = xv[src]
-    # gate-major (4, F, H), (4, 1, H) and (4, H, H), so each step's gate
-    # pre-activations come out as contiguous (m, H) blocks
+    # gate-major (4, F, H), (4, 1, H) and (4, H, H) in the order (i, f, o, g),
+    # so each step's pre-activations come out as contiguous (m, H) blocks
+    # and the sigmoid gates as one (3, m, H) block
     order = [GATES.index(gate) for gate in "ifog"]
     w_gates = np.ascontiguousarray(wv.reshape(feat, 4, hidden).transpose(1, 0, 2)[order])
     b_gates = b.value.reshape(4, 1, hidden)[order]
