@@ -13,7 +13,6 @@ metric, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -43,12 +42,13 @@ from .metrics import (
 )
 from .nn import Hyper, init_params, predict
 from .records import (
+    csv_records,
     from_fields,
     json_cast,
+    json_payload,
     parse_json,
-    read_json,
-    skip_comment_lines,
-    utf8_lines,
+    utf8_text,
+    write_csv,
     write_json,
 )
 from .train import (
@@ -115,8 +115,7 @@ def _load_config(args) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file '{path}' does not exist")
         try:
-            with open(path, encoding="utf-8") as fh:
-                config = parse_json("".join(utf8_lines(fh)))
+            config = parse_json(utf8_text(path.read_bytes()))
         except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
@@ -182,7 +181,7 @@ def _schema_from_config(config: dict) -> SchemaConfig:
         if not path.is_file():
             raise ConfigError(f"schema file '{path}' does not exist")
         try:
-            raw = read_json(path)
+            raw = json_payload(path.read_bytes())
         except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
             raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
@@ -231,48 +230,39 @@ def _artifact(out: Path, name: str, reader):
         raise ConfigError(f"malformed artifact '{path}': {type(exc).__name__}: {exc}") from None
 
 
-# how a CSV column formats its values, by NumPy dtype kind; any other kind by str
+# how a CSV column spells its values, by NumPy dtype kind; any other kind by str
 _CSV_FORMAT = {"f": repr, "b": lambda v: "true" if v else "false"}
 
 
-def _csv_quoted(cells: list) -> list:
-    """Cells as ``csv.writer`` writes them with LF line ends (QUOTE_MINIMAL):
-    a cell holding a comma, a quote or a newline is quoted, its quotes
-    doubled. A column of plain numbers is scanned once and returned as is."""
-    text = "".join(cells)
-    if "," not in text and '"' not in text and "\n" not in text:
-        return cells
-    return [
-        '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
-        for c in cells
-    ]
+def _csv_cells(values) -> list:
+    """A column's values as CSV text: a column of strings as it is
+    (``np.asarray`` would drop a trailing NUL), any other by its NumPy dtype."""
+    if all(isinstance(v, str) for v in values):
+        return list(values)
+    col = np.asarray(values)
+    return list(map(_CSV_FORMAT.get(col.dtype.kind, str), col.tolist()))
 
 
 def _write_csv(path: Path, config: dict, columns: dict) -> None:
-    """``columns`` (header -> column of values) as CSV under the provenance
-    comment, with LF line ends and fields quoted as needed, byte for byte
-    as ``csv.writer`` would write them."""
-    cells = [
-        _csv_quoted([str(name), *map(_CSV_FORMAT.get(col.dtype.kind, str), col.tolist())])
-        for name, col in zip(columns, map(np.asarray, columns.values()))
+    """``columns`` (header -> column of values) as a CSV artifact."""
+    cells = {name: _csv_cells(col) for name, col in columns.items()}
+    write_csv(path, _provenance_comment(config), cells)
+
+
+def _load_inputs(out: Path, *splits: str) -> tuple:
+    """The encoder, the sha256 of the bytes it was read from, and the named
+    splits, each checked against that hash: one read of the encoder a stage."""
+
+    def read_encoder(path):
+        data = path.read_bytes()
+        return from_fields(EncoderSpec, json_payload(data)), hashlib.sha256(data).hexdigest()
+
+    encoder, sha256 = _artifact(out, ENCODER_FILE, read_encoder)
+    data = [
+        _artifact(out, SPLIT_FILES[split], lambda path: PackedDataset.load(path, encoder, sha256))
+        for split in splits
     ]
-    if len(cells) == 1:  # csv.writer writes a row of one empty field as ""
-        cells = [[cell or '""' for cell in cells[0]]]
-    rows = [",".join(row) for row in zip(*cells)] if cells else [""]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {_provenance_comment(config)}\n")
-        fh.write("\n".join(rows) + "\n")
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_split(out: Path, split: str, encoder: EncoderSpec) -> PackedDataset:
-    sha256 = _sha256_file(out / ENCODER_FILE)
-    return _artifact(
-        out, SPLIT_FILES[split], lambda path: PackedDataset.load(path, encoder, sha256)
-    )
+    return encoder, sha256, data
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +351,7 @@ def cmd_ingest(config: dict) -> int:
 
     prov = _provenance(config)
     write_json(out / ENCODER_FILE, asdict(encoder), prov)
-    sha256 = _sha256_file(out / ENCODER_FILE)
+    sha256 = hashlib.sha256((out / ENCODER_FILE).read_bytes()).hexdigest()
     stats = {}
     for split, samples in splits.items():
         data = PackedDataset.from_samples(encoder, samples)
@@ -373,10 +363,6 @@ def cmd_ingest(config: dict) -> int:
         f"{len(valid_samples)} valid / {len(test_samples)} test prefixes"
     )
     return EXIT_OK
-
-
-def _load_encoder(out: Path) -> EncoderSpec:
-    return _artifact(out, ENCODER_FILE, lambda path: from_fields(EncoderSpec, read_json(path)))
 
 
 def cmd_train(config: dict, jobs: int) -> int:
@@ -392,9 +378,7 @@ def cmd_train(config: dict, jobs: int) -> int:
         hyper = _record(Hyper, config, "hyper")
     else:
         raise ConfigError("'hyper' must be an object or the string \"grid\"")
-    encoder = _load_encoder(out)
-    train_data = _load_split(out, "train", encoder)
-    valid_data = _load_split(out, "valid", encoder)
+    encoder, sha256, (train_data, valid_data) = _load_inputs(out, "train", "valid")
 
     if grid is not None:
         result = grid_search(
@@ -404,10 +388,7 @@ def cmd_train(config: dict, jobs: int) -> int:
         write_json(out / GRID_FILE, asdict(result), _provenance(config))
 
     ckpt = train_model(train_data, valid_data, encoder, hyper, loss_cfg, seed, train_cfg)
-    ckpt.encoder_ref = {
-        "path": ENCODER_FILE,
-        "sha256": _sha256_file(out / ENCODER_FILE),
-    }
+    ckpt.encoder_ref = {"path": ENCODER_FILE, "sha256": sha256}
     save_checkpoint(ckpt, out / CHECKPOINT_FILE, provenance=_provenance(config))
     print(
         f"trained lambda={loss_cfg.lam} in {ckpt.epochs_run} epochs "
@@ -439,10 +420,7 @@ def cmd_sweep(config: dict, jobs: int) -> int:
     train_cfg = _record(TrainConfig, config, "train")
     lambdas = _lambdas(config)
     _losses("sweep", lambdas)  # a bad list exits 2 before any artifact is read
-    encoder = _load_encoder(out)
-    train_data = _load_split(out, "train", encoder)
-    valid_data = _load_split(out, "valid", encoder)
-    test_data = _load_split(out, "test", encoder)
+    encoder, _, (train_data, valid_data, test_data) = _load_inputs(out, "train", "valid", "test")
 
     points = lambda_sweep(
         train_data,
@@ -485,10 +463,9 @@ def cmd_sweep(config: dict, jobs: int) -> int:
 
 def cmd_evaluate(config: dict) -> int:
     out = _out_dir(config)
-    encoder = _load_encoder(out)
-    test_data = _load_split(out, "test", encoder)
+    encoder, sha256, (test_data,) = _load_inputs(out, "test")
     ckpt = _artifact(out, CHECKPOINT_FILE, load_checkpoint)
-    if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != _sha256_file(out / ENCODER_FILE):
+    if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != sha256:
         raise ConfigError(
             "encoder.json does not match the encoder this checkpoint was trained with"
         )
@@ -534,7 +511,7 @@ def cmd_report(config: dict, runs: list) -> int:
         report = _artifact(
             run_dir,
             REPORT_FILE,
-            lambda path: from_fields(EvalReport, read_json(path)["report"]),
+            lambda path: from_fields(EvalReport, json_payload(path.read_bytes())["report"]),
         )
         rows.append((run_dir.name, report))
 
@@ -559,20 +536,23 @@ def cmd_report(config: dict, runs: list) -> int:
 def _read_scores_csv(path: Path):
     """Scores in [0,1] and sensitive flags in {0,1}; a bad row raises
     ValueError naming its line."""
-    scores, sensitives, skipped = [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(skip_comment_lines(fh, skipped))
-        for row in reader:
+    scores, sensitives = [], []
+    with csv_records(path) as records:
+        line, header = next(records, (1, []))
+        if "score" not in header or "sensitive" not in header:
+            raise ValueError(f"line {line}: the header lacks 'score' or 'sensitive'")
+        score_at, sensitive_at = header.index("score"), header.index("sensitive")
+        for line, values in records:
             try:
-                score, sensitive = float(row["score"]), int(row["sensitive"])
+                score, sensitive = float(values[score_at]), int(values[sensitive_at])
                 if not 0.0 <= score <= 1.0:
                     raise ValueError(f"score {score} outside [0,1]")
                 if sensitive not in (0, 1):
                     raise ValueError(f"sensitive {sensitive} is not 0 or 1")
-                scores.append(score)
-                sensitives.append(sensitive)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"line {reader.line_num + len(skipped)}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
+            scores.append(score)
+            sensitives.append(sensitive)
     return np.array(scores), np.array(sensitives)
 
 

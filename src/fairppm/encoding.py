@@ -183,7 +183,7 @@ def _label_key(label) -> tuple:
 
 def encode(spec: EncoderSpec, sample: RawPrefixSample) -> tuple:
     """``(spec, sample)`` for ``PackedDataset.from_encoded``. It exists only for
-    ``benchmarks/workload.py:205``, and is deleted once ROADMAP item 8 moves that call."""
+    ``benchmarks/workload.py:205``, and is deleted once ROADMAP item 2 moves that call."""
     return spec, sample
 
 
@@ -201,7 +201,7 @@ class PackedDataset:
     @classmethod
     def from_encoded(cls, pairs: list) -> "PackedDataset":
         """``from_samples`` of ``encode``'s pairs. It exists only for
-        ``benchmarks/workload.py:205``, and is deleted once ROADMAP item 8 moves that call."""
+        ``benchmarks/workload.py:205``, and is deleted once ROADMAP item 2 moves that call."""
         return cls.from_samples(pairs[0][0], [sample for _, sample in pairs])
 
     @classmethod

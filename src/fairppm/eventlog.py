@@ -6,18 +6,16 @@ activity: a case is positive iff the target occurs, and prefixes are taken
 strictly before it. The module also ships a seeded synthetic generator that
 plants a configurable group bias, used by tests and the `synth` command.
 
-CSV format (UTF-8, a leading byte-order mark is ignored): a header row of
-unique names with required columns `case_id`, `activity`, `timestamp`
-(ISO-8601), and as many fields in every row as in the header; static
-attributes use a `case:` name prefix
-(boolean values TRUE/FALSE, case-insensitive); all other columns are
-dynamic event attributes. Every non-required column must be declared in the
-schema with a kind (categorical | numeric | boolean).
+CSV format (the syntax ``records.csv_records`` reads): a header of unique
+names with required columns `case_id`, `activity`, `timestamp` (ISO-8601);
+static attributes use a `case:` name prefix (boolean values TRUE/FALSE,
+case-insensitive); all other columns are dynamic event attributes. Every
+non-required column must be declared in the schema with a kind
+(categorical | numeric | boolean).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import gc
 import math
@@ -26,7 +24,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .records import skip_comment_lines
+from .records import csv_records, write_csv
 
 __all__ = [
     "EventLogError",
@@ -222,13 +220,8 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
     parsed only when their text differs from the first row's, and then
     compared by parsed value, so " true" and "TRUE" agree.
     """
-    skipped: list = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(skip_comment_lines(fh, skipped, RowError))
-        try:
-            cases = _read_cases(reader, skipped, schema)
-        except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise RowError(f"line {reader.line_num + len(skipped)}: {exc}") from None
+    with csv_records(path, RowError) as records:
+        cases = _read_cases(records, schema)
 
     traces = []
     for case_id, (_, statics, events) in cases.items():
@@ -237,13 +230,13 @@ def parse_event_log(path, schema: SchemaConfig) -> EventLog:
     return EventLog(tuple(traces), schema)
 
 
-def _read_cases(reader, skipped: list, schema: SchemaConfig) -> dict:
+def _read_cases(records, schema: SchemaConfig) -> dict:
     """case_id -> (raw static values, parsed static map, events in file order)
-    from the rows of ``reader``, checking the header against ``schema``."""
-    header = next(reader, [])
+    from ``records`` (``csv_records``), checking the header against ``schema``."""
+    line, header = next(records, (0, []))
     for col in header:
         if header.count(col) > 1:
-            raise SchemaError(f"line {reader.line_num + len(skipped)}: duplicate column '{col}'")
+            raise SchemaError(f"line {line}: duplicate column '{col}'")
     for col in REQUIRED_COLUMNS:
         if col not in header:
             raise SchemaError(f"missing required column '{col}'")
@@ -259,16 +252,9 @@ def _read_cases(reader, skipped: list, schema: SchemaConfig) -> dict:
     static = [col for col in columns if col[0].startswith(STATIC_PREFIX)]
     dynamic = [col for col in columns if not col[0].startswith(STATIC_PREFIX)]
     static_at = [i for _, i, _ in static]
-    width = len(header)
 
     cases: dict[str, tuple] = {}
-    for values in reader:
-        if not values:
-            continue  # a blank line
-        # the physical line the record ends on: a quoted field may span lines
-        line = reader.line_num + len(skipped)
-        if len(values) != width:
-            raise RowError(f"line {line}: {len(values)} fields where the header has {width}")
+    for line, values in records:
         case_id = values[case_at]
         if not case_id:
             raise RowError(f"line {line}: empty case_id")
@@ -306,27 +292,23 @@ def _read_cases(reader, skipped: list, schema: SchemaConfig) -> dict:
 
 def write_event_log(log: EventLog, path, header_comment: str | None = None) -> None:
     """Write a log in the CSV format `parse_event_log` reads, after an optional # line."""
-    static_cols = sorted(log.schema.static_attrs)
-    dynamic_cols = sorted(log.schema.dynamic_attrs)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(REQUIRED_COLUMNS) + static_cols + dynamic_cols)
-        for trace in log.traces:
-            for event in trace.events:
-                row = [trace.case_id, event.activity, event.timestamp.isoformat()]
-                row += [_format_value(trace.static_attrs[c]) for c in static_cols]
-                row += [_format_value(event.dynamic_attrs[c]) for c in dynamic_cols]
-                writer.writerow(row)
+    traces = log.traces
+    columns = {
+        "case_id": [trace.case_id for trace in traces for _ in trace.events],
+        "activity": [event.activity for trace in traces for event in trace.events],
+        "timestamp": [event.timestamp.isoformat() for trace in traces for event in trace.events],
+    }
+    for col in sorted(log.schema.static_attrs):
+        columns[col] = [_format_value(t.static_attrs[col]) for t in traces for _ in t.events]
+    for col in sorted(log.schema.dynamic_attrs):
+        columns[col] = [_format_value(e.dynamic_attrs[col]) for t in traces for e in t.events]
+    write_csv(path, header_comment, columns)
 
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr
 
 
 def label_and_cut(trace: Trace, target_activity: str) -> tuple[int, int]:

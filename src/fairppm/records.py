@@ -1,20 +1,23 @@
-"""The JSON artifact format, the type rule that reads configs and JSON
-artifacts into dataclass records, the inverse of ``dataclasses.asdict``, and
-the UTF-8 line reading every text artifact shares. It imports no other
+"""The JSON and CSV artifact formats, the type rule that reads configs and
+JSON artifacts into dataclass records, the inverse of ``dataclasses.asdict``,
+and the UTF-8 decoding every text artifact shares. It imports no other
 ``fairppm`` module, so every layer may use it."""
 
 from __future__ import annotations
 
+import csv
+import itertools
 import json
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
 __all__ = [
-    "json_cast", "from_fields", "float_array", "write_json", "read_json", "parse_json",
-    "utf8_lines", "skip_comment_lines",
+    "json_cast", "from_fields", "float_array", "write_json", "json_payload", "parse_json",
+    "utf8_text", "write_csv", "csv_records",
 ]
 
 # the types a value may have for a field type other than that type alone
@@ -24,41 +27,75 @@ _JSON_KINDS = {float: (int, float), tuple: (tuple, list)}
 _FLOAT_MAX = sys.float_info.max
 
 
-def utf8_lines(fh, error: type = ValueError):
-    """The lines of text file ``fh``; a byte that is not UTF-8 raises
-    ``error`` naming its line."""
+def utf8_text(data: bytes, error: type = ValueError) -> str:
+    """``data`` decoded as UTF-8; a byte that is not UTF-8 raises ``error``
+    naming its physical line (lines end at \\n, \\r or \\r\\n)."""
     try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise error(_not_utf8(fh.name)) from None
-
-
-def _not_utf8(path) -> str:
-    """The message naming the physical line of the first byte of ``path``
-    that is not UTF-8. A text read decodes in chunks, so its error gives only
-    an offset into one chunk: the file is read again as bytes, on this path
-    only."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # lines end at \n, \r or \r\n, as text mode reads them
         line = len((data[: exc.start] + b"?").splitlines())
-        return f"line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
-    return "the file is not UTF-8"
+        reason = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise error(f"line {line}: {reason}") from None
 
 
-def skip_comment_lines(fh, skipped: list, error: type = ValueError):
-    """The ``utf8_lines`` of ``fh`` after its leading '#' comments
-    (provenance headers), which go to ``skipped``; a later '#' line is data."""
-    in_preamble = True
-    for line in utf8_lines(fh, error):
-        if in_preamble and line.startswith("#"):
-            skipped.append(line)
-            continue
-        in_preamble = False
-        yield line
+def write_csv(path, comment: str | None, columns: dict) -> None:
+    """``columns`` (header -> list of text cells) as a CSV file after an
+    optional ``# comment`` line, byte for byte as ``csv.writer`` writes them
+    with LF line ends: a cell holding a comma, a quote or a newline is
+    quoted, its quotes doubled, and a row of one empty cell is ``""``."""
+    quoted = []
+    for column in [list(columns), *columns.values()]:
+        text = "".join(column)  # a column of plain cells is scanned once
+        if "," in text or '"' in text or "\n" in text:
+            column = [
+                '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
+                for c in column
+            ]
+        quoted.append(column)
+    header, *cells = quoted
+    if len(cells) == 1:
+        header, cells = [header[0] or '""'], [[cell or '""' for cell in cells[0]]]
+    rows = map(",".join, itertools.chain([header], zip(*cells)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {comment}\n" if comment else "")
+        while block := list(itertools.islice(rows, 4096)):  # bounded memory, few writes
+            fh.write("\n".join(block) + "\n")
+
+
+@contextmanager
+def csv_records(path, error: type = ValueError):
+    """The records of the CSV file at ``path`` as ``(line, fields)``, header
+    first; ``line`` is the physical line a record ends on. A leading
+    byte-order mark, the '#' lines above the header (a later one is a
+    record) and blank records are skipped. ``error`` is raised naming the
+    line for a byte that is not UTF-8, a field over ``csv.field_size_limit()``
+    and a record whose field count differs from the header's."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        yield _records(fh, error)
+
+
+def _records(fh, error: type):
+    comments, width = 0, None
+    try:
+        first = next(fh, "")
+        while first.startswith("#"):
+            comments, first = comments + 1, next(fh, "")
+        reader = csv.reader(itertools.chain([first], fh))
+        for values in reader:
+            if values:
+                line = reader.line_num + comments
+                width = width or len(values)  # the header's
+                if len(values) != width:
+                    raise error(f"line {line}: {len(values)} fields where the header has {width}")
+                yield line, values
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise error(f"line {reader.line_num + comments}: {exc}") from None
+    except UnicodeDecodeError:
+        # a text read decodes in chunks, so its error gives only an offset
+        # into one chunk: the file is read again as bytes, on this path only
+        with open(fh.name, "rb") as raw:
+            utf8_text(raw.read(), error)
+        raise
 
 
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:
@@ -81,11 +118,10 @@ def parse_json(text: str):
         raise ValueError(f"JSON nested too deeply ({exc})") from None
 
 
-def read_json(path):
-    """A JSON file's payload, less the ``provenance`` object that
-    ``write_json`` stamps into an artifact."""
-    with open(path, encoding="utf-8") as fh:
-        payload = parse_json("".join(utf8_lines(fh)))
+def json_payload(data: bytes):
+    """The payload of the JSON artifact ``data``, less the ``provenance``
+    object that ``write_json`` stamps into it."""
+    payload = parse_json(utf8_text(data))
     if isinstance(payload, dict) and isinstance(payload.get("provenance"), dict):
         del payload["provenance"]
     return payload

@@ -40,7 +40,7 @@ from .nn import (
     init_params,
     predict,
 )
-from .records import from_fields, read_json, write_json
+from .records import from_fields, json_payload, write_json
 
 __all__ = [
     "IPM_BATCH",
@@ -410,7 +410,8 @@ def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> N
 
 
 def load_checkpoint(path) -> Checkpoint:
-    payload = read_json(path)
+    with open(path, "rb") as fh:
+        payload = json_payload(fh.read())
     found = payload.get("format_version")
     if found != CHECKPOINT_VERSION:
         raise ValueError(

@@ -44,6 +44,7 @@ from fairppm.encoding import split_members
 from fairppm.eventlog import BiasSpec
 from fairppm.metrics import EvalReport
 from fairppm.nn import Hyper
+from fairppm.records import write_csv
 from fairppm.train import (
     CHECKPOINT_VERSION,
     GRID_AXES,
@@ -322,18 +323,29 @@ def test_report_quotes_a_run_name_with_a_comma(pipeline, tmp_path):
     assert rows[1][0] == "r,1"
 
 
-def csv_module_write(path, config, columns):
-    """The CSV artifact as the csv module writes it: the same cells under
-    the same provenance line, through ``csv.writer`` with LF line ends."""
-    cells = [
-        list(map(cli._CSV_FORMAT.get(col.dtype.kind, str), col.tolist()))
-        for col in map(np.asarray, columns.values())
-    ]
+def test_report_reads_scores_with_a_byte_order_mark_as_without(pipeline, tmp_path):
+    run_dir, merged = tmp_path / "run", tmp_path / "merged"
+    shutil.copytree(pipeline[1], run_dir)
+    scores = run_dir / SCORES_FILE
+    data = scores.read_bytes()
+    cfg_path = write_config(tmp_path, {"out": str(merged), "seed": 7})
+    written = {}
+    for bom in (b"", b"\xef\xbb\xbf"):
+        scores.write_bytes(bom + data)
+        assert main(["report", "--config", cfg_path, "--runs", str(run_dir)]) == EXIT_OK
+        written[bom] = {path.name: path.read_bytes() for path in sorted(merged.glob("*.csv"))}
+    assert list(written[b""]) == ["density_run.csv", "report.csv"]
+    assert written[b"\xef\xbb\xbf"] == written[b""]
+
+
+def csv_module_write(path, comment, columns):
+    """The CSV file as the csv module writes it: the same text cells under
+    the same comment line, through ``csv.writer`` with LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {cli._provenance_comment(config)}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        writer.writerows(zip(*columns.values()))
 
 
 # cells that need quoting (or, as \r, do not), a lone empty field, and any other text
@@ -364,9 +376,10 @@ def csv_columns(draw):
 @example(columns={"q": ['a"b', "c,d", "e\nf", "g\rh"]})
 def test_csv_writer_matches_the_csv_module_byte_for_byte(tmp_path_factory, columns):
     tmp = tmp_path_factory.mktemp("csv")
-    config = {"seed": 3, "out": str(tmp)}
-    cli._write_csv(tmp / "ours.csv", config, columns)
-    csv_module_write(tmp / "csv.csv", config, columns)
+    comment = cli._provenance_comment({"seed": 3, "out": str(tmp)})
+    cells = {name: cli._csv_cells(column) for name, column in columns.items()}
+    write_csv(tmp / "ours.csv", comment, cells)
+    csv_module_write(tmp / "csv.csv", comment, cells)
     assert (tmp / "ours.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
 
 
@@ -850,8 +863,17 @@ def truncate(path):
             id="scores-sensitive-not-a-flag",
         ),
         pytest.param(
-            "report", SCORES_FILE, replace_line(5, "# stray"), "line 5: could not convert",
+            "report", SCORES_FILE, replace_line(5, "# stray"),
+            "line 5: 1 fields where the header has 3",
             id="scores-comment-below-the-header",
+        ),
+        pytest.param(
+            "report", SCORES_FILE, replace_line(4, "0.5,1,0,1,2"),
+            "line 4: 5 fields where the header has 3", id="scores-two-extra-fields",
+        ),
+        pytest.param(
+            "report", SCORES_FILE, replace_line(4, "0.5,1," + "x" * 131073),
+            "line 4: field larger than field limit (131072)", id="scores-field-over-the-limit",
         ),
         pytest.param("evaluate", ENCODER_FILE, not_json, "Expecting", id="encoder-not-json"),
         pytest.param(
@@ -1141,7 +1163,7 @@ def test_readme_lists_the_split_file_members(pipeline):
         r"whose members are (.*?) \(a test checks this list against the code\)", text
     )
     assert sentence is not None
-    encoder = cli._load_encoder(pipeline[1])
+    encoder, _, _ = cli._load_inputs(pipeline[1])
     # each attribute's member once, under a placeholder name
     generic = [re.sub(r"^(cat|num):.*", r"\1:<attr>", name) for name in split_members(encoder)]
     assert re.findall(r"`([\w:<>]+)`", sentence[1]) == list(dict.fromkeys(generic))

@@ -469,12 +469,38 @@ def test_schema_round_trip():
     assert from_fields(SchemaConfig, json.loads(json.dumps(dataclasses.asdict(SCHEMA)))) == SCHEMA
 
 
+# activities that csv quotes: a comma, a quote and a newline, the target all three
+QUOTED_SPEC = BiasSpec(
+    n_cases=40,
+    activities=("sub,mit", 'scr"een', "col\nlect", "interview", 'off,"er\n', "reject", "close"),
+    target_activity='off,"er\n',
+)
+
+
+def csv_module_log(log) -> bytes:
+    """A synthetic log's CSV as ``csv.writer`` writes it with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    statics = ["case:protected", "case:proxy"]
+    writer.writerow(["case_id", "activity", "timestamp", *statics, "resource", "score"])
+    for trace in log.traces:
+        flags = ["TRUE" if trace.static_attrs[c] else "FALSE" for c in statics]
+        for e in trace.events:
+            stamp, attrs = e.timestamp.isoformat(), e.dynamic_attrs
+            writer.writerow(
+                [trace.case_id, e.activity, stamp, *flags, attrs["resource"], repr(attrs["score"])]
+            )
+    return buf.getvalue().encode("utf-8")
+
+
 def test_csv_round_trip(tmp_path):
-    log = generate_synthetic_log(BiasSpec(n_cases=40), seed=3)
-    path = tmp_path / "out.csv"
-    write_event_log(log, path)
-    again = parse_event_log(path, log.schema)
-    assert again == log
+    for spec in (BiasSpec(n_cases=40), QUOTED_SPEC):
+        log = generate_synthetic_log(spec, seed=3)
+        path = tmp_path / "out.csv"
+        write_event_log(log, path)
+        assert path.read_bytes() == csv_module_log(log)
+        again = parse_event_log(path, log.schema)
+        assert again == log
 
 
 # ---------------------------------------------------------------------------

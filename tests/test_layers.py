@@ -32,6 +32,15 @@ def relative_imports(tree: ast.Module):
                 yield node.lineno, name
 
 
+def absolute_imports(tree: ast.Module):
+    """The top-level package of every absolute import anywhere in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
 def test_every_module_has_a_layer():
     modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert modules == sorted(LAYERS)
@@ -53,3 +62,9 @@ def test_imports_sit_at_module_level(module):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
     ]
     assert nested == []
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_only_records_imports_csv(module):
+    # every CSV artifact is read and written through records
+    assert ("csv" in absolute_imports(parse(module))) == (module == "records")
