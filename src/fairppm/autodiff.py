@@ -234,10 +234,11 @@ def sigmoid(a: Var) -> Var:
     return custom_op((a,), s, lambda g: (g * s * (1.0 - s),))
 
 
-def concat(vars_, axis=-1) -> Var:
-    ends = np.cumsum([v.shape[axis] for v in vars_])[:-1]
-    out = np.concatenate([v.value for v in vars_], axis=axis)
-    return custom_op(vars_, out, lambda g: np.split(g, ends, axis=axis))
+def concat(vars_) -> Var:
+    """Join along the last axis."""
+    ends = np.cumsum([v.shape[-1] for v in vars_])[:-1]
+    out = np.concatenate([v.value for v in vars_], axis=-1)
+    return custom_op(vars_, out, lambda g: np.split(g, ends, axis=-1))
 
 
 def take(a: Var, indices) -> Var:

@@ -7,7 +7,9 @@ Outputs carry no timestamps, so a rerun with identical inputs is
 byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 undefined
-metric, 1 internal error.
+metric, 1 internal error. A config, schema, log or ``out`` path that the
+system cannot open as asked (absent, or a directory where a file belongs,
+or the reverse) exits 2 with the system's message, which names the path.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -108,16 +111,23 @@ class MissingArtifactError(FileNotFoundError):
 # config plumbing
 
 
+@contextmanager
+def _config_error(prefix: str = ""):
+    """Re-raise a ValueError from the block as a ConfigError, its message
+    after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def _load_config(args) -> dict:
     config = {}
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file '{path}' does not exist")
-        try:
+        # JSONDecodeError, an int over the digit limit, or deep nesting
+        with _config_error(f"config file '{path}' is not valid JSON: "):
             config = parse_json(utf8_text(path.read_bytes()))
-        except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
-            raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = [repr(key) for key in config if key not in CONFIG_KEYS]
@@ -149,10 +159,9 @@ def _seed(config: dict) -> int:
     return _int_at_least(config, "seed", 0, 0)
 
 
-def _out_dir(config: dict, create: bool = True) -> Path:
+def _out_dir(config: dict) -> Path:
     out = Path(_get(config, "out", str))
-    if create:
-        out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -167,23 +176,17 @@ def _get(config: dict, key: str, kind: type, default=None, item=None):
     given, by the type rule of the nested records (``records.json_cast``); a
     key without a default is required."""
     value = _require(config, key) if default is None else config.get(key, default)
-    try:
+    with _config_error():
         value = json_cast(key, value, kind)
         return value if item is None else [json_cast(key, v, item) for v in value]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _schema_from_config(config: dict) -> SchemaConfig:
     raw = _require(config, "schema")
     if isinstance(raw, str):
         path = Path(raw)
-        if not path.is_file():
-            raise ConfigError(f"schema file '{path}' does not exist")
-        try:
+        with _config_error(f"schema file '{path}' is not valid JSON: "):
             raw = json_payload(path.read_bytes())
-        except ValueError as exc:  # JSONDecodeError, an int over the digit limit, or deep nesting
-            raise ConfigError(f"schema file '{path}' is not valid JSON: {exc}") from None
     # accept the canonical {"attributes": {...}} wrapper or a flat name->kind map
     if isinstance(raw, dict) and not isinstance(raw.get("attributes"), dict):
         raw = {"attributes": raw}
@@ -199,24 +202,14 @@ def _int_at_least(config: dict, key: str, default: int, least: int) -> int:
 
 def _record(cls, config: dict, key: str):
     """The dataclass ``cls`` read strictly from the config object at ``key``."""
-    try:
+    with _config_error(f"bad '{key}' config: "):
         return from_fields(cls, config.get(key, {}))
-    except ValueError as exc:
-        raise ConfigError(f"bad '{key}' config: {exc}") from None
 
 
 def _lambdas(config: dict) -> list:
     if config.get("sweep") is None:
         return default_lambdas()
     return _get(config, "sweep", list, item=float)
-
-
-def _losses(key: str, lambdas: list) -> list:
-    """``train.sweep_losses``, with an error naming the config ``key``."""
-    try:
-        return sweep_losses(lambdas)
-    except ValueError as exc:
-        raise ConfigError(f"'{key}' {exc}") from None
 
 
 def _artifact(out: Path, name: str, reader):
@@ -246,7 +239,7 @@ def _csv_cells(values) -> list:
 def _write_csv(path: Path, config: dict, columns: dict) -> None:
     """``columns`` (header -> column of values) as a CSV artifact."""
     cells = {name: _csv_cells(col) for name, col in columns.items()}
-    write_csv(path, _provenance_comment(config), cells)
+    write_csv(path, _provenance_comment(config), [cells])
 
 
 def _load_inputs(out: Path, *splits: str) -> tuple:
@@ -309,8 +302,6 @@ def cmd_ingest(config: dict) -> int:
     out = _out_dir(config)
     seed = _seed(config)
     log_path = Path(_get(config, "log", str))
-    if not log_path.is_file():
-        raise ConfigError(f"log file '{log_path}' does not exist")
     schema = _schema_from_config(config)
     target = _get(config, "target_activity", str)
     sensitive_attr = _get(config, "sensitive_attr", str, "case:protected")
@@ -368,7 +359,9 @@ def cmd_ingest(config: dict) -> int:
 def cmd_train(config: dict, jobs: int) -> int:
     out = _out_dir(config)
     seed = _seed(config)
-    (loss_cfg,) = _losses("lambda", [_get(config, "lambda", float, 0.0)])
+    lam = _get(config, "lambda", float, 0.0)
+    with _config_error("'lambda' "):
+        (loss_cfg,) = sweep_losses([lam])
     train_cfg = _record(TrainConfig, config, "train")
     raw_hyper = config.get("hyper", "grid")
     grid = None
@@ -405,10 +398,8 @@ def _grid(config: dict) -> list:
     for axis, values in raw.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"'grid' axis '{axis}' must be a nonempty list, got {values!r}")
-    try:
+    with _config_error("bad 'grid' config: "):
         return default_grid(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad 'grid' config: {exc}") from None
 
 
 def cmd_sweep(config: dict, jobs: int) -> int:
@@ -419,7 +410,8 @@ def cmd_sweep(config: dict, jobs: int) -> int:
     hyper = _record(Hyper, config, "hyper")
     train_cfg = _record(TrainConfig, config, "train")
     lambdas = _lambdas(config)
-    _losses("sweep", lambdas)  # a bad list exits 2 before any artifact is read
+    with _config_error("'sweep' "):
+        sweep_losses(lambdas)  # a bad list exits 2 before any artifact is read
     encoder, _, (train_data, valid_data, test_data) = _load_inputs(out, "train", "valid", "test")
 
     points = lambda_sweep(
@@ -611,12 +603,12 @@ def main(argv=None) -> int:
             runs = args.runs if args.runs is not None else _get(config, "runs", list, [], str)
             return cmd_report(config, runs)
         raise ConfigError(f"unknown command '{args.command}'")
-    except (ConfigError, EventLogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MissingArtifactError as exc:
+    except MissingArtifactError as exc:  # a FileNotFoundError, so before OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except (ConfigError, EventLogError, OSError) as exc:  # an OSError names its path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except UndefinedMetricError as exc:
         print(f"error: undefined metric: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED

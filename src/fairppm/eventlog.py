@@ -290,19 +290,27 @@ def _read_cases(records, schema: SchemaConfig) -> dict:
     return cases
 
 
+_WRITE_BLOCK = 1024  # traces a block of the written log holds; one block's cells are in memory
+
+
 def write_event_log(log: EventLog, path, header_comment: str | None = None) -> None:
     """Write a log in the CSV format `parse_event_log` reads, after an optional # line."""
-    traces = log.traces
-    columns = {
-        "case_id": [trace.case_id for trace in traces for _ in trace.events],
-        "activity": [event.activity for trace in traces for event in trace.events],
-        "timestamp": [event.timestamp.isoformat() for trace in traces for event in trace.events],
-    }
-    for col in sorted(log.schema.static_attrs):
-        columns[col] = [_format_value(t.static_attrs[col]) for t in traces for _ in t.events]
-    for col in sorted(log.schema.dynamic_attrs):
-        columns[col] = [_format_value(e.dynamic_attrs[col]) for t in traces for e in t.events]
-    write_csv(path, header_comment, columns)
+    statics, dynamics = sorted(log.schema.static_attrs), sorted(log.schema.dynamic_attrs)
+
+    def block(traces) -> dict:
+        columns = {
+            "case_id": [trace.case_id for trace in traces for _ in trace.events],
+            "activity": [event.activity for trace in traces for event in trace.events],
+            "timestamp": [e.timestamp.isoformat() for trace in traces for e in trace.events],
+        }
+        for col in statics:
+            columns[col] = [_format_value(t.static_attrs[col]) for t in traces for _ in t.events]
+        for col in dynamics:
+            columns[col] = [_format_value(e.dynamic_attrs[col]) for t in traces for e in t.events]
+        return columns
+
+    starts = range(0, max(len(log.traces), 1), _WRITE_BLOCK)  # an empty log still has a header
+    write_csv(path, header_comment, (block(log.traces[i : i + _WRITE_BLOCK]) for i in starts))
 
 
 def _format_value(value) -> str:

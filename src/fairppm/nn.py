@@ -285,7 +285,7 @@ def forward(
     if batch.num:
         numeric = [batch.num[a] for a in sorted(batch.num)]
         channels.append(tape.constant(np.stack(numeric, axis=-1)))
-    x = ad.concat(channels, axis=-1) if len(channels) > 1 else channels[0]
+    x = ad.concat(channels) if len(channels) > 1 else channels[0]
 
     def lstm(inp, layer, direction):
         weights = (leaves[f"lstm{layer}:{direction}:{p}"] for p in "WUb")
@@ -296,13 +296,13 @@ def forward(
         if hyper.bidirectional:
             seq_b = lstm(x, layer, "b")
         if layer < hyper.layers - 1:
-            x = ad.concat([seq_f, seq_b], axis=-1) if hyper.bidirectional else seq_f
+            x = ad.concat([seq_f, seq_b]) if hyper.bidirectional else seq_f
             if training and hyper.dropout > 0:
                 x = _dropout(x, hyper.dropout, rng)
 
     last = ad.take(seq_f, plan.last)
     if hyper.bidirectional:
-        last = ad.concat([last, ad.take(seq_b, plan.first)], axis=-1)
+        last = ad.concat([last, ad.take(seq_b, plan.first)])
     if training and hyper.dropout > 0:
         last = _dropout(last, hyper.dropout, rng)
 

@@ -38,28 +38,29 @@ def utf8_text(data: bytes, error: type = ValueError) -> str:
         raise error(f"line {line}: {reason}") from None
 
 
-def write_csv(path, comment: str | None, columns: dict) -> None:
-    """``columns`` (header -> list of text cells) as a CSV file after an
-    optional ``# comment`` line, byte for byte as ``csv.writer`` writes them
-    with LF line ends: a cell holding a comma, a quote or a newline is
-    quoted, its quotes doubled, and a row of one empty cell is ``""``."""
-    quoted = []
-    for column in [list(columns), *columns.values()]:
-        text = "".join(column)  # a column of plain cells is scanned once
-        if "," in text or '"' in text or "\n" in text:
-            column = [
-                '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
-                for c in column
-            ]
-        quoted.append(column)
-    header, *cells = quoted
-    if len(cells) == 1:
-        header, cells = [header[0] or '""'], [[cell or '""' for cell in cells[0]]]
-    rows = map(",".join, itertools.chain([header], zip(*cells)))
+def write_csv(path, comment: str | None, blocks) -> None:
+    """The rows of ``blocks``, in order, as a CSV file after an optional
+    ``# comment`` line; each block maps the same headers to lists of text
+    cells, and only one block's text is in memory at a time. The bytes are
+    ``csv.writer``'s with LF line ends: a cell holding a comma, a quote or a
+    newline is quoted, its quotes doubled, and a row of one empty cell is ``""``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n" if comment else "")
-        while block := list(itertools.islice(rows, 4096)):  # bounded memory, few writes
-            fh.write("\n".join(block) + "\n")
+        for i, columns in enumerate(blocks):
+            quoted = []
+            for column in [list(columns), *columns.values()]:
+                text = "".join(column)  # a column of plain cells is scanned once
+                if "," in text or '"' in text or "\n" in text:
+                    column = [
+                        '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c else c
+                        for c in column
+                    ]
+                quoted.append(column)
+            header, *cells = quoted
+            if len(cells) == 1:
+                header, cells = [header[0] or '""'], [[cell or '""' for cell in cells[0]]]
+            rows = itertools.chain([header] if i == 0 else [], zip(*cells))
+            fh.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 @contextmanager
@@ -159,12 +160,11 @@ def from_fields(cls, raw):
     """Build the dataclass ``cls`` from a JSON object keyed by its field names.
 
     Each present value is read by the field's annotated type: a dataclass
-    through ``from_fields``, ``np.ndarray`` by ``float_array``, ``X | None``
-    as None or as an ``X``, anything else by ``json_cast``. An absent key
-    takes the field's default; a field without one is required. Raises
-    ValueError for a non-object, an unknown key (listing the valid ones), a
-    missing required key or a value the type rule or the class's own checks
-    reject.
+    through ``from_fields``, ``X | None`` as None or as an ``X``, anything
+    else by ``json_cast``. An absent key takes the field's default; a field
+    without one is required. Raises ValueError for a non-object, an unknown
+    key (listing the valid ones), a missing required key or a value the type
+    rule or the class's own checks reject.
     """
     known = typing.get_type_hints(cls)
     if not isinstance(raw, dict):
@@ -194,6 +194,4 @@ def _read_field(key: str, value, kind):
             return from_fields(kind, value)
         except ValueError as exc:
             raise ValueError(f"in '{key}': {exc}") from None
-    if kind is np.ndarray:
-        return float_array(key, value)
     return json_cast(key, value, kind)

@@ -378,7 +378,7 @@ def test_csv_writer_matches_the_csv_module_byte_for_byte(tmp_path_factory, colum
     tmp = tmp_path_factory.mktemp("csv")
     comment = cli._provenance_comment({"seed": 3, "out": str(tmp)})
     cells = {name: cli._csv_cells(column) for name, column in columns.items()}
-    write_csv(tmp / "ours.csv", comment, cells)
+    write_csv(tmp / "ours.csv", comment, [cells])
     csv_module_write(tmp / "csv.csv", comment, cells)
     assert (tmp / "ours.csv").read_bytes() == (tmp / "csv.csv").read_bytes()
 
@@ -485,6 +485,9 @@ def test_drop_sensitive_flag_removes_channel(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["ingest", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert "nope.json" in capsys.readouterr().err
+    assert main(["ingest", "--config", str(tmp_path)]) == EXIT_CONFIG  # a directory
+    err = capsys.readouterr().err
+    assert f"'{tmp_path}'" in err and "internal error" not in err
 
 
 def test_malformed_json_config(tmp_path, capsys):
@@ -728,21 +731,30 @@ BAD_SCHEMA_FILE = "<a schema file holding invalid JSON>"
         ("ingest", {"target_activity": 5}, "'target_activity'"),
         ("report", {"runs": "run"}, "'runs'"),
         ("report", {"runs": [5]}, "'runs'"),
+        # paths the system cannot open as asked, each named in its message
+        ("synth", {"out": "{out}/log.csv"}, "'{out}/log.csv'"),
+        ("synth", {"out": "{out}/dir"}, "'{out}/dir/log.csv'"),
+        ("ingest", {"log": "{out}/dir"}, "'{out}/dir'"),
+        ("ingest", {"schema": "{out}/dir"}, "'{out}/dir'"),
     ],
     ids=lambda v: v if isinstance(v, str) else json.dumps(v),
 )
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, command, overrides, named):
     out = tmp_path / "bad"
-    out.mkdir()
+    (out / "dir" / "log.csv").mkdir(parents=True)  # a directory where a file belongs
     (out / "log.csv").write_text("")
     if overrides.get("schema") == BAD_SCHEMA_FILE:
         bad = tmp_path / "schema.json"
         bad.write_text("{not json")
         overrides = {"schema": str(bad)}
+    overrides = {
+        key: value.replace("{out}", str(out)) if isinstance(value, str) else value
+        for key, value in overrides.items()
+    }
     config = {**base_config(out), **overrides}  # overrides may replace 'out' itself
     assert run(command, write_config(tmp_path, config)) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert named in err and "internal error" not in err
+    assert named.replace("{out}", str(out)) in err and "internal error" not in err
 
 
 def drop_key(*path):

@@ -23,6 +23,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairppm import eventlog
 from fairppm.eventlog import (
     SYNTH_SCHEMA,
     BiasSpec,
@@ -501,6 +502,15 @@ def test_csv_round_trip(tmp_path):
         assert path.read_bytes() == csv_module_log(log)
         again = parse_event_log(path, log.schema)
         assert again == log
+
+
+def test_a_log_written_in_several_blocks_matches_the_csv_module(tmp_path):
+    # two full blocks of traces and one of a single trace, and a log of no trace
+    full = generate_synthetic_log(BiasSpec(n_cases=2 * eventlog._WRITE_BLOCK + 1), seed=3)
+    for log in (full, EventLog((), full.schema)):
+        path = tmp_path / "out.csv"
+        write_event_log(log, path, header_comment="provenance")
+        assert path.read_bytes() == b"# provenance\n" + csv_module_log(log)
 
 
 # ---------------------------------------------------------------------------
