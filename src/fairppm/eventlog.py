@@ -408,6 +408,8 @@ class BiasSpec:
     second static feature with the protected one (1 = identical, 0 =
     independent). Group and outcome quotas are assigned by exact counts and
     then shuffled, so realized rates match the spec up to rounding.
+    ``activities`` are at least 3 distinct, nonempty strings that include
+    ``target_activity``.
     """
 
     n_cases: int = 2000
@@ -433,11 +435,19 @@ class BiasSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise BiasSpecError(f"{name} must be in [0,1], got {v}")
-        if self.target_activity not in self.activities:
+        activities = tuple(self.activities)
+        for i, activity in enumerate(activities):
+            if not isinstance(activity, str):
+                raise BiasSpecError(f"activity {activity!r} is not a string")
+            if not activity:
+                raise BiasSpecError("activity names must be nonempty")
+            if activity in activities[:i]:
+                raise BiasSpecError(f"activity {activity!r} is named twice")
+        if self.target_activity not in activities:
             raise BiasSpecError("target_activity must be in the activity alphabet")
-        if len(self.activities) < 3:
+        if len(activities) < 3:
             raise BiasSpecError("need at least 3 activities")
-        object.__setattr__(self, "activities", tuple(self.activities))
+        object.__setattr__(self, "activities", activities)
 
     PRESETS = {
         "high": {"r0": 0.49, "r1": 0.11},
@@ -466,7 +476,17 @@ SYNTH_SCHEMA = SchemaConfig(
 def generate_synthetic_log(spec: BiasSpec, seed: int) -> EventLog:
     """Deterministic biased log: exact group/outcome quotas, a proxy static
     feature, outcome-dependent control flow and a numeric signal channel.
-    The target activity appears exactly for positive cases."""
+    The target activity appears exactly for positive cases.
+
+    The log is a function of the draws of ``numpy.random.default_rng(seed)``,
+    made in this order: one shuffle of the protected flags, one permutation
+    per group (unprotected first) to place the positive quota, and ``n_cases``
+    uniforms for the proxy. Then, case by case, one uniform per optional step
+    (at most 2), and per event ``integers(2, 30)`` for the gap in minutes
+    since the previous stamp, ``integers(1, 6)`` for the resource and one
+    standard normal for the score. Changing this order, or the number or kind
+    of any draw, changes every artifact built from a synthetic log.
+    """
     rng = np.random.default_rng(seed)
     n = spec.n_cases
 
@@ -488,40 +508,35 @@ def generate_synthetic_log(spec: BiasSpec, seed: int) -> EventLog:
     openers = pool[:2]
     optionals = pool[2:4]
     closers = pool[4:]
+    # by outcome: each optional step with its probability, and the path's end;
+    # a negative case closes on the first closer, a positive one on the last
+    steps = {True: list(zip(optionals, (0.7, 0.8))), False: list(zip(optionals, (0.3, 0.35)))}
+    ends = {True: [spec.target_activity, *closers[-1:]], False: closers[:1]}
+    # indexed by the drawn integers: gaps[k] for k in [2, 30), resources[k] for k in [1, 6)
+    gaps = [timedelta(minutes=k) for k in range(30)]
+    resources = [f"r{k}" for k in range(6)]
+    random, integers, standard_normal = rng.random, rng.integers, rng.standard_normal
 
     width = len(str(n - 1))
+    start = datetime(2024, 1, 5, 8, 0)
     traces = []
-    for i in range(n):
-        positive = bool(outcome[i])
-        path = list(openers)
-        for j, step in enumerate(optionals):
-            p_step = (0.7, 0.8)[j % 2] if positive else (0.3, 0.35)[j % 2]
-            if rng.random() < p_step:
-                path.append(step)
-        if positive:
-            path.append(spec.target_activity)
-        if closers:
-            path.append(closers[0] if not positive and len(closers) > 1 else closers[-1])
-
-        case_id = f"c{i:0{width}d}"
-        statics = {
-            "case:protected": bool(protected[i]),
-            "case:proxy": bool(proxy[i]),
-        }
-        stamp = datetime(2024, 1, 5, 8, 0) + timedelta(minutes=3 * i)
-        events = []
+    for i, (positive, in_group, proxy_flag) in enumerate(
+        zip(outcome.tolist(), protected.tolist(), proxy.tolist())
+    ):
+        path = openers + [step for step, p in steps[positive] if random() < p] + ends[positive]
+        stamp = start + timedelta(minutes=3 * i)
         loc = 0.62 if positive else 0.45
+        events = []
         for activity in path:
-            stamp = stamp + timedelta(minutes=int(rng.integers(2, 30)))
-            events.append(
-                Event(
-                    activity=activity,
-                    timestamp=stamp,
-                    dynamic_attrs={
-                        "resource": f"r{int(rng.integers(1, 6))}",
-                        "score": min(max(float(rng.normal(loc, 0.15)), 0.0), 1.0),
-                    },
-                )
-            )
-        traces.append(Trace(case_id, tuple(events), statics))
+            stamp += gaps[integers(2, 30)]
+            resource = resources[integers(1, 6)]
+            # the bits and the stream of rng.normal(loc, 0.15), at half its cost
+            score = loc + 0.15 * standard_normal()
+            if score < 0.0:  # clipped to [0, 1] as min(max(score, 0.0), 1.0) clips
+                score = 0.0
+            elif score > 1.0:
+                score = 1.0
+            events.append(Event(activity, stamp, {"resource": resource, "score": score}))
+        statics = {"case:protected": in_group, "case:proxy": proxy_flag}
+        traces.append(Trace(f"c{i:0{width}d}", tuple(events), statics))
     return EventLog(tuple(traces), SYNTH_SCHEMA)

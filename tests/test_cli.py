@@ -490,6 +490,25 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert f"'{tmp_path}'" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "activities, named",
+    [
+        ([["a"], "b", "offer"], "activity ['a'] is not a string"),
+        (["submit", "", "offer", "close"], "activity names must be nonempty"),
+        (["a", "a", "offer"], "activity 'a' is named twice"),
+    ],
+    ids=["not-a-string", "empty", "repeated"],
+)
+def test_a_malformed_activity_alphabet_exits_2_before_writing_the_log(
+    tmp_path, capsys, activities, named
+):
+    out = tmp_path / "run"
+    config = base_config(out, bias_spec={"activities": activities})
+    assert run("synth", write_config(tmp_path, config)) == EXIT_CONFIG
+    assert f"bad 'bias_spec' config: {named}" in capsys.readouterr().err
+    assert not (out / "log.csv").exists()
+
+
 def test_malformed_json_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -765,6 +765,12 @@ def test_bias_spec_validation():
         BiasSpec(p_s1=1.5)
     with pytest.raises(BiasSpecError):
         BiasSpec(target_activity="nonexistent")
+    with pytest.raises(BiasSpecError, match="not a string"):
+        BiasSpec(activities=(["a"], "b", "offer"))
+    with pytest.raises(BiasSpecError, match="nonempty"):
+        BiasSpec(activities=("submit", "", "offer", "close"))
+    with pytest.raises(BiasSpecError, match="'a' is named twice"):
+        BiasSpec(activities=("a", "a", "offer"))
 
 
 def test_bias_spec_presets_and_serde():
