@@ -43,7 +43,7 @@ from .metrics import (
     UndefinedMetricError,
     density_curve,
 )
-from .nn import Hyper, init_params, predict
+from .nn import Hyper, predict
 from .records import (
     csv_records,
     from_fields,
@@ -160,9 +160,8 @@ def _seed(config: dict) -> int:
 
 
 def _out_dir(config: dict) -> Path:
-    out = Path(_get(config, "out", str))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    # made only by the stages that write into it, once their inputs are checked
+    return Path(_get(config, "out", str))
 
 
 def _require(config: dict, key: str):
@@ -285,6 +284,7 @@ def cmd_synth(config: dict) -> int:
         spec = BiasSpec.preset(preset, n_cases=n_cases)
     log = generate_synthetic_log(spec, seed)
 
+    out.mkdir(parents=True, exist_ok=True)
     log_path = out / "log.csv"
     write_event_log(log, log_path, header_comment=_provenance_comment(config))
 
@@ -341,6 +341,7 @@ def cmd_ingest(config: dict) -> int:
     encoder = fit_encoder(train_samples, schema, max_len, drop_sensitive, sensitive_attr)
 
     prov = _provenance(config)
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / ENCODER_FILE, asdict(encoder), prov)
     sha256 = hashlib.sha256((out / ENCODER_FILE).read_bytes()).hexdigest()
     stats = {}
@@ -456,22 +457,11 @@ def cmd_sweep(config: dict, jobs: int) -> int:
 def cmd_evaluate(config: dict) -> int:
     out = _out_dir(config)
     encoder, sha256, (test_data,) = _load_inputs(out, "test")
-    ckpt = _artifact(out, CHECKPOINT_FILE, load_checkpoint)
+    ckpt = _artifact(out, CHECKPOINT_FILE, lambda path: load_checkpoint(path, encoder))
     if ckpt.encoder_ref and ckpt.encoder_ref.get("sha256") != sha256:
         raise ConfigError(
             "encoder.json does not match the encoder this checkpoint was trained with"
         )
-    # the arrays must have the names and shapes init_params gives the hyper and encoder
-    found, expected = (
-        {name: a.shape for name, a in params.arrays.items()}
-        for params in (ckpt.params, init_params(ckpt.params.hyper, encoder, ckpt.seed))
-    )
-    for name in sorted(found.keys() | expected.keys()):
-        if found.get(name) != expected.get(name):
-            raise ConfigError(
-                f"malformed artifact '{out / CHECKPOINT_FILE}': params array '{name}' has "
-                f"shape {found.get(name, 'absent')}, expected {expected.get(name, 'absent')}"
-            )
 
     scores = predict(ckpt.params, test_data)
     report = evaluate(ckpt, test_data, scores)
@@ -498,7 +488,7 @@ def cmd_report(config: dict, runs: list) -> int:
                 f"'{run_dir.name}'; report needs distinct run names"
             )
         named[run_dir.name] = run_dir
-    rows = []
+    rows, curves = [], {}
     for run_dir in named.values():
         report = _artifact(
             run_dir,
@@ -506,16 +496,17 @@ def cmd_report(config: dict, runs: list) -> int:
             lambda path: from_fields(EvalReport, json_payload(path.read_bytes())["report"]),
         )
         rows.append((run_dir.name, report))
-
         if (run_dir / SCORES_FILE).is_file():
             scores, sensitives = _artifact(run_dir, SCORES_FILE, _read_scores_csv)
-            curve = density_curve(GroupedScores.from_scores(scores, sensitives))
-            _write_csv(
-                out / f"density_{run_dir.name}.csv",
-                config,
-                {"x": curve.grid, "f0": curve.f0, "f1": curve.f1, "F0": curve.F0, "F1": curve.F1},
-            )
+            curves[run_dir.name] = density_curve(GroupedScores.from_scores(scores, sensitives))
 
+    out.mkdir(parents=True, exist_ok=True)  # once every run has been read
+    for name, curve in curves.items():
+        _write_csv(
+            out / f"density_{name}.csv",
+            config,
+            {"x": curve.grid, "f0": curve.f0, "f1": curve.f1, "F0": curve.F0, "F1": curve.F1},
+        )
     report_csv = out / "report.csv"
     columns = {"run": [name for name, _ in rows]}
     for f in fields(EvalReport):

@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .eventlog import RawPrefixSample, SchemaConfig, STATIC_PREFIX
+from .records import read_npz, write_npz
 
 __all__ = [
     "EncoderSpec",
@@ -272,12 +272,10 @@ class PackedDataset:
         return self.y.size
 
     def save(self, path, provenance: dict, encoder_sha256: str) -> None:
-        """Write the arrays to ``path`` as an uncompressed ``.npz`` split
-        file, stamped with ``provenance`` and the sha256 of the
-        ``encoder.json`` they were packed with. Its members are those of
-        ``split_members``; the zip holds no timestamps, so a rerun writes the
-        same bytes."""
-        np.savez(
+        """Write the arrays to ``path`` as a split file (``records.write_npz``),
+        stamped with ``provenance`` and the sha256 of the ``encoder.json``
+        they were packed with. Its members are those of ``split_members``."""
+        write_npz(
             path,
             lengths=self.lengths,
             y=self.y,
@@ -291,34 +289,12 @@ class PackedDataset:
     @classmethod
     def load(cls, path, spec: EncoderSpec, encoder_sha256: str) -> "PackedDataset":
         """The dataset ``save`` wrote to ``path``, checked against ``spec``
-        and the sha256 of its ``encoder.json``: the member set and dtypes,
-        lengths in [1, ``max_len``] that sum to the event count, indices within
-        the vocabularies, numerics in [0,1], labels in {0,1} and the encoder
-        hash. Any mismatch, or a file that is not such a zip, raises
-        ValueError; no pickled object is read."""
-        try:
-            with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except (zipfile.BadZipFile, EOFError) as exc:
-            raise ValueError(f"not an .npz split file: {exc}") from None
-        members = split_members(spec)
-        if arrays.keys() != members.keys():
-            missing = sorted(members.keys() - arrays.keys())
-            extra = sorted(arrays.keys() - members.keys())
-            raise ValueError(f"members missing {missing} and unexpected {extra}")
-        for name, dtype in members.items():
-            array = arrays[name]
-            if not isinstance(array, np.ndarray):
-                raise ValueError(f"member '{name}' is not an .npy array")
-            # a text member is one string of any length
-            if dtype.kind == "U":
-                fits, expected = (array.ndim, array.dtype.kind) == (0, "U"), "one string"
-            else:
-                fits, expected = (array.ndim, array.dtype) == (1, dtype), f"a 1-D {dtype} array"
-            if not fits:
-                raise ValueError(
-                    f"member '{name}' is {array.dtype} of shape {array.shape}, not {expected}"
-                )
+        and the sha256 of its ``encoder.json``: the members of
+        ``split_members`` (``records.read_npz``), lengths in [1, ``max_len``]
+        that sum to the event count, indices within the vocabularies,
+        numerics in [0,1], labels in {0,1} and the encoder hash. Any mismatch
+        raises ValueError."""
+        arrays = read_npz(path, split_members(spec))
         if str(arrays["encoder_sha256"]) != encoder_sha256:
             raise ValueError(
                 "it was packed with another encoder.json than the one beside it; rerun ingest"
@@ -358,7 +334,8 @@ class PackedDataset:
 
 def split_members(spec: EncoderSpec) -> dict:
     """Each member of a split file and its dtype, in the order ``save``
-    writes them: a 1-D array per label and attribute, then two strings."""
+    writes them: a 1-D array per label and attribute, then two strings
+    (``records.read_npz``'s member map)."""
     int64, float64 = np.dtype(np.int64), np.dtype(np.float64)
     return {
         "lengths": int64,

@@ -23,7 +23,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .encoding import EncoderSpec, PackedDataset
-from .records import float_array
 from .transport import w1_distance
 
 __all__ = [
@@ -84,14 +83,7 @@ class ModelParams:
     """Named weight arrays plus the hyper cell they were shaped by."""
 
     hyper: Hyper
-    arrays: dict
-
-    def __post_init__(self):
-        # arrays read from JSON arrive as nested lists, which must hold only numbers
-        self.arrays = {
-            k: np.asarray(v, dtype=np.float64) if isinstance(v, np.ndarray) else float_array(k, v)
-            for k, v in self.arrays.items()
-        }
+    arrays: dict  # name -> float64 array
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.hyper, {k: v.copy() for k, v in self.arrays.items()})

@@ -1,7 +1,7 @@
-"""The JSON and CSV artifact formats, the type rule that reads configs and
-JSON artifacts into dataclass records, the inverse of ``dataclasses.asdict``,
-and the UTF-8 decoding every text artifact shares. It imports no other
-``fairppm`` module, so every layer may use it."""
+"""The JSON, CSV and ``.npz`` (checked array members) artifact formats, the
+type rule that reads configs and JSON artifacts into dataclass records, the
+inverse of ``dataclasses.asdict``, and the UTF-8 decoding every text artifact
+shares. It imports no other ``fairppm`` module, so every layer may use it."""
 
 from __future__ import annotations
 
@@ -10,14 +10,15 @@ import itertools
 import json
 import sys
 import typing
+import zipfile
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
 __all__ = [
-    "json_cast", "from_fields", "float_array", "write_json", "json_payload", "parse_json",
-    "utf8_text", "write_csv", "csv_records",
+    "json_cast", "from_fields", "write_json", "json_payload", "parse_json",
+    "utf8_text", "write_csv", "csv_records", "write_npz", "read_npz",
 ]
 
 # the types a value may have for a field type other than that type alone
@@ -99,13 +100,57 @@ def _records(fh, error: type):
         raise
 
 
+def write_npz(path, /, **arrays) -> None:
+    """``arrays`` as an uncompressed ``.npz`` file, one ``.npy`` member per
+    name in order; the zip holds no timestamps, so a rerun writes the same bytes."""
+    np.savez(path, **arrays)
+
+
+def read_npz(source, members: dict) -> dict:
+    """The arrays of the ``.npz`` file ``source`` (a path or a binary file),
+    never unpickled, with exactly the names of ``members``. Each maps to a
+    dtype, or to ``(dtype, shape)`` where the shape is fixed; a dtype alone
+    asks for a 1-D array of any length, or for one string if it is str.
+    Anything else raises ValueError naming the member."""
+    try:
+        with np.lib.npyio.NpzFile(source, allow_pickle=False) as npz:
+            arrays = {}
+            for name in npz.files:
+                try:
+                    arrays[name] = npz[name]
+                except ValueError as exc:  # a pickled object
+                    raise ValueError(f"member '{name}': {exc}") from None
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not an .npz file: {exc}") from None
+    if arrays.keys() != members.keys():
+        missing = sorted(members.keys() - arrays.keys())
+        extra = sorted(arrays.keys() - members.keys())
+        raise ValueError(f"members missing {missing} and unexpected {extra}")
+    for name, kind in members.items():
+        dtype, shape = kind if isinstance(kind, tuple) else (kind, None)
+        array = arrays[name]
+        if not isinstance(array, np.ndarray):
+            raise ValueError(f"member '{name}' is not an .npy array")
+        if dtype.kind == "U":  # a text member is one string of any length
+            fits, expected = (array.ndim, array.dtype.kind) == (0, "U"), "one string"
+        elif shape is None:
+            fits, expected = (array.ndim, array.dtype) == (1, dtype), f"a 1-D {dtype} array"
+        else:
+            fits, expected = (array.shape, array.dtype) == (shape, dtype), f"{dtype} {shape}"
+        if not fits:
+            raise ValueError(
+                f"member '{name}' is {array.dtype} of shape {array.shape}, not {expected}"
+            )
+    return arrays
+
+
 def write_json(path, payload: dict, provenance: dict | None = None) -> None:
-    """``payload`` as a JSON artifact: sorted keys, indent 2, arrays as lists
-    and a trailing newline, with ``provenance`` (when given) under its own key."""
+    """``payload`` as a JSON artifact: sorted keys, indent 2 and a trailing
+    newline, with ``provenance`` (when given) under its own key."""
     if provenance:
         payload = {**payload, "provenance": provenance}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=np.ndarray.tolist)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -146,14 +191,6 @@ def json_cast(key: str, value, kind: type):
     if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"'{key}' value {value!r} is not a finite number")
     return kind(value)
-
-
-def float_array(key: str, value) -> np.ndarray:
-    """``value``, a JSON list of numbers nested to any depth, as a float64
-    array; each entry is read by ``json_cast`` as a float, so null, a bool,
-    a ragged row, NaN or Infinity raises ValueError naming the key."""
-    items = np.asarray(json_cast(key, value, list), dtype=object)
-    return np.array([json_cast(key, v, float) for v in items.flat]).reshape(items.shape)
 
 
 def from_fields(cls, raw):

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import hashlib
+import io
 import itertools
 import math
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .nn import (
     init_params,
     predict,
 )
-from .records import from_fields, json_payload, write_json
+from .records import from_fields, json_payload, read_npz, write_json, write_npz
 
 __all__ = [
     "IPM_BATCH",
@@ -66,7 +69,7 @@ __all__ = [
 
 IPM_BATCH = 512  # batch size forced whenever the transport term is active
 
-CHECKPOINT_VERSION = 6  # 6: the tuned threshold and validation AUC, not the scores
+CHECKPOINT_VERSION = 7  # 7: the weights in an .npz file beside the JSON, named by its sha256
 
 
 class TrainingError(RuntimeError):
@@ -406,12 +409,22 @@ def evaluate(
 
 
 def save_checkpoint(ckpt: Checkpoint, path, provenance: dict | None = None) -> None:
-    write_json(path, {"format_version": CHECKPOINT_VERSION, **asdict(ckpt)}, provenance)
+    """The weight arrays as ``path.with_suffix(".npz")``, and every other
+    field as the JSON file ``path``, with that file's sha256 in ``params``."""
+    weights = Path(path).with_suffix(".npz")
+    write_npz(weights, **ckpt.params.arrays)
+    payload = asdict(replace(ckpt, params=None))
+    sha256 = hashlib.sha256(weights.read_bytes()).hexdigest()
+    payload["params"] = {"hyper": asdict(ckpt.params.hyper), "sha256": sha256}
+    write_json(path, {"format_version": CHECKPOINT_VERSION, **payload}, provenance)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        payload = json_payload(fh.read())
+def load_checkpoint(path, encoder: EncoderSpec) -> Checkpoint:
+    """The checkpoint ``save_checkpoint`` wrote to ``path``; ValueError unless
+    its weights have the sha256 it records, and are finite and float64 in the
+    names and shapes ``init_params`` gives its hyper, ``encoder`` and seed."""
+    path = Path(path)
+    payload = json_payload(path.read_bytes())
     found = payload.get("format_version")
     if found != CHECKPOINT_VERSION:
         raise ValueError(
@@ -419,4 +432,22 @@ def load_checkpoint(path) -> Checkpoint:
             "rerun `train` to write a current checkpoint"
         )
     del payload["format_version"]
-    return from_fields(Checkpoint, payload)
+    params, sha256 = payload.get("params"), None
+    if isinstance(params, dict):  # the .npz file's sha256 stands in for the arrays
+        sha256, params["arrays"] = params.pop("sha256", None), {}
+    ckpt = from_fields(Checkpoint, payload)
+    weights = path.with_suffix(".npz")
+    data = weights.read_bytes()
+    try:
+        if hashlib.sha256(data).hexdigest() != sha256:
+            raise ValueError(f"its sha256 is not the one '{path.name}' records; rerun `train`")
+        layout = init_params(ckpt.params.hyper, encoder, ckpt.seed).arrays
+        arrays = read_npz(io.BytesIO(data), {k: (a.dtype, a.shape) for k, a in layout.items()})
+        for name, array in arrays.items():
+            finite = np.isfinite(array)
+            if not finite.all():
+                raise ValueError(f"member '{name}' holds {array[~finite][0]}, not a finite number")
+    except ValueError as exc:
+        raise ValueError(f"in '{weights}': {exc}") from None
+    ckpt.params.arrays = arrays
+    return ckpt

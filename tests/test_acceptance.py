@@ -291,6 +291,7 @@ def test_c9_pipeline_reruns_byte_identical(tmp_path):
         ENCODER_FILE,
         SUMMARY_FILE,
         CHECKPOINT_FILE,
+        "checkpoint.npz",
         REPORT_FILE,
         SCORES_FILE,
     )

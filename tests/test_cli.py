@@ -75,6 +75,7 @@ TINY_HYPER = {
 TINY_TRAIN = {"max_epochs": 2, "patience": 2}
 
 TRAIN_NPZ, VALID_NPZ, TEST_NPZ = (SPLIT_FILES[split] for split in ("train", "valid", "test"))
+CHECKPOINT_NPZ = "checkpoint.npz"  # the weights save_checkpoint writes beside the JSON
 
 
 def base_config(out, n_cases: int = 100, **extra) -> dict:
@@ -142,6 +143,7 @@ def test_pipeline_writes_all_artifacts(pipeline):
         ENCODER_FILE,
         SUMMARY_FILE,
         CHECKPOINT_FILE,
+        CHECKPOINT_NPZ,
         REPORT_FILE,
         SCORES_FILE,
     ):
@@ -825,7 +827,7 @@ def not_json(text):
 
 
 def edit_split(change):
-    """Apply ``change`` to a split file's arrays, by member name, and save
+    """Apply ``change`` to an .npz file's arrays, by member name, and save
     them back (an object array pickled)."""
 
     def edit(path):
@@ -838,12 +840,36 @@ def edit_split(change):
 
 
 def set_entry(name, index, value):
-    """Set entry ``index`` of split-file member ``name`` to ``value``."""
+    """Set entry ``index`` of .npz member ``name`` to ``value``."""
 
     def change(arrays):
         arrays[name][index] = value
 
     return edit_split(change)
+
+
+def set_member(name, array):
+    """Set (or add) .npz member ``name`` to ``array``."""
+    return edit_split(lambda arrays: arrays.update({name: array}))
+
+
+def retype(name, dtype):
+    """Store .npz member ``name`` as ``dtype`` (an object array pickled)."""
+    return edit_split(lambda arrays: arrays.update({name: arrays[name].astype(dtype)}))
+
+
+def restamped(edit):
+    """``edit`` of checkpoint.npz, after which checkpoint.json records the
+    edited file's sha256, so the checks past the hash meet the edit."""
+
+    def apply(path):
+        edit(path)
+        ckpt = path.with_suffix(".json")
+        payload = json.loads(ckpt.read_text())
+        payload["params"]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        ckpt.write_text(json.dumps(payload))
+
+    return apply
 
 
 def drop_last_event(arrays):
@@ -940,14 +966,13 @@ def truncate(path):
             "members missing [] and unexpected ['extra']", id="split-extra-member",
         ),
         pytest.param(
-            "evaluate", TEST_NPZ,
-            edit_split(lambda arrays: arrays.update(lengths=arrays["lengths"].astype(np.int32))),
-            "member 'lengths' is int32", id="split-lengths-int32",
+            "evaluate", TEST_NPZ, retype("lengths", np.int32), "member 'lengths' is int32",
+            id="split-lengths-int32",
         ),
         pytest.param(
-            "evaluate", TEST_NPZ,
-            edit_split(lambda arrays: arrays.update(y=arrays["y"].astype(object))),
-            "Object arrays cannot be loaded when allow_pickle=False", id="split-object-member",
+            "evaluate", TEST_NPZ, retype("y", object),
+            "member 'y': Object arrays cannot be loaded when allow_pickle=False",
+            id="split-object-member",
         ),
         pytest.param(
             "train", TRAIN_NPZ, member_not_npy, "member 'y' is not an .npy array",
@@ -994,11 +1019,11 @@ def truncate(path):
             "member 'num:case:proxy' holds nan, not a number in [0,1]", id="split-proxy-nan",
         ),
         pytest.param(
-            "evaluate", TEST_NPZ, truncate, "not an .npz split file", id="split-truncated"
+            "evaluate", TEST_NPZ, truncate, "not an .npz file", id="split-truncated"
         ),
         pytest.param(
             "train", VALID_NPZ, lambda path: path.write_text("lengths,y,s\n1,0,1\n"),
-            "not an .npz split file: File is not a zip file", id="split-not-a-zip",
+            "not an .npz file: File is not a zip file", id="split-not-a-zip",
         ),
         pytest.param(
             "evaluate", TEST_NPZ,
@@ -1064,16 +1089,41 @@ def truncate(path):
             "valid_auc -0.1 must lie in [0,1]", id="checkpoint-valid-auc-below-0",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "lstm0:f:b", value=5),
-            "'lstm0:f:b'", id="checkpoint-array-a-scalar",
+            "evaluate", CHECKPOINT_NPZ, restamped(set_member("lstm0:f:b", np.array(5.0))),
+            "member 'lstm0:f:b' is float64 of shape (), not float64 (16,)",
+            id="checkpoint-array-a-scalar",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "lstm0:f:b", value=[5]),
-            "'lstm0:f:b'", id="checkpoint-array-wrong-shape",
+            "evaluate", CHECKPOINT_NPZ, restamped(set_member("lstm0:f:b", np.array([5.0]))),
+            "member 'lstm0:f:b' is float64 of shape (1,), not float64 (16,)",
+            id="checkpoint-array-wrong-shape",
         ),
         pytest.param(
-            "evaluate", CHECKPOINT_FILE, set_key("params", "arrays", "extra", value=[1]),
-            "'extra'", id="checkpoint-extra-array",
+            "evaluate", CHECKPOINT_NPZ, restamped(set_member("extra", np.array([1.0]))),
+            "members missing [] and unexpected ['extra']", id="checkpoint-extra-array",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_NPZ, restamped(set_entry("dense:b", 0, np.nan)),
+            "member 'dense:b' holds nan, not a finite number", id="checkpoint-array-nan",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_NPZ, restamped(retype("dense:w", np.float32)),
+            "member 'dense:w' is float32", id="checkpoint-array-float32",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_NPZ, restamped(retype("dense:w", object)),
+            "member 'dense:w': Object arrays cannot be loaded when allow_pickle=False",
+            id="checkpoint-array-pickled",
+        ),
+        pytest.param(
+            "evaluate", CHECKPOINT_NPZ, restamped(truncate), "not an .npz file",
+            id="checkpoint-npz-truncated",
+        ),
+        pytest.param(
+            # another run's file: the same members with other weights, not re-hashed
+            "evaluate", CHECKPOINT_NPZ, set_entry("dense:b", 0, 0.125),
+            "its sha256 is not the one 'checkpoint.json' records",
+            id="checkpoint-npz-of-another-run",
         ),
     ],
 )
@@ -1198,6 +1248,39 @@ def test_readme_lists_the_split_file_members(pipeline):
     # each attribute's member once, under a placeholder name
     generic = [re.sub(r"^(cat|num):.*", r"\1:<attr>", name) for name in split_members(encoder)]
     assert re.findall(r"`([\w:<>]+)`", sentence[1]) == list(dict.fromkeys(generic))
+
+
+def test_evaluate_without_the_checkpoint_npz_exits_2_naming_it(pipeline, tmp_path, capsys):
+    _, out, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    (copy / CHECKPOINT_NPZ).unlink()
+    capsys.readouterr()
+    assert run("evaluate", write_config(tmp_path, base_config(copy))) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{copy / CHECKPOINT_NPZ}'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, code",
+    [
+        ("synth", {"bias_spec": {"activities": ["a", "a", "offer"]}}, EXIT_CONFIG),
+        ("ingest", {}, EXIT_CONFIG),  # its log, out/log.csv, is absent
+        ("train", {}, EXIT_MISSING),
+        ("sweep", {}, EXIT_MISSING),
+        ("evaluate", {}, EXIT_MISSING),
+        ("report", {"runs": []}, EXIT_CONFIG),
+        ("report", {"runs": ["absent"]}, EXIT_MISSING),
+    ],
+    ids=["synth", "ingest", "train", "sweep", "evaluate", "report-no-runs", "report-absent-run"],
+)
+def test_a_stage_that_fails_leaves_no_out_directory(tmp_path, command, extra, code):
+    out = tmp_path / "out"
+    config = base_config(out, **extra)
+    if command == "report":  # its runs lie beside out
+        config["runs"] = [str(tmp_path / name) for name in extra["runs"]]
+    assert run(command, write_config(tmp_path, config)) == code
+    assert not out.exists()
 
 
 def test_evaluate_before_train_is_missing_artifact(tmp_path, capsys):

@@ -71,6 +71,16 @@ def test_only_records_imports_csv(module):
     assert ("csv" in absolute_imports(parse(module))) == (module == "records")
 
 
+@pytest.mark.parametrize("module", LAYERS)
+def test_only_records_reads_and_writes_npz(module):
+    # every .npz artifact is read and written through records
+    tree = parse(module)
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    owns = "zipfile" in absolute_imports(tree) or bool(names & {"savez", "NpzFile"})
+    assert owns == (module == "records")
+
+
 # the benchmark's span targets, read from its source; the three absent from
 # the package wait for the benchmark to retarget them (ROADMAP item 2)
 TRACER = Path(__file__).parents[1] / "benchmarks" / "tracer.py"

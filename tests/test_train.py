@@ -613,21 +613,25 @@ def test_checkpoint_round_trip(tmp_path, small_data):
     ckpt.encoder_ref = {"path": "encoder.json", "sha256": "f" * 64}
     path = tmp_path / "model.json"
     save_checkpoint(ckpt, path, provenance={"config_hash": "deadbeef0123"})
-    loaded = load_checkpoint(path)
+    # the weights go to the .npz file beside the JSON, which holds none of them
+    assert (tmp_path / "model.npz").is_file()
+    assert "arrays" not in json.loads(path.read_text())["params"]
+    loaded = load_checkpoint(path, encoder)
     for f in dataclasses.fields(Checkpoint):
         before, after = getattr(ckpt, f.name), getattr(loaded, f.name)
         if f.name == "params":
             assert after.hyper == before.hyper
-            assert set(after.arrays) == set(before.arrays)
+            assert list(after.arrays) == list(before.arrays)
             for k in before.arrays:
                 assert after.arrays[k].dtype == np.float64
-                assert np.array_equal(after.arrays[k], before.arrays[k])
+                # bit-equal: the same bytes, so -0.0 and every last ulp survive
+                assert after.arrays[k].tobytes() == before.arrays[k].tobytes()
         else:
             assert after == before and type(after) is type(before), f.name
 
 
-def test_checkpoint_version_check(tmp_path):
+def test_checkpoint_version_check(tmp_path, small_data):
     path = tmp_path / "model.json"
     path.write_text('{"format_version": 999}\n')
     with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
+        load_checkpoint(path, small_data[0])
